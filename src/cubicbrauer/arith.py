@@ -21,7 +21,8 @@ def is_probable_prime(n: int) -> bool:
     """Deterministic Miller-Rabin for the integer sizes used here."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13):
+    # a witness that divides n would give pow(a, d, n) == 0, never 1 or n - 1
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     d, s = n - 1, 0

@@ -12,15 +12,13 @@ Subcommands expose each pipeline with deterministic text or JSON output:
 
 JSON payloads have the shape {command, inputs, result, paper_anchor} and
 identical inputs always produce byte-identical output.  A key=value config
-file can pre-set any flag; command-line values win.  The environment
-variable CUBICBRAUER_ECKARDT_MAX_BITS caps the concurrency-check precision.
+file can pre-set any flag; command-line values win.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -44,16 +42,10 @@ from .cubiclattice import (
 from .errors import CubicBrauerError
 from .intlinalg import FinAbGroup
 from .perms import setwise_stabilizer
-from .qexamples import (
-    MAX_ECKARDT_BITS,
-    cubic_galois_type,
-    example_brauer,
-    find_admissible_a,
-    general_position,
-)
+from .qexamples import cubic_galois_type, example_brauer, find_admissible_a
 from .ratpoly import RationalPoly
 
-CONFIG_KEYS = ("format", "case", "d", "n", "poly", "a", "auto_a", "boundary", "max_bits")
+CONFIG_KEYS = ("format", "case", "d", "n", "poly", "a", "auto_a", "boundary")
 
 
 def _load_config(path: str) -> dict[str, str]:
@@ -77,7 +69,7 @@ def _merge_config(args: argparse.Namespace) -> None:
     if not args.config:
         return
     config = _load_config(args.config)
-    casts = {"case": int, "d": int, "n": int, "auto_a": int, "max_bits": int}
+    casts = {"case": int, "d": int, "n": int, "auto_a": int}
     for key, raw in config.items():
         if getattr(args, key, None) is None:
             args.__setattr__(key, casts.get(key, str)(raw))
@@ -247,12 +239,9 @@ def _cmd_example(args) -> int:
     if args.poly is None:
         raise ValueError("example requires --poly")
     poly = RationalPoly.parse(args.poly)
-    max_bits = args.max_bits or int(
-        os.environ.get("CUBICBRAUER_ECKARDT_MAX_BITS", MAX_ECKARDT_BITS)
-    )
     rejected: list = []
     if args.auto_a is not None:
-        outcome = find_admissible_a(poly, args.auto_a, max_bits=max_bits)
+        outcome = find_admissible_a(poly, args.auto_a)
         a = outcome.a
         rejected = [{"a": str(r), "reason": why} for r, why in outcome.rejected]
     elif args.a is not None:
@@ -260,17 +249,17 @@ def _cmd_example(args) -> int:
     else:
         raise ValueError("example requires --a or --auto-a")
     galois = cubic_galois_type(poly)
-    report = general_position(poly, a)
-    group = example_brauer(poly, a, max_bits=max_bits)
+    group = example_brauer(poly, a)
     result = {
         "polynomial": [str(c) for c in poly.coefficients],
         "galois_type": {"type": galois.variant, "d": galois.d},
         "a": str(a),
         "rejected_a": rejected,
+        # example_brauer raises GeneralPositionFailed unless all three hold
         "general_position": {
-            "distinct_roots": report.distinct_roots,
-            "degree5_nonzero": report.degree5_nonzero,
-            "no_triple_sum_zero": report.no_triple_sum_zero,
+            "distinct_roots": True,
+            "degree5_nonzero": True,
+            "no_triple_sum_zero": True,
         },
         "eckardt": "no",
         "brauer_quotient": _group_json(group),
@@ -358,8 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ex.add_argument("--a", default=None, help="shift parameter (rational)")
     p_ex.add_argument("--auto-a", dest="auto_a", type=int, default=None,
                       help="search a = 1..BOUND for an admissible shift")
-    p_ex.add_argument("--max-bits", dest="max_bits", type=int, default=None,
-                      help="precision cap for the concurrency certificate")
 
     return parser
 

@@ -64,5 +64,5 @@ class EckardtPoint(CubicBrauerError):
     """The three boundary lines meet in a single point."""
 
 
-class EckardtIndeterminate(CubicBrauerError):
-    """Certified interval evaluation hit the precision cap undecided."""
+class NoAdmissibleShift(CubicBrauerError):
+    """No shift a up to the search bound passes general position and Eckardt."""

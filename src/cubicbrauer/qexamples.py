@@ -22,26 +22,14 @@ from typing import Literal
 from .arith import is_rational_square, squarefree_part
 from .brauer import BoundaryDescriptor, transcendental_bound
 from .errors import (
-    EckardtIndeterminate,
     EckardtPoint,
     GeneralPositionFailed,
+    NoAdmissibleShift,
     NotSeparable,
     WrongDegree,
 )
-from .intervals import Box, RatInterval, box_det3, cross_product, sqrt_interval
 from .intlinalg import FinAbGroup
-from .ratpoly import (
-    RationalPoly,
-    discriminant,
-    fraction_det,
-    isolate_real_roots,
-    rational_roots,
-    refine_root,
-    resultant,
-)
-
-DEFAULT_ECKARDT_BITS = 128
-MAX_ECKARDT_BITS = 1024
+from .ratpoly import RationalPoly, discriminant, fraction_det, rational_roots, resultant
 
 
 @dataclass(frozen=True)
@@ -177,114 +165,34 @@ def general_position(f: RationalPoly, a) -> GeneralPositionReport:
     )
 
 
-# -- certified Eckardt concurrency check -------------------------------------
+# -- Eckardt concurrency check ----------------------------------------------
 
 
 class EckardtVerdict(Enum):
     YES = "yes"
     NO = "no"
-    INDETERMINATE = "indeterminate"
 
 
-def _refined_interval(
-    f: RationalPoly, isolating: tuple[Fraction, Fraction], bits: int
-) -> RatInterval:
-    width = Fraction(1, 1 << bits)
-    lo, hi = refine_root(f, isolating, width)
-    return RatInterval(lo, hi)
-
-
-def _cubic_root_boxes(f: RationalPoly, bits: int) -> list[Box]:
-    """Certified enclosures of the three roots of a separable cubic."""
-    boxes: list[Box] = []
-    current = f.monic()
-    for r in rational_roots(f):
-        boxes.append(Box.point(r))
-        current = current // RationalPoly((-r, Fraction(1)))
-    if current.degree == 0:
-        return boxes
-    if current.degree == 2:
-        b, c = current.coeff(1), current.coeff(0)
-        disc = b * b - 4 * c
-        if disc > 0:
-            s = sqrt_interval(RatInterval.point(disc), bits)
-            half = RatInterval.point(Fraction(1, 2))
-            minus_b = RatInterval.point(-b)
-            boxes.append(Box((minus_b + s) * half, RatInterval.point(0)))
-            boxes.append(Box((minus_b - s) * half, RatInterval.point(0)))
-        else:
-            s = sqrt_interval(RatInterval.point(-disc), bits)
-            half = RatInterval.point(Fraction(1, 2))
-            re = RatInterval.point(-b / 2)
-            boxes.append(Box(re, s * half))
-            boxes.append(Box(re, -(s * half)))
-        return boxes
-    # irreducible cubic
-    disc = discriminant(current)
-    isolating = isolate_real_roots(current)
-    if disc > 0:
-        assert len(isolating) == 3
-        for iv in isolating:
-            boxes.append(Box(_refined_interval(current, iv, bits), RatInterval.point(0)))
-        return boxes
-    assert len(isolating) == 1
-    rho = _refined_interval(current, isolating[0], bits)
-    extra = bits
-    while rho.contains_zero():
-        # the real root is nonzero (no rational roots), so this terminates
-        extra *= 2
-        rho = _refined_interval(current, isolating[0], extra)
-    c2 = current.coeff(2)
-    c0 = current.coeff(0)
-    x = (RatInterval.point(-c2) - rho) * RatInterval.point(Fraction(1, 2))
-    norm = RatInterval.point(-c0) / rho  # |alpha|^2 = -c0 / rho
-    y = sqrt_interval(norm - x * x, bits)
-    boxes.append(Box(rho, RatInterval.point(0)))
-    boxes.append(Box(x, y))
-    boxes.append(Box(x, -y))
-    return boxes
-
-
-def _concurrency_determinant(f: RationalPoly, a: Fraction, bits: int) -> Box:
-    roots = _cubic_root_boxes(f, bits)
-    shift = Box.point(a)
-    one = Box.point(1)
-    lines = []
-    for alpha in roots:
-        beta = alpha + shift
-        p = (one, alpha, alpha * alpha * alpha)
-        q = (one, beta, beta * beta * beta)
-        lines.append(cross_product(p, q))
-    return box_det3(lines)
-
-
-def eckardt_concurrent(
-    f: RationalPoly,
-    a,
-    start_bits: int = DEFAULT_ECKARDT_BITS,
-    max_bits: int = MAX_ECKARDT_BITS,
-) -> EckardtVerdict:
-    """Certified test whether the three boundary lines are concurrent.
+def eckardt_concurrent(f: RationalPoly, a) -> EckardtVerdict:
+    """Exact test whether the three boundary lines are concurrent.
 
     The lines join [1 : r : r^3] to [1 : r+a : (r+a)^3] over the roots r
-    of F.  The 3x3 determinant of their coordinates is evaluated in exact
-    interval boxes at doubling precision; Yes/No are only returned when
-    the enclosure pins or excludes zero.
+    of F = c3 t^3 + c2 t^2 + c1 t + c0.  The 3x3 determinant of their
+    coordinate vectors factors as
+
+        D = -6 a^3 * prod_{i<j} (r_i - r_j) * (a^2 + a e1 + e2),
+
+    where e1 = -c2/c3 and e2 = c1/c3 are the elementary symmetric
+    functions of the roots.  General position makes F separable, and a is
+    nonzero, so the lines meet in a point iff c3 a^2 - c2 a + c1 = 0.
     """
     a = Fraction(a)
     report = general_position(f, a)
     if not report.ok:
         raise GeneralPositionFailed(report)
-    bits = start_bits
-    while True:
-        det = _concurrency_determinant(f, a, bits)
-        if not det.contains_zero():
-            return EckardtVerdict.NO
-        if det.is_exact_zero():
-            return EckardtVerdict.YES
-        if bits >= max_bits:
-            return EckardtVerdict.INDETERMINATE
-        bits = min(2 * bits, max_bits)
+    if f.coeff(3) * a * a - f.coeff(2) * a + f.coeff(1) == 0:
+        return EckardtVerdict.YES
+    return EckardtVerdict.NO
 
 
 # -- the end-to-end example pipeline ------------------------------------------
@@ -296,26 +204,15 @@ def boundary_from_galois(galois: GaloisType) -> BoundaryDescriptor:
     return BoundaryDescriptor("three_lines", galois.variant)
 
 
-def example_brauer(
-    f: RationalPoly,
-    a,
-    start_bits: int = DEFAULT_ECKARDT_BITS,
-    max_bits: int = MAX_ECKARDT_BITS,
-) -> FinAbGroup:
+def example_brauer(f: RationalPoly, a) -> FinAbGroup:
     """Br(U)/Br_1(U) for the blowup surface attached to (F, a).
 
     For this construction the Galois-invariant bound is attained, so the
-    descriptor's transcendental bound is reported as an equality.
+    descriptor's transcendental bound is reported as an equality.  Raises
+    GeneralPositionFailed or EckardtPoint when (F, a) gives no such surface.
     """
-    a = Fraction(a)
-    report = general_position(f, a)
-    if not report.ok:
-        raise GeneralPositionFailed(report)
-    verdict = eckardt_concurrent(f, a, start_bits=start_bits, max_bits=max_bits)
-    if verdict is EckardtVerdict.YES:
+    if eckardt_concurrent(f, a) is EckardtVerdict.YES:
         raise EckardtPoint("the three boundary lines are concurrent")
-    if verdict is EckardtVerdict.INDETERMINATE:
-        raise EckardtIndeterminate("precision cap reached without certification")
     return transcendental_bound(boundary_from_galois(cubic_galois_type(f)))
 
 
@@ -325,25 +222,20 @@ class SearchOutcome:
     rejected: tuple[tuple[Fraction, str], ...]
 
 
-def find_admissible_a(
-    f: RationalPoly,
-    bound: int = 20,
-    start_bits: int = DEFAULT_ECKARDT_BITS,
-    max_bits: int = MAX_ECKARDT_BITS,
-) -> SearchOutcome:
+def find_admissible_a(f: RationalPoly, bound: int = 20) -> SearchOutcome:
     """Smallest integer a in 1..bound passing general position and Eckardt."""
     rejected: list[tuple[Fraction, str]] = []
     for candidate in range(1, bound + 1):
         a = Fraction(candidate)
-        report = general_position(f, a)
-        if not report.ok:
-            rejected.append((a, "; ".join(report.failures())))
+        try:
+            verdict = eckardt_concurrent(f, a)
+        except GeneralPositionFailed as exc:
+            rejected.append((a, "; ".join(exc.report.failures())))
             continue
-        verdict = eckardt_concurrent(f, a, start_bits=start_bits, max_bits=max_bits)
         if verdict is EckardtVerdict.NO:
             return SearchOutcome(a=a, rejected=tuple(rejected))
         rejected.append((a, f"eckardt check: {verdict.value}"))
-    raise EckardtIndeterminate(f"no admissible a found up to {bound}")
+    raise NoAdmissibleShift(f"no admissible a found up to {bound}")
 
 
 # -- divisor principality -----------------------------------------------------
@@ -390,11 +282,9 @@ def principality_check() -> PrincipalityReport:
 
 
 __all__ = [
-    "DEFAULT_ECKARDT_BITS",
     "EckardtVerdict",
     "GaloisType",
     "GeneralPositionReport",
-    "MAX_ECKARDT_BITS",
     "PrincipalityReport",
     "SearchOutcome",
     "boundary_from_galois",

@@ -2,7 +2,7 @@
 
 Coefficients are ``fractions.Fraction`` in ascending degree; all the
 arithmetic used downstream (products, shifts, resultants, discriminants,
-gcds, Sturm sequences, rational roots) is exact.
+gcds, rational roots) is exact.
 """
 
 from __future__ import annotations
@@ -258,100 +258,10 @@ def _divisors(n: int) -> list[int]:
     return sorted(out)
 
 
-# -- real root isolation (Sturm) -------------------------------------------
-
-
-def sturm_sequence(f: RationalPoly) -> list[RationalPoly]:
-    seq = [f, f.derivative()]
-    while not seq[-1].is_zero() and seq[-1].degree >= 1:
-        seq.append(-(seq[-2].divmod(seq[-1])[1]))
-        if seq[-1].is_zero():
-            seq.pop()
-            break
-    if seq and seq[-1].is_zero():
-        seq.pop()
-    return seq
-
-
-def _sign_changes(seq: list[RationalPoly], x: Fraction) -> int:
-    signs = [v for v in (p(x) for p in seq) if v != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if (a > 0) != (b > 0))
-
-
-def count_real_roots(f: RationalPoly, lo: Fraction, hi: Fraction) -> int:
-    """Distinct real roots in (lo, hi] for separable f (Sturm's theorem)."""
-    seq = sturm_sequence(f)
-    return _sign_changes(seq, lo) - _sign_changes(seq, hi)
-
-
-def root_bound(f: RationalPoly) -> Fraction:
-    """Cauchy bound: all complex roots have |z| < 1 + max |c_i / c_n|."""
-    lead = abs(f.leading)
-    return 1 + max((abs(c) / lead for c in f.coefficients[:-1]), default=Fraction(0))
-
-
-def isolate_real_roots(f: RationalPoly) -> list[tuple[Fraction, Fraction]]:
-    """Disjoint open-closed intervals (lo, hi], one distinct real root each."""
-    if f.is_zero() or f.degree == 0:
-        return []
-    seq = sturm_sequence(f)
-    bound = root_bound(f)
-    lo, hi = -bound - 1, bound + 1
-
-    def count(a: Fraction, b: Fraction) -> int:
-        return _sign_changes(seq, a) - _sign_changes(seq, b)
-
-    out: list[tuple[Fraction, Fraction]] = []
-
-    def split(a: Fraction, b: Fraction, k: int) -> None:
-        if k == 0:
-            return
-        if k == 1:
-            out.append((a, b))
-            return
-        mid = (a + b) / 2
-        while f(mid) == 0:
-            # nudge the cut so interval endpoints are never roots
-            mid = (a + mid) / 2
-        split(a, mid, count(a, mid))
-        split(mid, b, count(mid, b))
-
-    split(lo, hi, count(lo, hi))
-    return sorted(out)
-
-
-def refine_root(
-    f: RationalPoly, interval: tuple[Fraction, Fraction], width: Fraction
-) -> tuple[Fraction, Fraction]:
-    """Bisect an isolating (lo, hi] down to the requested width.
-
-    Maintains sign(f(lo)) != sign(f(hi)) unless an endpoint is hit exactly.
-    """
-    lo, hi = interval
-    flo = f(lo)
-    if flo == 0:
-        raise ValueError("open endpoint must not be a root")
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        fmid = f(mid)
-        if fmid == 0:
-            return (mid, mid)
-        if (fmid > 0) == (flo > 0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-    return (lo, hi)
-
-
 __all__ = [
     "RationalPoly",
-    "count_real_roots",
     "discriminant",
-    "isolate_real_roots",
     "rational_roots",
-    "refine_root",
     "resultant",
-    "root_bound",
-    "sturm_sequence",
     "fraction_det",
 ]

@@ -157,10 +157,29 @@ def test_seed_check_exits_1_on_a_failing_check(monkeypatch, capsys):
     assert "0/1 checks passed" in out
 
 
-def test_eckardt_precision_env_var(monkeypatch, capsys):
-    monkeypatch.setenv("CUBICBRAUER_ECKARDT_MAX_BITS", "256")
-    code, out, _ = run(
-        capsys, "--format", "json", "example", "--poly=1,1,1,1", "--a", "2"
-    )
+def test_example_concurrent_lines_exit(capsys):
+    code, out, err = run(capsys, "example", "--poly", "-2,-2,1,1", "--a", "2")
+    assert code == 1
+    assert out == ""
+    assert err == "error: the three boundary lines are concurrent\n"
+
+
+def test_example_no_admissible_shift_exit(capsys):
+    code, _, err = run(capsys, "example", "--poly", "-2,-2,1,1", "--auto-a", "1")
+    assert code == 1
+    assert err == "error: no admissible a found up to 1\n"
+
+
+def test_config_rejects_max_bits_key(tmp_path, capsys):
+    config = tmp_path / "settings.conf"
+    config.write_text("max_bits=256\n", encoding="utf-8")
+    code, _, err = run(capsys, "--config", str(config), "example", "--poly=1,1,1,1", "--a", "2")
+    assert code == 1
+    assert "unknown config key" in err
+
+
+def test_invariants_prime_witness_square_class(capsys):
+    code, out, _ = run(capsys, "--format", "json", "invariants", "--d", "17", "--n", "4")
     assert code == 0
-    assert json.loads(out)["result"]["brauer_quotient"]["factors"] == [4]
+    # 17 is prime and sqrt(17) is not in Q(i), so only 2-torsion is invariant
+    assert json.loads(out)["result"]["invariants"] == {"free_rank": 0, "factors": [2]}

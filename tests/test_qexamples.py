@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from cubicbrauer.errors import (
-    EckardtIndeterminate,
+    EckardtPoint,
     GeneralPositionFailed,
+    NoAdmissibleShift,
     NotSeparable,
     WrongDegree,
 )
@@ -23,7 +25,7 @@ from cubicbrauer.qexamples import (
     general_position,
     principality_check,
 )
-from cubicbrauer.ratpoly import RationalPoly
+from cubicbrauer.ratpoly import RationalPoly, fraction_det, rational_roots
 
 P = RationalPoly.parse
 
@@ -89,8 +91,6 @@ def test_general_position_triple_sum():
 
 def test_derivation_determinant_against_numeric_roots():
     mpmath = pytest.importorskip("mpmath")
-    from itertools import combinations
-
     from cubicbrauer.qexamples import _triple_sum_determinant
 
     mpmath.mp.dps = 60
@@ -111,21 +111,88 @@ def test_derivation_determinant_against_numeric_roots():
 def test_eckardt_verdicts():
     f = P("-2,-2,1,1")
     assert eckardt_concurrent(f, 3) is EckardtVerdict.NO
-    # a = 2 is a genuine concurrency: the determinant vanishes exactly, and
-    # with irrational roots the interval certificate honestly stays undecided
-    assert eckardt_concurrent(f, 2) is EckardtVerdict.INDETERMINATE
+    # a = 2 is a genuine concurrency with irrational roots -sqrt2, sqrt2
+    assert eckardt_concurrent(f, 2) is EckardtVerdict.YES
+    assert set(EckardtVerdict) == {EckardtVerdict.YES, EckardtVerdict.NO}
 
 
 def test_eckardt_scaling_invariance():
     f = P("-2,-2,1,1")
-    assert eckardt_concurrent(f.scaled(3), 3) is eckardt_concurrent(f, 3)
+    for a in (2, 3):
+        assert eckardt_concurrent(f.scaled(3), a) is eckardt_concurrent(f, a)
 
 
 def test_eckardt_rational_concurrency_is_exact():
-    # fully split cubic: all coordinates rational, so Yes/No are decidable
-    f = P("-6,11,-6,1")  # roots 1, 2, 3
-    verdict = eckardt_concurrent(f, 5)
-    assert verdict in (EckardtVerdict.YES, EckardtVerdict.NO)
+    assert eckardt_concurrent(P("-6,11,-6,1"), 5) is EckardtVerdict.NO  # roots 1, 2, 3
+    f = P("-72,10,11,1")  # roots -4, 2, -9
+    assert general_position(f, 1).ok
+    assert eckardt_concurrent(f, 1) is EckardtVerdict.YES
+
+
+def _boundary_lines(roots, a):
+    """Coordinates of the lines joining [1 : r : r^3] and [1 : r+a : (r+a)^3]."""
+    lines = []
+    for r in roots:
+        p, q = (1, r, r**3), (1, r + a, (r + a) ** 3)
+        lines.append([
+            p[1] * q[2] - p[2] * q[1],
+            p[2] * q[0] - p[0] * q[2],
+            p[0] * q[1] - p[1] * q[0],
+        ])
+    return lines
+
+
+def _verdict_or_none(f, a):
+    try:
+        return eckardt_concurrent(f, a)
+    except GeneralPositionFailed:
+        return None
+
+
+def test_eckardt_matches_exact_determinant_on_split_cubics():
+    # r3 is the root that makes the lines concurrent for given r1, r2, a
+    # (solve a^2 + a e1 + e2 = 0 for r3), or that root plus one; the
+    # verdict is compared with the exact 3x3 determinant, not the formula
+    seen = {EckardtVerdict.YES: 0, EckardtVerdict.NO: 0}
+    for r1, r2 in combinations(range(-3, 4), 2):
+        for a in (1, 2, Fraction(1, 2)):
+            if a + r1 + r2 == 0:
+                continue
+            concurrent_r3 = -(a + r1) * (a + r2) / Fraction(a + r1 + r2)
+            for r3 in (concurrent_r3, concurrent_r3 + 1):
+                roots = (Fraction(r1), Fraction(r2), r3)
+                f = RationalPoly.from_coeffs([1])
+                for r in roots:
+                    f = f * RationalPoly.from_coeffs([-r, 1])
+                verdict = _verdict_or_none(f, a)
+                if verdict is None:
+                    continue
+                det = fraction_det(_boundary_lines(roots, Fraction(a)))
+                assert (det == 0) == (verdict is EckardtVerdict.YES), (roots, a)
+                seen[verdict] += 1
+    assert min(seen.values()) >= 10, seen
+
+
+def test_eckardt_matches_numeric_determinant_on_irrational_roots():
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 60
+    seen = {EckardtVerdict.YES: 0, EckardtVerdict.NO: 0}
+    for c2 in (-1, 0, 1):
+        for c0 in (1, 2, 3):
+            for a in (1, 2, -1):
+                # c1 = a c2 - a^2 puts (F, a) on the concurrency locus; c1 + 1 does not
+                for c1 in (a * c2 - a * a, a * c2 - a * a + 1):
+                    f = RationalPoly.from_coeffs([c0, c1, c2, 1])
+                    if len(rational_roots(f)) == 3:
+                        continue
+                    verdict = _verdict_or_none(f, a)
+                    if verdict is None:
+                        continue
+                    roots = mpmath.polyroots([1, c2, c1, c0], maxsteps=200, extraprec=120)
+                    det = mpmath.det(mpmath.matrix(_boundary_lines(roots, a)))
+                    assert (abs(det) < 1e-40) == (verdict is EckardtVerdict.YES), (c0, c1, c2, a)
+                    seen[verdict] += 1
+    assert min(seen.values()) >= 5, seen
 
 
 def test_eckardt_requires_general_position():
@@ -142,17 +209,21 @@ def test_example_brauer_published_values():
 def test_example_brauer_error_paths():
     with pytest.raises(GeneralPositionFailed):
         example_brauer(P("-2,-2,1,1"), 1)
-    with pytest.raises(EckardtIndeterminate):
+    with pytest.raises(EckardtPoint):
         example_brauer(P("-2,-2,1,1"), 2)
 
 
 def test_find_admissible_a():
     outcome = find_admissible_a(P("-2,-2,1,1"), 20)
     assert outcome.a == 3
-    reasons = dict(outcome.rejected)
-    assert Fraction(1) in reasons and Fraction(2) in reasons
+    assert outcome.rejected == (
+        (Fraction(1), "three of the six roots sum to zero"),
+        (Fraction(2), "eckardt check: yes"),
+    )
     assert find_admissible_a(P("1,1,1,1"), 20).a == 2
     assert find_admissible_a(P("3,3,1,1"), 20).a == 2
+    with pytest.raises(NoAdmissibleShift, match="no admissible a found up to 2"):
+        find_admissible_a(P("-2,-2,1,1"), 2)
 
 
 def test_principality():

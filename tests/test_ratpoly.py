@@ -4,16 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from cubicbrauer.ratpoly import (
-    RationalPoly,
-    count_real_roots,
-    discriminant,
-    isolate_real_roots,
-    rational_roots,
-    refine_root,
-    resultant,
-    root_bound,
-)
+from cubicbrauer.ratpoly import RationalPoly, discriminant, rational_roots, resultant
 
 P = RationalPoly.from_coeffs
 
@@ -86,26 +77,6 @@ def test_rational_roots():
     assert rational_roots(P([1, 0, 1])) == []
     # non-monic with fractional root
     assert rational_roots(P([-1, 2])) == [Fraction(1, 2)]
-
-
-def test_real_root_isolation():
-    f = P([-2, -2, 1, 1])  # roots -sqrt2, -1, sqrt2
-    intervals = isolate_real_roots(f)
-    assert len(intervals) == 3
-    assert count_real_roots(f, -root_bound(f) - 1, root_bound(f) + 1) == 3
-    for lo, hi in intervals:
-        a, b = refine_root(f, (lo, hi), Fraction(1, 2**40))
-        assert b - a <= Fraction(1, 2**40)
-        assert f(a) == 0 or f(b) == 0 or (f(a) < 0) != (f(b) < 0)
-
-
-def test_single_real_root_of_irreducible_cubic():
-    f = P([-2, 0, 0, 1])  # t^3 - 2
-    intervals = isolate_real_roots(f)
-    assert len(intervals) == 1
-    lo, hi = refine_root(f, intervals[0], Fraction(1, 2**30))
-    assert hi - lo <= Fraction(1, 2**30)
-    assert lo**3 < 2 < hi**3
 
 
 def test_integer_scaled():
