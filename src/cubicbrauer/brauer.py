@@ -30,7 +30,7 @@ from .intlinalg import (
     FinAbGroup,
     IntMatrix,
     mod_kernel,
-    snf,
+    solve_columns,
     subgroup_structure_mod,
 )
 from .perms import orbit_count, setwise_stabilizer, subgroup_classes
@@ -274,33 +274,9 @@ def residue_kernel_check(n: int) -> FinAbGroup:
     if gens:
         blocks.insert(0, IntMatrix.from_columns(gens, rows=3))
     target = IntMatrix.from_columns([(1, 1, 1)], rows=3)
-    if solve_columns_relaxed(IntMatrix.hstack(*blocks), target) is None:
+    if solve_columns(IntMatrix.hstack(*blocks), target) is None:
         raise AssertionError("(1,1,1) does not generate the residue kernel")
     return group
-
-
-def solve_columns_relaxed(a: IntMatrix, b: IntMatrix) -> IntMatrix | None:
-    """Integral solve A @ X = B allowing rank-deficient A; None if unsolvable."""
-    form = snf(a)
-    diag = form.diagonal()
-    rank = form.rank()
-    ub = form.U @ b
-    rows = []
-    for i in range(a.cols):
-        row = []
-        for j in range(b.cols):
-            if i < rank:
-                q, r = divmod(ub.data[i][j], diag[i])
-                if r:
-                    return None
-                row.append(q)
-            else:
-                row.append(0)
-        rows.append(row)
-    for i in range(rank, a.rows):
-        if any(ub.data[i][j] for j in range(b.cols)):
-            return None
-    return form.V @ IntMatrix(rows)
 
 
 # -- the algebraic tables ---------------------------------------------------

@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .acceptance import run_all
 from .brauer import (
@@ -43,7 +42,7 @@ from .errors import CubicBrauerError
 from .intlinalg import FinAbGroup
 from .perms import setwise_stabilizer
 from .qexamples import cubic_galois_type, example_brauer, find_admissible_a
-from .ratpoly import RationalPoly
+from .ratpoly import RationalPoly, parse_rational
 
 CONFIG_KEYS = ("format", "case", "d", "n", "poly", "a", "auto_a", "boundary")
 
@@ -245,7 +244,7 @@ def _cmd_example(args) -> int:
         a = outcome.a
         rejected = [{"a": str(r), "reason": why} for r, why in outcome.rejected]
     elif args.a is not None:
-        a = Fraction(args.a)
+        a = parse_rational(args.a)
     else:
         raise ValueError("example requires --a or --auto-a")
     galois = cubic_galois_type(poly)

@@ -1,16 +1,16 @@
 """Group cohomology H^0 and H^1 for lattices and finite modules.
 
-For a finite group G acting on a lattice M, H^1(G, M) is killed by |G|
-(corestriction-restriction), so with n = |G| the long exact sequence of
-0 -> M -n-> M -> M/nM -> 0 identifies
+For a finite group G = <s_1, ..., s_k> acting on a lattice M,
 
-    H^1(G, M)  =  (M/nM)^G / image(M^G).
+    H^1(G, M)  =  Tors coker( stacked (s_i - 1) : M -> M^k ),
 
-The exponent of G is NOT a valid annihilator in general: the trio
-stabilizer in W(E6) contains Klein four-groups acting on the rank-4
-boundary quotient with H^1 = Z/2 x Z/4, of exponent 4 > exp(G) = 2.
-The test suite cross-checks the formula against the classical
-ker(Norm)/image(sigma - 1) description for cyclic groups.
+one Smith normal form of the matrix that ``stacked_differences`` builds
+(see :func:`h1_lattice` for why).  The |G|-annihilator formula
+(M/nM)^G / image(M^G) survives only in the acceptance suite, as the route
+by which ``--seed-check`` re-verifies the case-2 witnesses.  The test suite
+checks the two formulas against each other on every module of the table
+sweep, and this one against the classical ker(Norm)/image(sigma - 1)
+description for cyclic groups.
 """
 
 from __future__ import annotations
@@ -112,31 +112,18 @@ def invariants_lattice(module: LatticeGModule) -> IntMatrix:
 
 
 def h1_lattice(module: LatticeGModule) -> FinAbGroup:
-    """H^1(G, M) via the cokernel formula with the annihilator n = |G|."""
-    return _h1_with_annihilator(module, module.group.order())
+    """H^1(G, M) as the torsion of coker(stacked (s_i - 1)).
 
-
-def _h1_with_annihilator(module: LatticeGModule, n: int) -> FinAbGroup:
-    if not module.matrices or n == 1 or module.rank == 0:
+    A cocycle is fixed by its values on the generators s_i, so Z^1 sits in
+    M^k as the kernel of a linear map and is saturated; B^1 is the image of
+    the stacked matrix and has the rank of Z^1 because H^1 of a finite group
+    is finite.  Hence Z^1 is the saturation of B^1, and Z^1 / B^1 is the
+    torsion of M^k / B^1.
+    """
+    if not module.matrices or module.rank == 0:
         return FinAbGroup.trivial()
-    stacked = module.stacked_differences()
-    invariant_gens = mod_kernel(stacked, n)  # generators of (M/nM)^G
-    if not invariant_gens:
-        return FinAbGroup.trivial()
-    k = len(invariant_gens)
-    kmat = IntMatrix.from_columns(invariant_gens, rows=module.rank)
-    fixed = kernel_basis(stacked)  # basis of M^G
-    # Relations among the generators: K x lies in  image(M^G) + n Z^rank.
-    blocks = [kmat]
-    if fixed.cols:
-        blocks.append(fixed)
-    blocks.append(IntMatrix.identity(module.rank).scaled(n))
-    relations = kernel_basis(IntMatrix.hstack(*blocks))
-    projected = IntMatrix(relations.data[:k]) if relations.cols else IntMatrix.empty(k)
-    result = cokernel_structure(projected)
-    if result.free_rank:
-        raise AssertionError("H^1 of a finite group with lattice coefficients is finite")
-    return result
+    cokernel = cokernel_structure(module.stacked_differences())
+    return FinAbGroup(0, cokernel.invariant_factors)
 
 
 def h1_cyclic_oracle(module: LatticeGModule, bound: int = ELEMENT_LISTING_BOUND) -> FinAbGroup:

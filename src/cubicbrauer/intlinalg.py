@@ -430,25 +430,27 @@ def cokernel_structure(a: IntMatrix) -> FinAbGroup:
 
 
 def solve_columns(a: IntMatrix, b: IntMatrix) -> IntMatrix | None:
-    """Solve A @ X = B over Z for A of full column rank; None if unsolvable."""
+    """Solve A @ X = B over Z; None if there is no integral solution.
+
+    A may be rank-deficient: the coordinates beyond its rank in the Smith
+    basis are free and are set to 0.
+    """
     form = snf(a)
     diag = form.diagonal()
-    if form.rank() != a.cols:
-        raise ValueError("coefficient matrix must have full column rank")
+    rank = form.rank()
     ub = form.U @ b
+    if any(ub.data[i][j] for i in range(rank, a.rows) for j in range(b.cols)):
+        return None
     z_rows = []
-    for i in range(a.cols):
-        d = diag[i]
+    for i in range(rank):
         row = []
         for j in range(b.cols):
-            q, r = divmod(ub.data[i][j], d)
+            q, r = divmod(ub.data[i][j], diag[i])
             if r:
                 return None
             row.append(q)
         z_rows.append(row)
-    for i in range(a.cols, a.rows):
-        if any(ub.data[i][j] for j in range(b.cols)):
-            return None
+    z_rows.extend([0] * b.cols for _ in range(rank, a.cols))
     return form.V @ IntMatrix(z_rows)
 
 

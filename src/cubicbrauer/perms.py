@@ -18,11 +18,10 @@ from .errors import NotSolvable, NotStabilized, TooLarge
 Perm = tuple[int, ...]
 
 ELEMENT_LISTING_BOUND = 10**5
-SUBGROUP_ENUM_BOUND = 10**4
-# Above this order the Cayley table is not materialized and products are
-# computed on demand (memory guardrail; every group in this project is far
-# below it).
-CAYLEY_TABLE_BOUND = 5000
+# Subgroup enumeration materializes the full Cayley table (order^2 entries),
+# so this bound is also its memory guardrail; the trio stabilizer has order
+# 1152.
+SUBGROUP_ENUM_BOUND = 5000
 
 
 def identity_perm(n: int) -> Perm:
@@ -309,26 +308,19 @@ def orbit_count(g: PermGroup, points: set[int] | frozenset[int]) -> int:
 class _TableGroup:
     """A small group materialized for index arithmetic.
 
-    Elements are indexed into the sorted element list; products either go
-    through a Cayley table or are composed on demand.
+    Elements are indexed into the sorted element list; products go through
+    the Cayley table.
     """
 
-    def __init__(self, group: PermGroup, bound: int):
+    def __init__(self, group: PermGroup):
         self.group = group
-        self.elements: tuple[Perm, ...] = group.elements(bound=max(bound, ELEMENT_LISTING_BOUND))
+        self.elements: tuple[Perm, ...] = group.elements()
         self.n = len(self.elements)
         self.index = {p: i for i, p in enumerate(self.elements)}
         self.e = self.index[identity_perm(group.degree)]
-        if self.n <= CAYLEY_TABLE_BOUND:
-            table = []
-            for p in self.elements:
-                index = self.index
-                table.append([index[compose(p, q)] for q in self.elements])
-            self._table = table
-            self.mul = lambda i, j: table[i][j]
-        else:
-            self._table = None
-            self.mul = lambda i, j: self.index[compose(self.elements[i], self.elements[j])]
+        index = self.index
+        table = [[index[compose(p, q)] for q in self.elements] for p in self.elements]
+        self.mul = lambda i, j: table[i][j]
         self.inv = [self.index[inverse(p)] for p in self.elements]
         self.order_of = [perm_order(p) for p in self.elements]
         # intern cycle types for cheap conjugacy invariants
@@ -440,7 +432,7 @@ def subgroup_classes(
     n = g.order()
     if n > bound:
         raise TooLarge(f"group of order {n} exceeds subgroup enumeration bound {bound}")
-    tg = _TableGroup(g, bound)
+    tg = _TableGroup(g)
     if not tg.is_solvable():
         raise NotSolvable("subgroup enumeration implemented for solvable groups only")
 
@@ -520,7 +512,7 @@ def all_subgroups_bruteforce(g: PermGroup, bound: int = 200) -> list[frozenset[P
     """
     if g.order() > bound:
         raise TooLarge(f"brute-force subgroup listing capped at order {bound}")
-    tg = _TableGroup(g, max(bound, SUBGROUP_ENUM_BOUND))
+    tg = _TableGroup(g)
     found = {frozenset({tg.e})}
     queue = [frozenset({tg.e})]
     while queue:

@@ -14,6 +14,14 @@ from math import gcd, lcm
 from .arith import factorint
 
 
+def parse_rational(text: str) -> Fraction:
+    """A rational such as '-3/4'; ValueError on malformed text or a zero denominator."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 @dataclass(frozen=True)
 class RationalPoly:
     coefficients: tuple[Fraction, ...]  # ascending degree, no trailing zeros
@@ -36,7 +44,7 @@ class RationalPoly:
     def parse(cls, text: str) -> RationalPoly:
         """Comma-separated rationals, ascending degree; '-2,-2,1,1' is t^3+t^2-2t-2."""
         parts = [p.strip() for p in text.replace("−", "-").split(",")]
-        return cls.from_coeffs(Fraction(p) for p in parts if p)
+        return cls.from_coeffs(parse_rational(p) for p in parts if p)
 
     def is_zero(self) -> bool:
         return not self.coefficients
@@ -264,4 +272,5 @@ __all__ = [
     "rational_roots",
     "resultant",
     "fraction_det",
+    "parse_rational",
 ]

@@ -126,7 +126,7 @@ def test_criterion_2_fails_on_a_wrong_witness_generator(monkeypatch):
     monkeypatch.setattr(acceptance, "CASE_TWO_WITNESSES", wrong)
     result = check_algebraic_tables()
     assert not result.passed
-    assert "witness (0, 0): cokernel route gives (Z/2 x Z/2, Z/2 x Z/2)" in result.detail
+    assert "witness (0, 0): annihilator route gives (Z/2 x Z/2, Z/2 x Z/2)" in result.detail
 
 
 @pytest.mark.parametrize(
@@ -154,7 +154,6 @@ def test_witness_route_avoids_the_sweep_and_h1_lattice(monkeypatch):
 
     monkeypatch.setattr(acceptance, "h1_lattice", forbidden)
     monkeypatch.setattr(cohomology, "h1_lattice", forbidden)
-    monkeypatch.setattr(cohomology, "_h1_with_annihilator", forbidden)
     monkeypatch.setattr(acceptance, "setwise_stabilizer", forbidden)
     monkeypatch.setattr(perms, "setwise_stabilizer", forbidden)
     monkeypatch.setattr(perms, "subgroup_classes", forbidden)

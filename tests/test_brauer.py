@@ -328,3 +328,24 @@ def test_case_two_extras_have_cyclic_oracle_witnesses(trio_stabilizer, stabilize
         if found in targets:
             targets[found] = True
     assert all(targets.values()), f"missing cyclic witnesses: {targets}"
+
+
+def test_h1_lattice_agrees_with_the_annihilator_route(stabilizer_classes):
+    """One cokernel and (M/nM)^G / im(M^G) with n = |G| agree on the sweep.
+
+    Both Pic Xbar and the boundary quotient Pic Ubar of every one of the 246
+    subgroup classes of the trio stabilizer: all 492 modules of the sweep.
+    """
+    from cubicbrauer.acceptance import _h1_by_annihilator
+    from cubicbrauer.cohomology import h1_lattice
+    from cubicbrauer.cubiclattice import pic_module, quotient_by_trio, reference_trio
+
+    trio = reference_trio()
+    modules = [
+        (cls.order, module)
+        for cls in stabilizer_classes
+        for module in (pic_module(cls.group), quotient_by_trio(trio, cls.group).module)
+    ]
+    assert len(modules) == 492
+    for order, module in modules:
+        assert h1_lattice(module) == _h1_by_annihilator(module.matrices, module.rank, order)

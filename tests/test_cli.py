@@ -170,6 +170,20 @@ def test_example_no_admissible_shift_exit(capsys):
     assert err == "error: no admissible a found up to 1\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("example", "--poly", "1,1,1,1", "--a", "1/0"),
+        ("example", "--poly", "1/0,1", "--a", "1"),
+    ],
+)
+def test_example_zero_denominator_exit(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == "error: zero denominator in '1/0'\n"
+
+
 def test_config_rejects_max_bits_key(tmp_path, capsys):
     config = tmp_path / "settings.conf"
     config.write_text("max_bits=256\n", encoding="utf-8")

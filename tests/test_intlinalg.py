@@ -158,6 +158,13 @@ def test_solve_columns():
     assert x is not None and a @ x == b
     # no integral solution
     assert solve_columns(a, IntMatrix.from_columns([(1, 0, 0)], rows=3)) is None
+    # rank-deficient A: the free coordinate is set to 0; (1, 0, 1) lies in
+    # the rational column span but not the integral one
+    a = IntMatrix.from_columns([(2, 0, 2), (4, 0, 4)], rows=3)
+    b = IntMatrix.from_columns([(6, 0, 6)], rows=3)
+    x = solve_columns(a, b)
+    assert x is not None and a @ x == b
+    assert solve_columns(a, IntMatrix.from_columns([(1, 0, 1)], rows=3)) is None
 
 
 def test_finabgroup_canonical_form():

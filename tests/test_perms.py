@@ -178,6 +178,20 @@ def test_enumeration_rejects_too_large():
         subgroups_up_to_conjugacy(s8)
 
 
+def test_enumeration_bound_guards_the_cayley_table(monkeypatch):
+    """(Z/2)^13 is solvable, of order 8192: rejected before any table is built."""
+    from cubicbrauer import perms
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("no Cayley table above the enumeration bound")
+
+    monkeypatch.setattr(perms, "_TableGroup", forbidden)
+    group = PermGroup(26, [cyc(26, (2 * i, 2 * i + 1)) for i in range(13)])
+    assert group.order() == 8192
+    with pytest.raises(TooLarge):
+        subgroup_classes(group)
+
+
 def test_classes_are_genuine_subgroups_and_nonconjugate():
     group = gl23()
     classes = subgroup_classes(group)
