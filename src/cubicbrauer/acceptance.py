@@ -292,7 +292,7 @@ def expected_twist(d: int, n: int) -> FinAbGroup:
 
 
 def check_lattice_combinatorics() -> CheckResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     problems = []
     lines = lines27()
     if len(lines) != 27:
@@ -315,7 +315,7 @@ def check_lattice_combinatorics() -> CheckResult:
         "1 lattice combinatorics",
         not problems,
         "; ".join(problems) or detail,
-        time.time() - t0,
+        time.perf_counter() - t0,
     )
 
 
@@ -330,7 +330,7 @@ def check_algebraic_tables() -> CheckResult:
     and every further pair is one of CASE_TWO_WITNESSES (and each witness
     is achieved), with every witness re-verified independently.
     """
-    t0 = time.time()
+    t0 = time.perf_counter()
     notes = []
     ok = True
     for case in (1, 2, 3):
@@ -367,11 +367,11 @@ def check_algebraic_tables() -> CheckResult:
             ok = False
             pair = witness.pair
             notes.append(f"witness ({pair.br1}, {pair.brx}): {'; '.join(problems)}")
-    return CheckResult("2 algebraic tables", ok, "; ".join(notes), time.time() - t0)
+    return CheckResult("2 algebraic tables", ok, "; ".join(notes), time.perf_counter() - t0)
 
 
 def check_torsion_freeness() -> CheckResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     reports = torsion_free_line_conic()
     bad = [r for r in reports if not r.torsion_free]
     ok = len(reports) == 27 and not bad
@@ -384,12 +384,12 @@ def check_torsion_freeness() -> CheckResult:
         "3 torsion-freeness",
         ok,
         detail if ok else f"torsion found: {bad[:3]}",
-        time.time() - t0,
+        time.perf_counter() - t0,
     )
 
 
 def check_twist_table() -> CheckResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     failures = []
     for d in TWIST_GRID_D:
         for n in TWIST_GRID_N:
@@ -402,12 +402,12 @@ def check_twist_table() -> CheckResult:
         "4 twisted invariants",
         not failures,
         detail if not failures else "; ".join(failures[:5]),
-        time.time() - t0,
+        time.perf_counter() - t0,
     )
 
 
 def check_examples_end_to_end() -> CheckResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     cases = [
         ("-2,-2,1,1", _group(2)),
         ("1,1,1,1", _group(4)),
@@ -429,7 +429,7 @@ def check_examples_end_to_end() -> CheckResult:
             notes.append(f"{text}: {got} != {want}")
         else:
             notes.append(f"{text}: a={outcome.a} -> {got}")
-    return CheckResult("5 examples over Q", ok, "; ".join(notes), time.time() - t0)
+    return CheckResult("5 examples over Q", ok, "; ".join(notes), time.perf_counter() - t0)
 
 
 def _cyclic_subgroup_generators(group: PermGroup) -> list:
@@ -456,7 +456,7 @@ def _powers(p) -> list:
 
 
 def check_oracle_equivalence() -> CheckResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     trio = reference_trio()
     stab = setwise_stabilizer(weyl_group(), set(trio.indices))
     mismatches = []
@@ -475,7 +475,7 @@ def check_oracle_equivalence() -> CheckResult:
         "6 cyclic oracle equivalence",
         not mismatches,
         detail if not mismatches else f"{len(mismatches)} mismatches, e.g. {mismatches[0]}",
-        time.time() - t0,
+        time.perf_counter() - t0,
     )
 
 
@@ -520,7 +520,7 @@ def _regular_representation(table_group: list[tuple]) -> LatticeGModule:
 
 
 def check_property_suites() -> CheckResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     problems = []
     rng = random.Random(20260809)
     for _ in range(1000):
@@ -593,7 +593,7 @@ def check_property_suites() -> CheckResult:
         "7 property suites",
         not problems,
         detail if not problems else "; ".join(problems[:4]),
-        time.time() - t0,
+        time.perf_counter() - t0,
     )
 
 
@@ -612,7 +612,7 @@ def _published_bound(boundary: BoundaryDescriptor) -> FinAbGroup:
 
 
 def check_classifier_consistency() -> CheckResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     catalog = [
         BoundaryDescriptor("line_conic", "tangent"),
         BoundaryDescriptor("line_conic", "two_rational"),
@@ -646,13 +646,13 @@ def check_classifier_consistency() -> CheckResult:
         "8 classifier consistency",
         not failures,
         detail if not failures else "; ".join(failures[:5]),
-        time.time() - t0,
+        time.perf_counter() - t0,
     )
 
 
 def check_twist_enumeration_oracle() -> CheckResult:
     """Criterion-4 companion: every grid cell against exhaustive enumeration."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     from .brauer import _twist_module
 
     failures = []
@@ -667,7 +667,7 @@ def check_twist_enumeration_oracle() -> CheckResult:
         "exact and enumerated invariants agree on the grid"
         if not failures
         else f"mismatch at {failures[:5]}",
-        time.time() - t0,
+        time.perf_counter() - t0,
     )
 
 

@@ -1,15 +1,18 @@
 """Small exact integer utilities: factorization, square classes, primality.
 
 Inputs here are desk-scale (discriminants of tiny polynomials, orders of
-groups of size at most a few thousand), so trial division does nearly all the
-work; a deterministic Miller-Rabin round only backs up the squarefree-part
-extraction when a large cofactor survives.
+groups of size at most a few thousand), so trial division up to
+``TRIAL_DIVISION_BOUND`` does nearly all the work; a deterministic
+Miller-Rabin round decides the large cofactor it leaves, and decides prime
+powers without any factoring.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
+
+from .errors import TooLarge
 
 TRIAL_DIVISION_BOUND = 10**6
 
@@ -43,7 +46,13 @@ def is_probable_prime(n: int) -> bool:
 
 
 def factorint(n: int) -> dict[int, int]:
-    """Prime factorization by trial division (inputs are small)."""
+    """Prime factorization by trial division, meant for group orders.
+
+    Trial division runs up to ``TRIAL_DIVISION_BOUND``.  The cofactor left
+    over is kept as a prime when it is below the bound squared or passes
+    :func:`is_probable_prime`; any other cofactor raises :class:`TooLarge`
+    instead of trial-dividing on towards its square root.
+    """
     if n == 0:
         raise ValueError("cannot factor 0")
     n = abs(n)
@@ -53,13 +62,17 @@ def factorint(n: int) -> dict[int, int]:
             out[p] = out.get(p, 0) + 1
             n //= p
     f = 5
-    while f * f <= n:
+    while f * f <= n and f <= TRIAL_DIVISION_BOUND:
         for p in (f, f + 2):
             while n % p == 0:
                 out[p] = out.get(p, 0) + 1
                 n //= p
         f += 6
     if n > 1:
+        if f * f <= n and not is_probable_prime(n):
+            raise TooLarge(
+                f"cannot factor {n}: it has no prime factor up to {TRIAL_DIVISION_BOUND}"
+            )
         out[n] = out.get(n, 0) + 1
     return out
 
@@ -109,15 +122,29 @@ def is_rational_square(q: int | Fraction) -> bool:
     return q > 0 and squarefree_part(q) == 1
 
 
+def _integer_root(n: int, k: int) -> int:
+    """floor(n ** (1/k)) for n >= 1, by Newton's method on integers."""
+    x = 1 << -(-n.bit_length() // k)  # 2^ceil(bits/k) > n ** (1/k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
 def prime_power(n: int) -> tuple[int, int] | None:
-    """Return (p, k) with n = p**k, k >= 1, or None."""
+    """Return (p, k) with n = p**k, k >= 1, or None.
+
+    Tries every exponent k up to log2(n) with an integer k-th root and a
+    primality test, so n is never factored.
+    """
     if n < 2:
         return None
-    fac = factorint(n)
-    if len(fac) != 1:
-        return None
-    ((p, k),) = fac.items()
-    return p, k
+    for k in range(1, n.bit_length()):  # 2**k <= n, so the root is >= 2
+        p = _integer_root(n, k)
+        if p**k == n and is_probable_prime(p):
+            return p, k
+    return None
 
 
 def legendre(a: int, p: int) -> int:

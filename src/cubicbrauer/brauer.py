@@ -25,7 +25,7 @@ from typing import Literal
 from .arith import legendre, prime_power, squarefree_part
 from .cohomology import FiniteGModule, invariants_finite
 from .cubiclattice import pic_module, quotient_by_trio, reference_trio, weyl_group
-from .errors import BadModulus, StabilizationFailed
+from .errors import BadModulus, StabilizationFailed, TooLarge
 from .intlinalg import (
     FinAbGroup,
     IntMatrix,
@@ -33,7 +33,7 @@ from .intlinalg import (
     solve_columns,
     subgroup_structure_mod,
 )
-from .perms import orbit_count, setwise_stabilizer, subgroup_classes
+from .perms import ELEMENT_LISTING_BOUND, orbit_count, setwise_stabilizer, subgroup_classes
 
 
 # -- boundary descriptors --------------------------------------------------
@@ -190,6 +190,9 @@ def _twist_module(d: int, n: int) -> FiniteGModule:
     pp = prime_power(n)
     if pp is None:
         raise BadModulus(f"{n} is not a prime power")
+    p, _ = pp
+    if n - n // p > ELEMENT_LISTING_BOUND:
+        raise TooLarge(f"(Z/{n})* has more than {ELEMENT_LISTING_BOUND} elements to list")
     d = squarefree_part(d)
     if d in (0, 1):
         raise ValueError("d must define a nontrivial quadratic extension")

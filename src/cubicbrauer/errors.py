@@ -13,7 +13,7 @@ class CubicBrauerError(Exception):
 
 
 class TooLarge(CubicBrauerError):
-    """A group exceeded the element-listing or subgroup-enumeration bound."""
+    """An input exceeded a listing, enumeration or trial-division bound."""
 
 
 class NotSolvable(CubicBrauerError):

@@ -142,8 +142,7 @@ class PermGroup:
         base = level.base
         orbit = {base: identity_perm(self.degree)}
         queue = [base]
-        while queue:
-            pt = queue.pop(0)
+        for pt in queue:
             rep = orbit[pt]
             for g in gens:
                 img = g[pt]
@@ -213,8 +212,7 @@ class PermGroup:
             ident = identity_perm(self.degree)
             seen = {ident}
             queue = [ident]
-            while queue:
-                x = queue.pop(0)
+            for x in queue:
                 for g in self.generators:
                     y = compose(g, x)
                     if y not in seen:
@@ -254,8 +252,7 @@ def setwise_stabilizer(g: PermGroup, points: set[int] | frozenset[int]) -> PermG
     ident = identity_perm(g.degree)
     reps: dict[frozenset[int], Perm] = {s0: ident}
     queue = [s0]
-    while queue:
-        t = queue.pop(0)
+    for t in queue:
         rep = reps[t]
         for gen in g.generators:
             t2 = frozenset(gen[x] for x in t)
@@ -290,8 +287,7 @@ def orbit_count(g: PermGroup, points: set[int] | frozenset[int]) -> int:
         seed = remaining.pop()
         orbit = {seed}
         queue = [seed]
-        while queue:
-            x = queue.pop(0)
+        for x in queue:
             for gen in g.generators:
                 y = gen[x]
                 if y not in orbit:
@@ -308,46 +304,48 @@ def orbit_count(g: PermGroup, points: set[int] | frozenset[int]) -> int:
 class _TableGroup:
     """A small group materialized for index arithmetic.
 
-    Elements are indexed into the sorted element list; products go through
-    the Cayley table.
+    Elements are indexed into the sorted element list; ``table[i][j]`` is
+    the index of ``elements[i] * elements[j]``.  The rows are filled by a
+    breadth-first search over generator words: with ``left[g]`` the index
+    map of left multiplication by the generator g, row g*x is ``left[g]``
+    applied to row x, so only |gens| * |G| products of permutations are
+    formed.
     """
 
     def __init__(self, group: PermGroup):
-        self.group = group
         self.elements: tuple[Perm, ...] = group.elements()
         self.n = len(self.elements)
-        self.index = {p: i for i, p in enumerate(self.elements)}
-        self.e = self.index[identity_perm(group.degree)]
-        index = self.index
-        table = [[index[compose(p, q)] for q in self.elements] for p in self.elements]
-        self.mul = lambda i, j: table[i][j]
-        self.inv = [self.index[inverse(p)] for p in self.elements]
+        self.index = index = {p: i for i, p in enumerate(self.elements)}
+        self.e = index[identity_perm(group.degree)]
+        gen_perms = reduce_generators(group.degree, list(group.generators))
+        self.gens = [index[g] for g in gen_perms]
+        left = [[index[compose(g, q)] for q in self.elements] for g in gen_perms]
+        table: list[list[int] | None] = [None] * self.n
+        table[self.e] = list(range(self.n))
+        queue = [self.e]
+        for x in queue:
+            row = table[x]
+            for lg in left:
+                y = lg[x]
+                if table[y] is None:
+                    table[y] = [lg[j] for j in row]
+                    queue.append(y)
+        self.table: list[list[int]] = table
+        self.inv = inv = [index[inverse(p)] for p in self.elements]
+        # x -> g x g^-1 for each generator g
+        self.conj_maps = [
+            [table[table[g][x]][inv[g]] for x in range(self.n)] for g in self.gens
+        ]
         self.order_of = [perm_order(p) for p in self.elements]
-        # intern cycle types for cheap conjugacy invariants
-        type_ids: dict[tuple[int, ...], int] = {}
-        self.cycle_type_id = []
-        for p in self.elements:
-            ct = cycle_lengths(p)
-            self.cycle_type_id.append(type_ids.setdefault(ct, len(type_ids)))
-        self.gen_idx = reduce_generators(group.degree, list(group.generators))
-        self.gens = [self.index[g] for g in self.gen_idx]
-
-    def conj(self, x: int, h: int) -> int:
-        return self.mul(self.mul(x, h), self.inv[x])
-
-    def power(self, x: int, k: int) -> int:
-        out = self.e
-        for _ in range(k):
-            out = self.mul(out, x)
-        return out
 
     def closure(self, seeds: list[int]) -> frozenset[int]:
+        table = self.table
         known = {self.e}
         queue = [self.e]
-        while queue:
-            x = queue.pop(0)
+        for x in queue:
+            row = table[x]
             for s in seeds:
-                y = self.mul(x, s)
+                y = row[s]
                 if y not in known:
                     known.add(y)
                     queue.append(y)
@@ -365,28 +363,23 @@ class _TableGroup:
         return gens
 
     def normal_closure_in(self, seeds: list[int], ambient_gens: list[int]) -> frozenset[int]:
+        table, inv = self.table, self.inv
         current = self.closure(seeds)
         while True:
-            extra = [
-                self.conj(h, x)
-                for x in current
-                for h in ambient_gens
-                if self.conj(h, x) not in current
-            ]
+            extra = {
+                table[table[h][x]][inv[h]] for x in current for h in ambient_gens
+            } - current
             if not extra:
                 return current
-            current = self.closure(sorted(current | set(extra)))
+            current = self.closure(sorted(current | extra))
 
     def is_solvable(self) -> bool:
+        table, inv = self.table, self.inv
         h_gens = list(self.gens)
         h_size = self.n
         while True:
             comms = sorted(
-                {
-                    self.mul(self.mul(self.inv[a], self.inv[b]), self.mul(a, b))
-                    for a in h_gens
-                    for b in h_gens
-                }
+                {table[table[inv[a]][inv[b]]][table[a][b]] for a in h_gens for b in h_gens}
                 - {self.e}
             )
             if not comms:
@@ -400,10 +393,9 @@ class _TableGroup:
     def subgroup_conjugacy_orbit(self, sub: frozenset[int]) -> set[frozenset[int]]:
         orbit = {sub}
         queue = [sub]
-        while queue:
-            t = queue.pop(0)
-            for g in self.gens:
-                img = frozenset(self.conj(g, x) for x in t)
+        for t in queue:
+            for cg in self.conj_maps:
+                img = frozenset([cg[x] for x in t])
                 if img not in orbit:
                     orbit.add(img)
                     queue.append(img)
@@ -451,33 +443,40 @@ def subgroup_classes(
         classes.append({"rep": rep, "conjugates": len(orbit)})
 
     register(trivial)
+    table, inv = tg.table, tg.inv
     work = 0
     while work < len(classes):
         rep = classes[work]["rep"]
         work += 1
         rep_gens = tg.greedy_generators(rep)
-        normalizer = [
-            x
-            for x in range(tg.n)
-            if all(tg.conj(x, h) in rep for h in rep_gens)
-        ]
         size = len(rep)
-        for x in normalizer:
-            if x in rep:
+        # x in an extension H = <rep, x0> of prime index already found gives
+        # <rep, x> = H again, so each such x is skipped
+        covered = set(rep)
+        for x in range(tg.n):
+            if x in covered:
+                continue
+            row_x, x_inv = table[x], inv[x]
+            if any(table[row_x[h]][x_inv] not in rep for h in rep_gens):
                 continue
             for p in primes:
                 if n % (size * p):
                     continue
-                if tg.power(x, p) not in rep:
+                xp = x
+                for _ in range(p - 1):
+                    xp = row_x[xp]
+                if xp not in rep:
                     continue
+                # x normalizes rep, so x * (rep x^k) = rep x^(k+1)
                 new = set(rep)
                 coset = rep
                 for _ in range(p - 1):
-                    coset = {tg.mul(u, x) for u in coset}
+                    coset = {row_x[u] for u in coset}
                     new |= coset
                 sub = frozenset(new)
                 if len(sub) != size * p:
                     raise AssertionError("extension does not have prime index")
+                covered |= sub
                 if sub not in member_of:
                     register(sub)
                 break  # x yields exactly one minimal prime extension
@@ -503,41 +502,12 @@ def subgroups_up_to_conjugacy(
     return [cls.group for cls in subgroup_classes(g, bound)]
 
 
-def all_subgroups_bruteforce(g: PermGroup, bound: int = 200) -> list[frozenset[Perm]]:
-    """Every subgroup (not just class representatives), for validation.
-
-    Grows subgroups one generator at a time; any subgroup is reached through
-    a chain of subgroups of itself, so the fixpoint is complete.  Intended
-    for groups of order at most a few dozen.
-    """
-    if g.order() > bound:
-        raise TooLarge(f"brute-force subgroup listing capped at order {bound}")
-    tg = _TableGroup(g)
-    found = {frozenset({tg.e})}
-    queue = [frozenset({tg.e})]
-    while queue:
-        h = queue.pop(0)
-        hgens = tg.greedy_generators(h)
-        for x in range(tg.n):
-            if x in h:
-                continue
-            bigger = tg.closure(hgens + [x])
-            if bigger not in found:
-                found.add(bigger)
-                queue.append(bigger)
-    return [
-        frozenset(tg.elements[i] for i in sub)
-        for sub in sorted(found, key=lambda s: (len(s), sorted(s)))
-    ]
-
-
 __all__ = [
     "ELEMENT_LISTING_BOUND",
     "SUBGROUP_ENUM_BOUND",
     "Perm",
     "PermGroup",
     "SubgroupClass",
-    "all_subgroups_bruteforce",
     "compose",
     "cycle_lengths",
     "exponent",

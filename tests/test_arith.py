@@ -5,7 +5,19 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 
-from cubicbrauer.arith import is_probable_prime, is_rational_square, squarefree_part
+import pytest
+
+from cubicbrauer.arith import (
+    TRIAL_DIVISION_BOUND,
+    factorint,
+    is_probable_prime,
+    is_rational_square,
+    prime_power,
+    squarefree_part,
+)
+from cubicbrauer.errors import TooLarge
+
+MERSENNE_61 = 2**61 - 1  # prime
 
 
 def test_is_probable_prime_matches_sieve():
@@ -25,3 +37,45 @@ def test_squarefree_part_with_a_witness_prime_cofactor():
     assert squarefree_part(-148) == -37  # -4 * 37
     assert squarefree_part(Fraction(17, 4)) == 17
     assert not is_rational_square(37)
+
+
+def _smallest_prime_factor(n):
+    return next(p for p in range(2, n + 1) if n % p == 0)
+
+
+def test_prime_power_matches_trial_division():
+    for n in range(-3, 3000):
+        expected = None
+        if n >= 2:
+            p = _smallest_prime_factor(n)
+            k, m = 0, n
+            while m % p == 0:
+                m //= p
+                k += 1
+            expected = (p, k) if m == 1 else None
+        assert prime_power(n) == expected, n
+
+
+def test_prime_power_of_large_numbers_without_factoring():
+    big = 10**9 + 7
+    assert prime_power(big) == (big, 1)
+    assert prime_power(big**3) == (big, 3)
+    assert prime_power(2**100) == (2, 100)
+    assert prime_power(MERSENNE_61**2) == (MERSENNE_61, 2)
+    assert prime_power(big * (big + 2)) is None
+    assert prime_power(3 * 2**100) is None
+
+
+def test_factorint_keeps_a_prime_cofactor():
+    assert factorint(-360) == {2: 3, 3: 2, 5: 1}
+    assert factorint(999983 * 999979) == {999979: 1, 999983: 1}
+    assert factorint(2 * 1000003) == {2: 1, 1000003: 1}  # below the bound squared
+    assert factorint(12 * MERSENNE_61) == {2: 2, 3: 1, MERSENNE_61: 1}
+
+
+def test_factorint_refuses_a_composite_cofactor_above_the_bound():
+    assert 1000003 > TRIAL_DIVISION_BOUND
+    with pytest.raises(TooLarge):
+        factorint(1000003 * 1000033)
+    with pytest.raises(TooLarge):
+        factorint(6 * (10**9 + 7) * (10**9 + 9))

@@ -3,6 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -197,3 +202,38 @@ def test_invariants_prime_witness_square_class(capsys):
     assert code == 0
     # 17 is prime and sqrt(17) is not in Q(i), so only 2-torsion is invariant
     assert json.loads(out)["result"]["invariants"] == {"free_rank": 0, "factors": [2]}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("invariants", "--d", "5", "--n", "1000000016000000063"),
+        ("invariants", "--d", "5", "--n", "1000000007"),
+        ("invariants", "--d", "5", "--n", "1000000014000000049"),
+        ("example", "--poly", "1000000016000000063,1,0,1", "--a", "1"),
+    ],
+)
+def test_large_inputs_end_within_a_time_bound(argv):
+    """(10^9 + 7)(10^9 + 9) is neither a prime power nor trial-divisible;
+    10^9 + 7 and its square are prime powers with too many units to list.
+
+    The child gets 1 GiB of address space, so a regression fails fast
+    instead of filling memory.
+    """
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "cubicbrauer.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=5,
+        env=env,
+        preexec_fn=limit_memory,
+    )
+    if proc.returncode:
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import random
 from itertools import product
 from math import factorial
 
@@ -10,8 +12,9 @@ import pytest
 from cubicbrauer.errors import NotSolvable, NotStabilized, TooLarge
 from cubicbrauer.perms import (
     PermGroup,
-    all_subgroups_bruteforce,
+    _TableGroup,
     compose,
+    identity_perm,
     orbit_count,
     perm_from_cycles,
     perm_order,
@@ -31,6 +34,10 @@ def s3():
 
 def s4():
     return PermGroup(4, [cyc(4, (0, 1)), cyc(4, (0, 1, 2, 3))])
+
+
+def d4():
+    return PermGroup(4, [cyc(4, (0, 1, 2, 3)), cyc(4, (1, 3))])
 
 
 def _linear_group(*matrices):
@@ -140,6 +147,42 @@ def _class_partition(group: PermGroup) -> dict[int, int]:
     return counts
 
 
+def all_subgroups_bruteforce(group: PermGroup) -> list[frozenset]:
+    """Every subgroup (not just class representatives), on Perm tuples.
+
+    Grows subgroups one element at a time; any subgroup is reached through a
+    chain of subgroups of itself, so the fixpoint is complete.  Works with
+    `compose` alone, independently of the Cayley table of the enumeration.
+    Meant for groups of order at most a few dozen.
+    """
+    ident = identity_perm(group.degree)
+
+    def closure(gens):
+        known = {ident}
+        queue = [ident]
+        for x in queue:
+            for s in gens:
+                y = compose(x, s)
+                if y not in known:
+                    known.add(y)
+                    queue.append(y)
+        return frozenset(known)
+
+    trivial = frozenset({ident})
+    found = {trivial: []}  # subgroup -> generators
+    queue = [trivial]
+    for h in queue:
+        for x in group.elements():
+            if x in h:
+                continue
+            gens = found[h] + [x]
+            bigger = closure(gens)
+            if bigger not in found:
+                found[bigger] = gens
+                queue.append(bigger)
+    return list(found)
+
+
 def _bruteforce_partition(group: PermGroup) -> dict[int, int]:
     counts: dict[int, int] = {}
     for sub in all_subgroups_bruteforce(group):
@@ -164,6 +207,30 @@ def _bruteforce_partition(group: PermGroup) -> dict[int, int]:
 def test_enumeration_complete_vs_bruteforce(factory):
     group = factory()
     assert _class_partition(group) == _bruteforce_partition(group)
+
+
+def _assert_table_entries(tg, pairs):
+    for i, j in pairs:
+        expected = tg.index[compose(tg.elements[i], tg.elements[j])]
+        assert tg.table[i][j] == expected, (i, j)
+
+
+@pytest.mark.parametrize("factory", [s4, gl23, d4])
+def test_cayley_table_matches_compose(factory):
+    tg = _TableGroup(factory())
+    assert len(tg.table) == tg.n and all(len(row) == tg.n for row in tg.table)
+    _assert_table_entries(tg, product(range(tg.n), repeat=2))
+
+
+def test_cayley_table_matches_compose_on_the_trio_stabilizer(trio_stabilizer):
+    tg = _TableGroup(trio_stabilizer)
+    assert tg.n == 1152 and all(len(row) == tg.n for row in tg.table)
+    _assert_table_entries(tg, ((g, x) for g in tg.gens for x in range(tg.n)))
+    _assert_table_entries(tg, ((x, g) for g in tg.gens for x in range(tg.n)))
+    rng = random.Random(20250916)
+    _assert_table_entries(
+        tg, ((rng.randrange(tg.n), rng.randrange(tg.n)) for _ in range(20000))
+    )
 
 
 def test_enumeration_rejects_nonsolvable():
@@ -290,6 +357,18 @@ def test_stabilizer_small_classes_pairwise_nonconjugate(
                 )
                 for x in elements
             )
+
+
+# sha256 over (order, conjugates, sorted element_set) of every class of the
+# trio stabilizer, recorded from the tuple-arithmetic enumeration
+STABILIZER_CLASSES_SHA256 = "290bfb26e110a3ce0db79d02be52adf0dbc48f446f262f7466efdd4eae90e844"
+
+
+def test_stabilizer_classes_golden_digest(stabilizer_classes):
+    digest = hashlib.sha256()
+    for cls in stabilizer_classes:
+        digest.update(repr((cls.order, cls.conjugates, sorted(cls.element_set))).encode())
+    assert digest.hexdigest() == STABILIZER_CLASSES_SHA256
 
 
 def test_subgroup_count_recorded(stabilizer_classes):
