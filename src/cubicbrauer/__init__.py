@@ -14,18 +14,10 @@ from .brauer import (
     algebraic_tables,
     geometric_brauer,
     qmodz_invariants,
-    residue_kernel_check,
     transcendental_bound,
     twist_invariants,
 )
-from .cohomology import (
-    FiniteGModule,
-    LatticeGModule,
-    h1_cyclic_oracle,
-    h1_lattice,
-    invariants_finite,
-    invariants_lattice,
-)
+from .cohomology import LatticeGModule, h1_cyclic_oracle, h1_lattice, invariants_lattice
 from .cubiclattice import (
     HYPERPLANE,
     TritangentTrio,
@@ -48,14 +40,7 @@ from .intlinalg import (
     mod_kernel,
     snf,
 )
-from .perms import (
-    PermGroup,
-    exponent,
-    group_order,
-    orbit_count,
-    setwise_stabilizer,
-    subgroups_up_to_conjugacy,
-)
+from .perms import PermGroup, orbit_count, setwise_stabilizer
 from .qexamples import (
     EckardtVerdict,
     GaloisType,
@@ -64,7 +49,6 @@ from .qexamples import (
     example_brauer,
     find_admissible_a,
     general_position,
-    principality_check,
 )
 from .ratpoly import RationalPoly, discriminant, resultant
 
@@ -74,7 +58,6 @@ __all__ = [
     "BoundaryDescriptor",
     "EckardtVerdict",
     "FinAbGroup",
-    "FiniteGModule",
     "GaloisType",
     "GeometricBrauer",
     "HYPERPLANE",
@@ -91,15 +74,12 @@ __all__ = [
     "discriminant",
     "eckardt_concurrent",
     "example_brauer",
-    "exponent",
     "find_admissible_a",
     "general_position",
     "geometric_brauer",
-    "group_order",
     "h1_cyclic_oracle",
     "h1_lattice",
     "intersection",
-    "invariants_finite",
     "invariants_lattice",
     "kernel_basis",
     "lines27",
@@ -107,15 +87,12 @@ __all__ = [
     "orbit_count",
     "pic_action",
     "pic_module",
-    "principality_check",
     "qmodz_invariants",
     "quotient_by_trio",
     "reference_trio",
-    "residue_kernel_check",
     "resultant",
     "setwise_stabilizer",
     "snf",
-    "subgroups_up_to_conjugacy",
     "torsion_free_line_conic",
     "transcendental_bound",
     "tritangent_trios",

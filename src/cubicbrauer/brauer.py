@@ -23,17 +23,10 @@ from math import gcd
 from typing import Literal
 
 from .arith import legendre, prime_power, squarefree_part
-from .cohomology import FiniteGModule, invariants_finite
 from .cubiclattice import pic_module, quotient_by_trio, reference_trio, weyl_group
-from .errors import BadModulus, StabilizationFailed, TooLarge
-from .intlinalg import (
-    FinAbGroup,
-    IntMatrix,
-    mod_kernel,
-    solve_columns,
-    subgroup_structure_mod,
-)
-from .perms import ELEMENT_LISTING_BOUND, orbit_count, setwise_stabilizer, subgroup_classes
+from .errors import BadModulus, StabilizationFailed
+from .intlinalg import FinAbGroup
+from .perms import orbit_count, setwise_stabilizer, subgroup_classes
 
 
 # -- boundary descriptors --------------------------------------------------
@@ -180,57 +173,60 @@ def _fixes_sqrt_d(d: int, t: int, n: int) -> bool:
     return legendre(t, p) == 1
 
 
-def _twist_module(d: int, n: int) -> FiniteGModule:
-    """The rank-1 module Z/n with the Gal(Q(zeta_n, sqrt d)/Q)-action.
+def _unit_generators(n: int, p: int) -> tuple[int, ...]:
+    """Units t of Z/n whose scalars already decide the twisted invariants.
 
-    g acts by m -> eps(g) * t^{-1} * m, where g^{-1}(zeta) = zeta^t and
-    eps(g) = -1 exactly when g conjugates sqrt(d); every group element is
-    listed as a generator.
+    For p = 2 they generate (Z/2^k)*: <-1, 5> for k >= 3, <-1> for k = 2,
+    the trivial group for k = 1.  For p = 3, 2 is a primitive root mod 9,
+    hence mod every 3^k.  For p >= 5 a primitive root would need the factors
+    of p - 1, but no generating set is needed: t = 4 is a square, so it
+    fixes sqrt(d) whether or not sqrt(d) lies in Q(zeta_n), and its scalar
+    a = 4^{-1} has a - 1 = -3/4, prime to p.  The gcd over part of the image
+    is a multiple of the gcd over all of it, so gcd 1 settles it.
+    """
+    if p == 2:
+        return (-1, 5) if n >= 8 else (-1,) if n == 4 else ()
+    if p == 3:
+        return (2,)
+    return (4,)
+
+
+def twist_invariants(d: int, n: int) -> FinAbGroup:
+    """Galois invariants of M_d/nM_d(-1) over Q, for a prime power n.
+
+    The element s of Gal(Q(zeta_n, sqrt d)/Q) with s^{-1}(zeta) = zeta^t
+    acts on the rank-1 module Z/n as the scalar a(s) = eps(s) * t^{-1},
+    where eps(s) = -1 exactly when s conjugates sqrt(d).  The m fixed by
+    every a(s) are those with n | (a(s) - 1) m for each s, i.e. with
+    n | g m for g = gcd(n, a(s) - 1 over generators s of the group): the
+    invariants are Z/g.  The gcd runs over lifts of the units from
+    _unit_generators and, when sqrt(d) is not in Q(zeta_n), the element
+    that fixes zeta_n and negates sqrt(d), with a = -1.
     """
     pp = prime_power(n)
     if pp is None:
         raise BadModulus(f"{n} is not a prime power")
     p, _ = pp
-    if n - n // p > ELEMENT_LISTING_BOUND:
-        raise TooLarge(f"(Z/{n})* has more than {ELEMENT_LISTING_BOUND} elements to list")
     d = squarefree_part(d)
     if d in (0, 1):
         raise ValueError("d must define a nontrivial quadratic extension")
-    units = [t for t in range(1, n) if _coprime(t, n)]
-    actions: list[int] = []
+    units = _unit_generators(n, p)
     if sqrt_in_cyclotomic(d, n):
-        for t in units:
-            eps = 1 if _fixes_sqrt_d(d, t, n) else -1
-            actions.append(eps * pow(t, -1, n) % n)
+        scalars = [(1 if _fixes_sqrt_d(d, t, n) else -1) * pow(t, -1, n) for t in units]
     else:
-        for t in units:
-            for eps in (1, -1):
-                actions.append(eps * pow(t, -1, n) % n)
-    return FiniteGModule(
-        modulus=n, rank=1, matrices=tuple(IntMatrix([[a]]) for a in actions)
-    )
-
-
-def twist_invariants(d: int, n: int) -> FinAbGroup:
-    """Galois invariants of M_d/nM_d(-1) over Q, for a prime power n."""
-    return invariants_finite(_twist_module(d, n))
-
-
-def _coprime(a: int, b: int) -> bool:
-    return gcd(a, b) == 1
+        scalars = [-1] + [pow(t, -1, n) for t in units]
+    return FinAbGroup.from_orders([gcd(n, *(a - 1 for a in scalars))])
 
 
 def qmodz_invariants(n: int) -> FinAbGroup:
-    """Invariants of Z/n(-1) over Q: elements fixed by every t in (Z/n)*."""
+    """Invariants of Z/n(-1) over Q: elements fixed by every t in (Z/n)*.
+
+    t = -1 forces 2m = 0, and every unit is odd when n is even, so the
+    invariants are Z/gcd(n, 2).
+    """
     if n < 2:
         raise ValueError("n must be at least 2")
-    fixed = [
-        m
-        for m in range(n)
-        if all((t * m - m) % n == 0 for t in range(1, n) if _coprime(t, n))
-    ]
-    count = len(fixed)  # a subgroup of Z/n, hence cyclic
-    return FinAbGroup.from_orders([count])
+    return FinAbGroup.from_orders([gcd(n, 2)])
 
 
 def _stabilized(values: tuple[FinAbGroup, FinAbGroup], label: str) -> FinAbGroup:
@@ -257,29 +253,6 @@ def transcendental_bound(boundary: BoundaryDescriptor) -> FinAbGroup:
     part2 = _stabilized((twist_invariants(d, 4), twist_invariants(d, 8)), f"M_{d} at 2")
     part3 = _stabilized((twist_invariants(d, 3), twist_invariants(d, 9)), f"M_{d} at 3")
     return part2.direct_sum(part3)
-
-
-def residue_kernel_check(n: int) -> FinAbGroup:
-    """Kernel of (a,b,c) -> (c-b, a-c, b-a) on (Z/n)^3.
-
-    Verifies that the kernel is cyclic of order n generated by (1,1,1)
-    and returns its isomorphism type.
-    """
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    boundary_map = IntMatrix([[0, -1, 1], [1, 0, -1], [-1, 1, 0]])
-    gens = mod_kernel(boundary_map, n)
-    group = subgroup_structure_mod(gens, n, 3)
-    if group != FinAbGroup.from_orders([n]):
-        raise AssertionError(f"residue kernel at n={n} is {group}, expected Z/{n}")
-    # membership of (1,1,1) in the generated subgroup
-    blocks = [IntMatrix.identity(3).scaled(n)]
-    if gens:
-        blocks.insert(0, IntMatrix.from_columns(gens, rows=3))
-    target = IntMatrix.from_columns([(1, 1, 1)], rows=3)
-    if solve_columns(IntMatrix.hstack(*blocks), target) is None:
-        raise AssertionError("(1,1,1) does not generate the residue kernel")
-    return group
 
 
 # -- the algebraic tables ---------------------------------------------------
@@ -354,7 +327,6 @@ __all__ = [
     "algebraic_tables",
     "geometric_brauer",
     "qmodz_invariants",
-    "residue_kernel_check",
     "sqrt_in_cyclotomic",
     "table_sweep_entries",
     "transcendental_bound",

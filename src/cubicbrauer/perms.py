@@ -225,14 +225,6 @@ class PermGroup:
         return lcm(*(perm_order(p) for p in self.elements(bound)))
 
 
-def group_order(g: PermGroup) -> int:
-    return g.order()
-
-
-def exponent(g: PermGroup, bound: int = ELEMENT_LISTING_BOUND) -> int:
-    return g.exponent(bound)
-
-
 def reduce_generators(degree: int, gens: list[Perm]) -> list[Perm]:
     """Drop generators already generated by the kept ones (order-preserving)."""
     kept: list[Perm] = []
@@ -496,12 +488,6 @@ def subgroup_classes(
     return out
 
 
-def subgroups_up_to_conjugacy(
-    g: PermGroup, bound: int = SUBGROUP_ENUM_BOUND
-) -> list[PermGroup]:
-    return [cls.group for cls in subgroup_classes(g, bound)]
-
-
 __all__ = [
     "ELEMENT_LISTING_BOUND",
     "SUBGROUP_ENUM_BOUND",
@@ -510,9 +496,7 @@ __all__ = [
     "SubgroupClass",
     "compose",
     "cycle_lengths",
-    "exponent",
     "first_moved",
-    "group_order",
     "identity_perm",
     "inverse",
     "orbit_count",
@@ -521,5 +505,4 @@ __all__ = [
     "reduce_generators",
     "setwise_stabilizer",
     "subgroup_classes",
-    "subgroups_up_to_conjugacy",
 ]

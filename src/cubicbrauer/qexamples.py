@@ -238,54 +238,10 @@ def find_admissible_a(f: RationalPoly, bound: int = 20) -> SearchOutcome:
     raise NoAdmissibleShift(f"no admissible a found up to {bound}")
 
 
-# -- divisor principality -----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PrincipalityReport:
-    d1: tuple[int, ...]
-    d2: tuple[int, ...]
-    d1_plus_d2: tuple[int, ...]
-
-    @property
-    def all_principal(self) -> bool:
-        zero = (0,) * 7
-        return self.d1 == zero and self.d2 == zero and self.d1_plus_d2 == zero
-
-
-def principality_check() -> PrincipalityReport:
-    """Verify that the divisor combinations D1, D2 vanish in Pic.
-
-    Uses the literal class vectors [l1] = (3,1,0,0,1,0,0),
-    [l2] = (3,0,1,0,0,1,0), [l3] = (3,0,0,1,0,0,1) in the basis
-    (l, e1..e6), with D1 = [l1]-[l2]-[e1]-[e4]+[e2]+[e5] and
-    D2 = [l2]-[l3]-[e2]-[e5]+[e3]+[e6].
-    """
-    l1 = (3, 1, 0, 0, 1, 0, 0)
-    l2 = (3, 0, 1, 0, 0, 1, 0)
-    l3 = (3, 0, 0, 1, 0, 0, 1)
-
-    def unit(i: int) -> tuple[int, ...]:
-        return tuple(1 if j == i else 0 for j in range(7))
-
-    def comb(*terms):
-        out = [0] * 7
-        for sign, vec in terms:
-            for i, x in enumerate(vec):
-                out[i] += sign * x
-        return tuple(out)
-
-    d1 = comb((1, l1), (-1, l2), (-1, unit(1)), (-1, unit(4)), (1, unit(2)), (1, unit(5)))
-    d2 = comb((1, l2), (-1, l3), (-1, unit(2)), (-1, unit(5)), (1, unit(3)), (1, unit(6)))
-    total = tuple(x + y for x, y in zip(d1, d2))
-    return PrincipalityReport(d1=d1, d2=d2, d1_plus_d2=total)
-
-
 __all__ = [
     "EckardtVerdict",
     "GaloisType",
     "GeneralPositionReport",
-    "PrincipalityReport",
     "SearchOutcome",
     "boundary_from_galois",
     "cubic_galois_type",
@@ -293,5 +249,4 @@ __all__ = [
     "example_brauer",
     "find_admissible_a",
     "general_position",
-    "principality_check",
 ]

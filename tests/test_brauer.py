@@ -6,20 +6,18 @@ import json
 
 import pytest
 
+from cubicbrauer.acceptance import residue_kernel_check, twist_invariants_by_listing
 from cubicbrauer.brauer import (
     BoundaryDescriptor,
     TablePair,
-    _twist_module,
     algebraic_tables,
     geometric_brauer,
     qmodz_invariants,
-    residue_kernel_check,
     sqrt_in_cyclotomic,
     table_sweep_entries,
     transcendental_bound,
     twist_invariants,
 )
-from cubicbrauer.cohomology import invariants_finite_enumerated
 from cubicbrauer.errors import BadModulus
 from cubicbrauer.intlinalg import FinAbGroup
 
@@ -132,10 +130,12 @@ def test_twist_stabilization():
 
 
 def test_twist_against_enumeration():
-    for d in (-1, -3, 2, -2, 5):
-        for n in (2, 4, 8, 3, 9, 5, 7):
-            module = _twist_module(d, n)
-            assert invariants_finite_enumerated(module) == twist_invariants(d, n)
+    """The gcd over generators against a listing of the whole Galois group."""
+    classes = (-1, 2, -2, -3, 5, -7, 3, -5, 6, -6, 7, 10, -11, 13)
+    moduli = (2, 4, 8, 16, 32, 64, 128, 3, 9, 27, 81, 243, 5, 25, 125, 7, 49)
+    for d in classes:
+        for n in moduli:
+            assert twist_invariants(d, n) == twist_invariants_by_listing(d, n), (d, n)
 
 
 def test_qmodz_invariants():
@@ -143,6 +143,10 @@ def test_qmodz_invariants():
     assert qmodz_invariants(4) == G(2)
     assert qmodz_invariants(9) == G()
     assert qmodz_invariants(3) == G()
+    assert qmodz_invariants(6) == G(2)
+    assert qmodz_invariants(12) == G(2)
+    assert qmodz_invariants(18) == G(2)
+    assert qmodz_invariants(2**10) == G(2)
 
 
 def test_transcendental_bound_values():

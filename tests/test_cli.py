@@ -211,11 +211,14 @@ def test_invariants_prime_witness_square_class(capsys):
         ("invariants", "--d", "5", "--n", "1000000007"),
         ("invariants", "--d", "5", "--n", "1000000014000000049"),
         ("example", "--poly", "1000000016000000063,1,0,1", "--a", "1"),
+        ("invariants", "--d", "5", "--n", "2187"),
+        ("invariants", "--d", "5", "--n", "3486784401"),
     ],
 )
 def test_large_inputs_end_within_a_time_bound(argv):
-    """(10^9 + 7)(10^9 + 9) is neither a prime power nor trial-divisible;
-    10^9 + 7 and its square are prime powers with too many units to list.
+    """(10^9 + 7)(10^9 + 9) is neither a prime power nor trial-divisible, so
+    it ends in an error.  3^7, 3^20, 10^9 + 7 and its square are prime
+    powers with too many units to list one by one; each answers 0.
 
     The child gets 1 GiB of address space, so a regression fails fast
     instead of filling memory.
@@ -234,6 +237,11 @@ def test_large_inputs_end_within_a_time_bound(argv):
         env=env,
         preexec_fn=limit_memory,
     )
+    if argv[-1] == "1000000016000000063":
+        assert proc.returncode == 1
+    elif argv[0] == "invariants":
+        assert proc.returncode == 0
+        assert proc.stdout == f"invariants of M_5/{argv[-1]}(-1) over Q: 0\n"
     if proc.returncode:
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1

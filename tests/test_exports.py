@@ -1,0 +1,40 @@
+"""Every name the package and its modules export resolves."""
+
+from __future__ import annotations
+
+import importlib
+import pkgutil
+
+import pytest
+
+import cubicbrauer
+
+MODULES = sorted(
+    info.name
+    for info in pkgutil.iter_modules(cubicbrauer.__path__)
+    if hasattr(importlib.import_module(f"cubicbrauer.{info.name}"), "__all__")
+)
+
+
+def _star_import(module: str) -> dict:
+    namespace: dict = {}
+    exec(f"from {module} import *", namespace)
+    return namespace
+
+
+def test_package_exports_resolve():
+    assert len(set(cubicbrauer.__all__)) == len(cubicbrauer.__all__)
+    missing = [name for name in cubicbrauer.__all__ if not hasattr(cubicbrauer, name)]
+    assert not missing
+    namespace = _star_import("cubicbrauer")
+    assert set(cubicbrauer.__all__) <= set(namespace)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_exports_resolve(name):
+    module = importlib.import_module(f"cubicbrauer.{name}")
+    exported = module.__all__
+    assert len(set(exported)) == len(exported)
+    missing = [attr for attr in exported if not hasattr(module, attr)]
+    assert not missing
+    assert set(exported) <= set(_star_import(module.__name__))

@@ -23,7 +23,6 @@ from cubicbrauer.qexamples import (
     example_brauer,
     find_admissible_a,
     general_position,
-    principality_check,
 )
 from cubicbrauer.ratpoly import RationalPoly, fraction_det, rational_roots
 
@@ -224,11 +223,3 @@ def test_find_admissible_a():
     assert find_admissible_a(P("3,3,1,1"), 20).a == 2
     with pytest.raises(NoAdmissibleShift, match="no admissible a found up to 2"):
         find_admissible_a(P("-2,-2,1,1"), 2)
-
-
-def test_principality():
-    report = principality_check()
-    assert report.all_principal
-    assert report.d1 == (0,) * 7
-    assert report.d2 == (0,) * 7
-    assert report.d1_plus_d2 == (0,) * 7
