@@ -279,7 +279,6 @@ class TablePair:
 
 @dataclass(frozen=True)
 class SweepEntry:
-    subgroup_order: int
     orbits: int
     pair: TablePair
 
@@ -297,9 +296,7 @@ def _table_sweep() -> tuple[SweepEntry, ...]:
         orbits = orbit_count(sub, set(trio.indices))
         brx = h1_lattice(pic_module(sub))
         br1 = h1_lattice(quotient_by_trio(trio, sub).module)
-        entries.append(
-            SweepEntry(subgroup_order=cls.order, orbits=orbits, pair=TablePair(br1, brx))
-        )
+        entries.append(SweepEntry(orbits=orbits, pair=TablePair(br1, brx)))
     return tuple(entries)
 
 

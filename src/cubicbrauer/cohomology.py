@@ -45,25 +45,28 @@ class LatticeGModule:
         object.__setattr__(self, "_matrix_cache", None)
 
     def action_of(self, p: Perm) -> IntMatrix:
-        """Matrix of an arbitrary group element (BFS over generator words)."""
+        """Matrix of an arbitrary group element.
+
+        The first call lists the group by a breadth-first search over
+        generator words, keeping each element's matrix; every later call
+        is a lookup.
+        """
         cache = object.__getattribute__(self, "_matrix_cache")
         if cache is None:
-            cache = {identity_perm(self.group.degree): IntMatrix.identity(self.rank)}
+            ident = identity_perm(self.group.degree)
+            cache = {ident: IntMatrix.identity(self.rank)}
+            queue = [ident]
+            for x in queue:
+                for g, mat in zip(self.group.generators, self.matrices):
+                    y = compose(g, x)
+                    if y not in cache:
+                        cache[y] = mat @ cache[x]
+                        queue.append(y)
             object.__setattr__(self, "_matrix_cache", cache)
-        p = tuple(p)
-        if p in cache:
-            return cache[p]
-        queue = list(cache)
-        while queue:
-            x = queue.pop(0)
-            for g, mat in zip(self.group.generators, self.matrices):
-                y = compose(g, x)
-                if y not in cache:
-                    cache[y] = mat @ cache[x]
-                    queue.append(y)
-                    if y == p:
-                        return cache[p]
-        raise ValueError("permutation is not in the acting group")
+        matrix = cache.get(tuple(p))
+        if matrix is None:
+            raise ValueError("permutation is not in the acting group")
+        return matrix
 
     def stacked_differences(self) -> IntMatrix:
         """The matrices (g - 1) for all generators, stacked vertically."""

@@ -222,11 +222,25 @@ class QuotientLattice:
         return self.projection.apply(d)
 
 
+@cache
+def _trio_quotient_maps(trio: TritangentTrio) -> tuple[IntMatrix, IntMatrix]:
+    """(projection, section) of Z^7 ->> Z^7 / <trio>, from one Smith form."""
+    form = snf(trio.boundary_matrix())
+    if form.diagonal() != (1, 1, 1):
+        raise TorsionFound(f"boundary quotient has torsion: diagonal {form.diagonal()}")
+    u_inv = form.U.inverse_unimodular()
+    projection = IntMatrix(form.U.data[3:])  # last 4 rows of U
+    section = IntMatrix.from_columns([u_inv.column(j) for j in range(3, RANK)], rows=RANK)
+    return projection, section
+
+
 def quotient_by_trio(trio: TritangentTrio, group: PermGroup) -> QuotientLattice:
     """Rank-4 quotient of Pic by a trio, with the induced subgroup action.
 
-    Raises TorsionFound if the Smith form of the boundary matrix has a
-    non-unit invariant factor (it never does for a tritangent trio).
+    The projection and section depend on the trio alone and are computed
+    once per trio.  Raises TorsionFound if the Smith form of the boundary
+    matrix has a non-unit invariant factor (it never does for a tritangent
+    trio).
     """
     idx = line_index()
     a, b, c = trio.classes
@@ -237,13 +251,7 @@ def quotient_by_trio(trio: TritangentTrio, group: PermGroup) -> QuotientLattice:
         and intersection(a, b) == intersection(a, c) == intersection(b, c) == 1
     ):
         raise ValueError("not a tritangent trio")
-    boundary = trio.boundary_matrix()
-    form = snf(boundary)
-    if form.diagonal() != (1, 1, 1):
-        raise TorsionFound(f"boundary quotient has torsion: diagonal {form.diagonal()}")
-    u_inv = form.U.inverse_unimodular()
-    projection = IntMatrix(form.U.data[3:])  # last 4 rows of U
-    section = IntMatrix.from_columns([u_inv.column(j) for j in range(3, RANK)], rows=RANK)
+    projection, section = _trio_quotient_maps(trio)
     trio_set = set(trio.classes)
     induced = []
     for g in group.generators:

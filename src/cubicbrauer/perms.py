@@ -4,7 +4,10 @@ Permutations on {0, ..., n-1} are image tuples; (p * q)(x) = p(q(x)) is
 realized by :func:`compose`.  :class:`PermGroup` keeps a verified
 stabilizer chain (Schreier-Sims) for exact orders and membership, lists
 elements for groups up to a configurable bound, and enumerates subgroups
-of solvable groups up to conjugacy by the cyclic extension method.
+of solvable groups up to conjugacy by the cyclic extension method.  The
+enumeration works on a Cayley table; the walk over the conjugates of each
+class also yields its normalizer, as the closure of the Schreier elements
+of that orbit (orbit-stabilizer), so no element of G is tested one by one.
 """
 
 from __future__ import annotations
@@ -382,16 +385,49 @@ class _TableGroup:
             h_gens = self.greedy_generators(derived)
             h_size = len(derived)
 
-    def subgroup_conjugacy_orbit(self, sub: frozenset[int]) -> set[frozenset[int]]:
-        orbit = {sub}
+    def conjugacy_orbit_and_normalizer(
+        self, sub: frozenset[int]
+    ) -> tuple[list[frozenset[int]], frozenset[int], list[int], list[int]]:
+        """The conjugates of U, and N_G(U) by orbit-stabilizer.
+
+        One breadth-first search over the conjugates g U g^-1 keeps a
+        transversal element t with t U t^-1 = T for each conjugate T.  An
+        edge T -> g T g^-1 that closes back into the orbit gives the
+        Schreier element trans[img]^-1 * g * trans[T], which normalizes U;
+        these generate N_G(U) (Schreier's lemma).  Returns the orbit, its
+        representative R = min(orbit), the greedy generators of R, and
+        generators of N_G(R) (those of R first), conjugated from N_G(U) by
+        the transversal element of R.
+        """
+        table, inv = self.table, self.inv
+        trans = {sub: self.e}
+        schreier: list[int] = []
         queue = [sub]
         for t in queue:
-            for cg in self.conj_maps:
+            tt = trans[t]
+            for g, cg in zip(self.gens, self.conj_maps):
                 img = frozenset([cg[x] for x in t])
-                if img not in orbit:
-                    orbit.add(img)
+                step = table[g][tt]
+                known = trans.get(img)
+                if known is None:
+                    trans[img] = step
                     queue.append(img)
-        return orbit
+                else:
+                    schreier.append(table[inv[known]][step])
+        rep = min(trans, key=sorted)
+        rep_gens = self.greedy_generators(rep)
+        # N_G(R) = c N_G(U) c^-1 with c = trans[R]
+        row_c, c_inv = table[trans[rep]], inv[trans[rep]]
+        norm_gens = list(rep_gens)
+        norm = rep
+        for s in schreier:
+            s = table[row_c[s]][c_inv]
+            if s not in norm:
+                norm_gens.append(s)
+                norm = self.closure(norm_gens)
+        if len(norm) * len(trans) != self.n:
+            raise AssertionError("orbit-stabilizer mismatch in the normalizer")
+        return list(trans), rep, rep_gens, norm_gens
 
 
 @dataclass
@@ -424,33 +460,30 @@ def subgroup_classes(
     trivial = frozenset({tg.e})
 
     classes: list[dict] = []
-    member_of: dict[frozenset[int], int] = {}
+    known: set[frozenset[int]] = set()  # every conjugate of every class found
 
     def register(sub: frozenset[int]) -> None:
-        orbit = tg.subgroup_conjugacy_orbit(sub)
-        cid = len(classes)
-        for s in orbit:
-            member_of[s] = cid
-        rep = min(orbit, key=sorted)
-        classes.append({"rep": rep, "conjugates": len(orbit)})
+        orbit, rep, rep_gens, norm_gens = tg.conjugacy_orbit_and_normalizer(sub)
+        known.update(orbit)
+        classes.append(
+            {"rep": rep, "gens": rep_gens, "norm_gens": norm_gens, "conjugates": len(orbit)}
+        )
 
     register(trivial)
-    table, inv = tg.table, tg.inv
+    table = tg.table
     work = 0
     while work < len(classes):
         rep = classes[work]["rep"]
+        normalizer = tg.closure(classes[work]["norm_gens"])
         work += 1
-        rep_gens = tg.greedy_generators(rep)
         size = len(rep)
         # x in an extension H = <rep, x0> of prime index already found gives
         # <rep, x> = H again, so each such x is skipped
-        covered = set(rep)
-        for x in range(tg.n):
+        covered: set[int] = set()
+        for x in sorted(normalizer - rep):
             if x in covered:
                 continue
-            row_x, x_inv = table[x], inv[x]
-            if any(table[row_x[h]][x_inv] not in rep for h in rep_gens):
-                continue
+            row_x = table[x]
             for p in primes:
                 if n % (size * p):
                     continue
@@ -469,14 +502,14 @@ def subgroup_classes(
                 if len(sub) != size * p:
                     raise AssertionError("extension does not have prime index")
                 covered |= sub
-                if sub not in member_of:
+                if sub not in known:
                     register(sub)
                 break  # x yields exactly one minimal prime extension
 
     out = []
     for cls in sorted(classes, key=lambda c: (len(c["rep"]), sorted(c["rep"]))):
         rep = cls["rep"]
-        gens = [tg.elements[i] for i in tg.greedy_generators(rep)]
+        gens = [tg.elements[i] for i in cls["gens"]]
         out.append(
             SubgroupClass(
                 group=PermGroup(g.degree, gens),

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import resource
@@ -81,6 +82,22 @@ def test_tables_case3(capsys):
     result = json.loads(out)["result"]
     assert len(result["pairs"]) == 10
     assert {"br1": {"free_rank": 0, "factors": []}, "brx": {"free_rank": 0, "factors": []}} in result["pairs"]
+
+
+# sha256 of the stdout of `--format json tables --case N`, recorded from the
+# enumeration that scanned all of G for normalizers
+TABLES_JSON_SHA256 = {
+    "1": "980d7a64779b668c5e3c51432fe89a4245063441f96c1dfde563f190c5c918b1",
+    "2": "4d7b37742220ce4c928aa001b83d660396770d3acbd151f839df70370ef89d9b",
+    "3": "2fb2fcacec121e0a44d0331d0de63eee01a97c44650cf454ff69459feef73566",
+}
+
+
+@pytest.mark.parametrize("case", sorted(TABLES_JSON_SHA256))
+def test_tables_json_is_byte_identical(capsys, case):
+    code, out, _ = run(capsys, "--format", "json", "tables", "--case", case)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == TABLES_JSON_SHA256[case]
 
 
 def test_example_auto_a(capsys):

@@ -170,6 +170,32 @@ def test_quotient_by_trio():
         assert quotient.project_class(cls) == (0, 0, 0, 0)
 
 
+def test_quotient_maps_of_all_45_trios():
+    trivial = PermGroup(27, [])
+    for trio in tritangent_trios():
+        quotient = quotient_by_trio(trio, trivial)
+        assert quotient.projection @ trio.boundary_matrix() == IntMatrix.zeros(4, 3)
+        assert quotient.projection @ quotient.section == IntMatrix.identity(4)
+
+
+def test_quotient_maps_are_computed_once_per_trio(monkeypatch, stabilizer_classes):
+    from cubicbrauer import cubiclattice
+
+    calls = []
+
+    def counting_snf(matrix):
+        calls.append(matrix)
+        return snf(matrix)
+
+    monkeypatch.setattr(cubiclattice, "snf", counting_snf)
+    cubiclattice._trio_quotient_maps.cache_clear()
+    trio = reference_trio()
+    for cls in stabilizer_classes:
+        quotient_by_trio(trio, cls.group)
+    assert len(stabilizer_classes) == 246
+    assert len(calls) == 1
+
+
 def test_quotient_requires_stabilizing_group():
     trio = reference_trio()
     w = weyl_group()

@@ -232,6 +232,55 @@ def test_cayley_table_matches_compose_on_the_trio_stabilizer(trio_stabilizer):
     )
 
 
+def _conjugate(tg, x, sub):
+    table, inv = tg.table, tg.inv
+    return frozenset(table[table[x][u]][inv[x]] for u in sub)
+
+
+def _normalizer_by_conjugation(tg, sub):
+    """{x : x U x^-1 = U}, by conjugating the elements of U by every x.
+
+    Conjugation is injective, so x U x^-1 inside U already means equality.
+    """
+    table, inv = tg.table, tg.inv
+    return frozenset(
+        x for x in range(tg.n) if all(table[table[x][u]][inv[x]] in sub for u in sub)
+    )
+
+
+@pytest.mark.parametrize("factory", [s4, gl23, d4])
+def test_orbit_normalizer_matches_bruteforce(factory):
+    """The orbit walk from every subgroup, listed without the enumeration."""
+    group = factory()
+    tg = _TableGroup(group)
+    for sub in all_subgroups_bruteforce(group):
+        start = frozenset(tg.index[p] for p in sub)
+        orbit, rep, gens, norm_gens = tg.conjugacy_orbit_and_normalizer(start)
+        assert set(orbit) == {_conjugate(tg, x, start) for x in range(tg.n)}
+        assert rep == min(orbit, key=sorted)
+        assert tg.closure(gens) == rep and norm_gens[: len(gens)] == gens
+        assert tg.closure(norm_gens) == _normalizer_by_conjugation(tg, rep)
+
+
+def test_orbit_normalizer_matches_bruteforce_on_the_trio_stabilizer(
+    trio_stabilizer, stabilizer_classes
+):
+    """Each class rep R, walked from R and from a conjugate x R x^-1 != R."""
+    tg = _TableGroup(trio_stabilizer)
+    for cls in stabilizer_classes:
+        rep = frozenset(tg.index[p] for p in cls.element_set)
+        expected = _normalizer_by_conjugation(tg, rep)
+        starts = [rep]
+        outside = next((x for x in range(tg.n) if x not in expected), None)
+        if outside is not None:
+            starts.append(_conjugate(tg, outside, rep))
+        for start in starts:
+            orbit, found, gens, norm_gens = tg.conjugacy_orbit_and_normalizer(start)
+            assert found == rep and len(orbit) == cls.conjugates
+            assert tg.closure(gens) == rep and norm_gens[: len(gens)] == gens
+            assert tg.closure(norm_gens) == expected
+
+
 def test_enumeration_rejects_nonsolvable():
     a5 = PermGroup(5, [cyc(5, (0, 1, 2)), cyc(5, (0, 1, 2, 3, 4))])
     with pytest.raises(NotSolvable):
@@ -368,6 +417,20 @@ def test_stabilizer_classes_golden_digest(stabilizer_classes):
     for cls in stabilizer_classes:
         digest.update(repr((cls.order, cls.conjugates, sorted(cls.element_set))).encode())
     assert digest.hexdigest() == STABILIZER_CLASSES_SHA256
+
+
+# sha256 over (orbits, br1, brx) of every entry of the table sweep, in sweep
+# order, recorded from the enumeration that scanned all of G for normalizers
+TABLE_SWEEP_SHA256 = "fdb2aba5ed4cc6ebd32d3475147d1815441ae22723c0ec9ad88b7384a3277046"
+
+
+def test_table_sweep_golden_digest():
+    from cubicbrauer.brauer import table_sweep_entries
+
+    digest = hashlib.sha256()
+    for entry in table_sweep_entries():
+        digest.update(repr((entry.orbits, entry.pair.br1, entry.pair.brx)).encode())
+    assert digest.hexdigest() == TABLE_SWEEP_SHA256
 
 
 def test_subgroup_count_recorded(stabilizer_classes):
