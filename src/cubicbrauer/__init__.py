@@ -36,6 +36,7 @@ from .intlinalg import (
     IntMatrix,
     SmithForm,
     cokernel_structure,
+    elementary_divisors,
     kernel_basis,
     mod_kernel,
     snf,
@@ -73,6 +74,7 @@ __all__ = [
     "cubic_galois_type",
     "discriminant",
     "eckardt_concurrent",
+    "elementary_divisors",
     "example_brauer",
     "find_admissible_a",
     "general_position",

@@ -19,7 +19,7 @@ from typing import NamedTuple, Sequence
 
 from .cohomology import LatticeGModule
 from .errors import InconsistentPermutation, NotStabilized, TorsionFound
-from .intlinalg import IntMatrix, snf
+from .intlinalg import IntMatrix, elementary_divisors, snf
 from .perms import Perm, PermGroup
 
 RANK = 7
@@ -283,7 +283,7 @@ def torsion_free_line_conic(include_ell_case: bool = False) -> list[TorsionRepor
     out = []
     for d, is_line in candidates:
         conic = tuple(h - x for h, x in zip(HYPERPLANE, d))
-        diag = snf(IntMatrix.from_columns([d, conic], rows=RANK)).diagonal()
+        diag = elementary_divisors(IntMatrix.from_columns([d, conic], rows=RANK))
         out.append(
             TorsionReport(
                 divisor_class=d,

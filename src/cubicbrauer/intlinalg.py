@@ -4,11 +4,25 @@ Everything is computed over Z with Python's arbitrary-precision integers;
 no floating point enters this module.  Matrices are tiny (the largest
 routine inputs are a few dozen rows), so the classical elimination with
 minimal-absolute-value pivoting is entirely adequate.
+
+One elimination loop serves two routes.  :func:`snf` also carries the
+unimodular transforms U and V, which :func:`kernel_basis`,
+:func:`solve_columns` and ``IntMatrix.inverse_unimodular`` read.
+:func:`elementary_divisors` runs the same loop on the matrix alone and
+returns only the diagonal (Cohen, *A Course in Computational Algebraic
+Number Theory*, 2.4.4); :func:`cokernel_structure` and
+:func:`subgroup_structure_mod` use it.
+
+``IntMatrix(...)`` is the one validating constructor: each entry must be
+an integer in the sense of ``operator.index``, so a float, a ``Fraction``
+or a string raises ``TypeError``.  Arithmetic on matrices builds its
+results from rows that are already tuples of ints and skips that pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, index, mul, neg, sub
 from typing import Iterable, Sequence
 
 from .arith import factorint
@@ -20,12 +34,19 @@ class IntMatrix:
     __slots__ = ("data",)
 
     def __init__(self, data: Iterable[Iterable[int]]):
-        rows = tuple(tuple(int(x) for x in row) for row in data)
+        rows = tuple(tuple(map(index, row)) for row in data)
         if rows:
             w = len(rows[0])
             if any(len(r) != w for r in rows):
                 raise ValueError("ragged rows")
         object.__setattr__(self, "data", rows)
+
+    @classmethod
+    def _from_rows(cls, rows: tuple[tuple[int, ...], ...]) -> IntMatrix:
+        """Wrap rows that are already equal-length tuples of Python ints."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "data", rows)
+        return m
 
     def __setattr__(self, *a):  # immutability
         raise AttributeError("IntMatrix is immutable")
@@ -40,27 +61,31 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> IntMatrix:
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls._from_rows(
+            tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+        )
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> IntMatrix:
-        return cls([[0] * cols for _ in range(rows)])
+        return cls._from_rows(((0,) * cols,) * rows)
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence[int]], rows: int | None = None) -> IntMatrix:
-        cols = [tuple(c) for c in columns]
+        cols = [tuple(map(index, c)) for c in columns]
         if rows is None:
             if not cols:
                 raise ValueError("need explicit row count for an empty column list")
             rows = len(cols[0])
         if any(len(c) != rows for c in cols):
             raise ValueError("column length mismatch")
-        return cls([[c[i] for c in cols] for i in range(rows)])
+        if not cols:
+            return cls._from_rows(((),) * rows)
+        return cls._from_rows(tuple(zip(*cols)))
 
     @classmethod
     def empty(cls, rows: int) -> IntMatrix:
         """A rows x 0 matrix (no columns)."""
-        return cls([[] for _ in range(rows)])
+        return cls._from_rows(((),) * rows)
 
     @classmethod
     def diagonal(cls, entries: Sequence[int]) -> IntMatrix:
@@ -74,47 +99,49 @@ class IntMatrix:
         return [self.column(j) for j in range(self.cols)]
 
     def transpose(self) -> IntMatrix:
-        return IntMatrix(zip(*self.data)) if self.data else IntMatrix([])
+        return IntMatrix._from_rows(tuple(zip(*self.data)))
 
     def __matmul__(self, other: IntMatrix) -> IntMatrix:
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        ot = list(zip(*other.data)) if other.data else []
-        return IntMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in ot] for row in self.data]
+        ot = tuple(zip(*other.data))
+        return IntMatrix._from_rows(
+            tuple(tuple([sum(map(mul, row, col)) for col in ot]) for row in self.data)
         )
 
     def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
         if len(vec) != self.cols:
             raise ValueError("shape mismatch")
-        return tuple(sum(a * b for a, b in zip(row, vec)) for row in self.data)
+        return tuple([sum(map(mul, row, vec)) for row in self.data])
 
     def __add__(self, other: IntMatrix) -> IntMatrix:
-        return IntMatrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)]
+        return IntMatrix._from_rows(
+            tuple(tuple(map(add, r1, r2)) for r1, r2 in zip(self.data, other.data))
         )
 
     def __sub__(self, other: IntMatrix) -> IntMatrix:
-        return IntMatrix(
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)]
+        return IntMatrix._from_rows(
+            tuple(tuple(map(sub, r1, r2)) for r1, r2 in zip(self.data, other.data))
         )
 
     def __neg__(self) -> IntMatrix:
-        return IntMatrix([[-a for a in r] for r in self.data])
+        return IntMatrix._from_rows(tuple(tuple(map(neg, r)) for r in self.data))
 
     def scaled(self, k: int) -> IntMatrix:
-        return IntMatrix([[k * a for a in r] for r in self.data])
+        k = index(k)
+        return IntMatrix._from_rows(tuple(tuple([k * a for a in r]) for r in self.data))
 
     def mod(self, n: int) -> IntMatrix:
-        return IntMatrix([[a % n for a in r] for r in self.data])
+        n = index(n)
+        return IntMatrix._from_rows(tuple(tuple([a % n for a in r]) for r in self.data))
 
     @staticmethod
     def hstack(*blocks: "IntMatrix") -> "IntMatrix":
         rows = blocks[0].rows
         if any(b.rows != rows for b in blocks):
             raise ValueError("row count mismatch")
-        return IntMatrix(
-            [sum((list(b.data[i]) for b in blocks), []) for i in range(rows)]
+        return IntMatrix._from_rows(
+            tuple(sum((b.data[i] for b in blocks), ()) for i in range(rows))
         )
 
     @staticmethod
@@ -122,7 +149,7 @@ class IntMatrix:
         cols = blocks[0].cols
         if any(b.cols != cols for b in blocks):
             raise ValueError("column count mismatch")
-        return IntMatrix([row for b in blocks for row in b.data])
+        return IntMatrix._from_rows(tuple(row for b in blocks for row in b.data))
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -204,55 +231,62 @@ class SmithForm:
         )
 
 
-def snf(a: IntMatrix) -> SmithForm:
-    """Smith normal form by elimination with minimal-|entry| pivoting.
+def _smith_eliminate(
+    s: list[list[int]], u: list[list[int]] | None, v: list[list[int]] | None
+) -> None:
+    """Reduce the rows s in place to Smith normal form.
 
-    The returned diagonal is non-negative and forms a divisibility chain
-    d1 | d2 | ... ; U and V collect the row and column operations.
+    Elimination with minimal-|entry| pivoting; each row operation is also
+    applied to u and each column operation to v, unless they are None.
+    The diagonal ends non-negative and forms a divisibility chain.
     """
-    m, n = a.rows, a.cols
-    s = [list(r) for r in a.data]
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    m = len(s)
+    n = len(s[0]) if s else 0
 
     def swap_rows(i, j):
         s[i], s[j] = s[j], s[i]
-        u[i], u[j] = u[j], u[i]
+        if u is not None:
+            u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
         for row in s:
             row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
+        if v is not None:
+            for row in v:
+                row[i], row[j] = row[j], row[i]
 
     def add_row(dst, src, c):
         # row_dst += c * row_src
         s[dst] = [x + c * y for x, y in zip(s[dst], s[src])]
-        u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
+        if u is not None:
+            u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
 
     def add_col(dst, src, c):
         for row in s:
             row[dst] += c * row[src]
-        for row in v:
-            row[dst] += c * row[src]
+        if v is not None:
+            for row in v:
+                row[dst] += c * row[src]
 
     for t in range(min(m, n)):
-        # minimal-absolute-value pivot in the trailing block
+        # minimal-absolute-value pivot in the trailing block, first in row order
         pivot = None
-        best = None
+        best = 0
         for i in range(t, m):
+            row = s[i]
             for j in range(t, n):
-                x = s[i][j]
-                if x != 0 and (best is None or abs(x) < best):
+                x = row[j]
+                if x and (not best or abs(x) < best):
                     best = abs(x)
                     pivot = (i, j)
+            if best == 1:
+                break
         if pivot is None:
             break
-        if pivot != (t, t):
-            if pivot[0] != t:
-                swap_rows(t, pivot[0])
-            if pivot[1] != t:
-                swap_cols(t, pivot[1])
+        if pivot[0] != t:
+            swap_rows(t, pivot[0])
+        if pivot[1] != t:
+            swap_cols(t, pivot[1])
         while True:
             # clear the pivot column
             for i in range(t + 1, m):
@@ -271,12 +305,11 @@ def snf(a: IntMatrix) -> SmithForm:
                 swap_cols(t, stray)
                 continue
             # enforce divisibility of the remaining block by the pivot
+            d = s[t][t]
+            if d in (1, -1):  # a unit divides every entry
+                break
             bad = next(
-                (
-                    i
-                    for i in range(t + 1, m)
-                    if any(s[i][j] % s[t][t] for j in range(t + 1, n))
-                ),
+                (i for i in range(t + 1, m) if any(x % d for x in s[i][t + 1 :])),
                 None,
             )
             if bad is None:
@@ -284,9 +317,32 @@ def snf(a: IntMatrix) -> SmithForm:
             add_row(t, bad, 1)
         if s[t][t] < 0:
             s[t] = [-x for x in s[t]]
-            u[t] = [-x for x in u[t]]
+            if u is not None:
+                u[t] = [-x for x in u[t]]
 
-    return SmithForm(IntMatrix(u), IntMatrix(s), IntMatrix(v))
+
+def snf(a: IntMatrix) -> SmithForm:
+    """Smith normal form, with U and V collecting the row and column operations.
+
+    The returned diagonal is non-negative and forms a divisibility chain
+    d1 | d2 | ... .
+    """
+    m, n = a.rows, a.cols
+    s = [list(r) for r in a.data]
+    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    _smith_eliminate(s, u, v)
+    return SmithForm(*(IntMatrix._from_rows(tuple(map(tuple, x))) for x in (u, s, v)))
+
+
+def elementary_divisors(a: IntMatrix) -> tuple[int, ...]:
+    """The diagonal of the Smith normal form of A, without U and V.
+
+    Equal to ``snf(a).diagonal()``: the same elimination, on A alone.
+    """
+    s = [list(r) for r in a.data]
+    _smith_eliminate(s, None, None)
+    return tuple(s[i][i] for i in range(min(a.rows, a.cols)))
 
 
 def kernel_basis(a: IntMatrix) -> IntMatrix:
@@ -424,7 +480,7 @@ def cokernel_structure(a: IntMatrix) -> FinAbGroup:
     """Isomorphism type of Z^rows / (column span of A)."""
     if a.cols == 0:
         return FinAbGroup(a.rows, ())
-    diag = snf(a).diagonal()
+    diag = elementary_divisors(a)
     r = sum(1 for d in diag if d != 0)
     return FinAbGroup.from_orders([d for d in diag if d > 1], free_rank=a.rows - r)
 
@@ -465,7 +521,7 @@ def subgroup_structure_mod(generators: Sequence[Sequence[int]], n: int, rank: in
     blocks = [IntMatrix.identity(rank).scaled(n)]
     if generators:
         blocks.insert(0, IntMatrix.from_columns([tuple(g) for g in generators], rows=rank))
-    diag = snf(IntMatrix.hstack(*blocks)).diagonal()
+    diag = elementary_divisors(IntMatrix.hstack(*blocks))
     if len(diag) != rank or any(d == 0 or n % d for d in diag):
         raise AssertionError("lattice containing n*Z^rank must have full rank dividing n")
     return FinAbGroup.from_orders([n // d for d in diag])
@@ -476,6 +532,7 @@ __all__ = [
     "IntMatrix",
     "SmithForm",
     "cokernel_structure",
+    "elementary_divisors",
     "kernel_basis",
     "mod_kernel",
     "snf",

@@ -323,7 +323,7 @@ class _TableGroup:
             for lg in left:
                 y = lg[x]
                 if table[y] is None:
-                    table[y] = [lg[j] for j in row]
+                    table[y] = list(map(lg.__getitem__, row))
                     queue.append(y)
         self.table: list[list[int]] = table
         self.inv = inv = [index[inverse(p)] for p in self.elements]
@@ -387,7 +387,7 @@ class _TableGroup:
 
     def conjugacy_orbit_and_normalizer(
         self, sub: frozenset[int]
-    ) -> tuple[list[frozenset[int]], frozenset[int], list[int], list[int]]:
+    ) -> tuple[list[frozenset[int]], frozenset[int], list[int], list[int], frozenset[int]]:
         """The conjugates of U, and N_G(U) by orbit-stabilizer.
 
         One breadth-first search over the conjugates g U g^-1 keeps a
@@ -395,9 +395,10 @@ class _TableGroup:
         edge T -> g T g^-1 that closes back into the orbit gives the
         Schreier element trans[img]^-1 * g * trans[T], which normalizes U;
         these generate N_G(U) (Schreier's lemma).  Returns the orbit, its
-        representative R = min(orbit), the greedy generators of R, and
+        representative R = min(orbit), the greedy generators of R,
         generators of N_G(R) (those of R first), conjugated from N_G(U) by
-        the transversal element of R.
+        the transversal element of R, and the element set of N_G(R), which
+        the check of its order closes anyway.
         """
         table, inv = self.table, self.inv
         trans = {sub: self.e}
@@ -427,7 +428,7 @@ class _TableGroup:
                 norm = self.closure(norm_gens)
         if len(norm) * len(trans) != self.n:
             raise AssertionError("orbit-stabilizer mismatch in the normalizer")
-        return list(trans), rep, rep_gens, norm_gens
+        return list(trans), rep, rep_gens, norm_gens, norm
 
 
 @dataclass
@@ -463,10 +464,10 @@ def subgroup_classes(
     known: set[frozenset[int]] = set()  # every conjugate of every class found
 
     def register(sub: frozenset[int]) -> None:
-        orbit, rep, rep_gens, norm_gens = tg.conjugacy_orbit_and_normalizer(sub)
+        orbit, rep, rep_gens, _, norm = tg.conjugacy_orbit_and_normalizer(sub)
         known.update(orbit)
         classes.append(
-            {"rep": rep, "gens": rep_gens, "norm_gens": norm_gens, "conjugates": len(orbit)}
+            {"rep": rep, "gens": rep_gens, "normalizer": norm, "conjugates": len(orbit)}
         )
 
     register(trivial)
@@ -474,7 +475,8 @@ def subgroup_classes(
     work = 0
     while work < len(classes):
         rep = classes[work]["rep"]
-        normalizer = tg.closure(classes[work]["norm_gens"])
+        # read once; dropping it keeps one normalizer set alive, not 246
+        normalizer = classes[work].pop("normalizer")
         work += 1
         size = len(rep)
         # x in an extension H = <rep, x0> of prime index already found gives

@@ -334,7 +334,7 @@ def test_case_two_extras_have_cyclic_oracle_witnesses(trio_stabilizer, stabilize
     assert all(targets.values()), f"missing cyclic witnesses: {targets}"
 
 
-def test_h1_lattice_agrees_with_the_annihilator_route(stabilizer_classes):
+def test_h1_lattice_agrees_with_the_annihilator_route(sweep_modules):
     """One cokernel and (M/nM)^G / im(M^G) with n = |G| agree on the sweep.
 
     Both Pic Xbar and the boundary quotient Pic Ubar of every one of the 246
@@ -342,14 +342,7 @@ def test_h1_lattice_agrees_with_the_annihilator_route(stabilizer_classes):
     """
     from cubicbrauer.acceptance import _h1_by_annihilator
     from cubicbrauer.cohomology import h1_lattice
-    from cubicbrauer.cubiclattice import pic_module, quotient_by_trio, reference_trio
 
-    trio = reference_trio()
-    modules = [
-        (cls.order, module)
-        for cls in stabilizer_classes
-        for module in (pic_module(cls.group), quotient_by_trio(trio, cls.group).module)
-    ]
-    assert len(modules) == 492
-    for order, module in modules:
+    assert len(sweep_modules) == 492
+    for order, module in sweep_modules:
         assert h1_lattice(module) == _h1_by_annihilator(module.matrices, module.rank, order)

@@ -262,3 +262,22 @@ def test_large_inputs_end_within_a_time_bound(argv):
     if proc.returncode:
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+def test_package_runs_as_a_module():
+    """``python -m cubicbrauer`` prints what ``python -m cubicbrauer.cli`` does."""
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    argv = ["tables", "--case", "3", "--format", "json"]
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-m", module, *argv],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=env,
+            check=True,
+        ).stdout
+        for module in ("cubicbrauer", "cubicbrauer.cli")
+    ]
+    assert outputs[0] and outputs[0] == outputs[1]

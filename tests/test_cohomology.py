@@ -242,3 +242,26 @@ def test_module_matrices_respect_relations():
         else:
             seen[perm] = matrix
         assert module.action_of(perm) == matrix
+
+
+def test_elementary_divisors_match_snf_on_the_sweep(sweep_modules):
+    """Every non-empty stacked (s_i - 1) matrix of the 492 sweep modules."""
+    from cubicbrauer.intlinalg import elementary_divisors, snf
+
+    stacked = [m.stacked_differences() for _, m in sweep_modules if m.matrices]
+    assert len(stacked) == 490  # the trivial class has no generators
+    for a in stacked:
+        assert elementary_divisors(a) == snf(a).diagonal()
+
+
+def test_h1_lattice_builds_no_smith_transforms(sweep_modules, monkeypatch):
+    """H^1 over the whole sweep reads only the diagonal: snf is never called."""
+    from cubicbrauer import intlinalg
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("h1_lattice must not build U and V")
+
+    expected = [h1_lattice(m) for _, m in sweep_modules]
+    monkeypatch.setattr(intlinalg, "snf", forbidden)
+    assert len(sweep_modules) == 492
+    assert [h1_lattice(m) for _, m in sweep_modules] == expected

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
 
@@ -12,6 +13,7 @@ from cubicbrauer.intlinalg import (
     FinAbGroup,
     IntMatrix,
     cokernel_structure,
+    elementary_divisors,
     kernel_basis,
     mod_kernel,
     snf,
@@ -190,3 +192,87 @@ def test_subgroup_structure_mod():
     structure = subgroup_structure_mod([(2, 0), (0, 1)], 4, 2)
     assert structure == FinAbGroup.from_orders([2, 4])
     assert subgroup_structure_mod([], 6, 2) == FinAbGroup.trivial()
+
+
+@pytest.mark.parametrize(
+    "entry", [1.5, 2.9, Fraction(3, 2), Fraction(4, 2), "7"], ids=repr
+)
+def test_constructor_rejects_non_integers(entry):
+    """A float, a Fraction (even an integral one) or a string is not cut down."""
+    with pytest.raises(TypeError):
+        IntMatrix([[entry, 2], [0, 2]])
+    with pytest.raises(TypeError):
+        IntMatrix.from_columns([(entry, 0)])
+    with pytest.raises(TypeError):
+        IntMatrix.diagonal([entry])
+
+
+def test_cokernel_of_a_float_matrix_is_refused():
+    # truncating 2.5 to 2 used to answer Z/2
+    with pytest.raises(TypeError):
+        cokernel_structure(IntMatrix([[2.5]]))
+
+
+def test_constructor_accepts_integer_likes():
+    assert IntMatrix([[True, -3]]).data == ((1, -3),)
+    assert all(type(x) is int for x in IntMatrix([[True, 2]]).data[0])
+
+
+def _random_kernel_inputs(seed: int) -> list[IntMatrix]:
+    """Random matrices with the shapes that stress the elimination.
+
+    Dense and sparse entries of both signs, zero rows, zero columns, the
+    zero matrix, low-rank products and the empty shapes.
+    """
+    rng = random.Random(seed)
+    out = [IntMatrix([]), IntMatrix.empty(3), IntMatrix.zeros(1, 1), IntMatrix.zeros(4, 6)]
+    for _ in range(40):
+        rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+        bound = rng.choice([1, 2, 9, 60])
+        density = rng.choice([0.2, 0.5, 1.0])
+        data = [
+            [rng.randint(-bound, bound) if rng.random() < density else 0 for _ in range(cols)]
+            for _ in range(rows)
+        ]
+        out.append(IntMatrix(data))
+        # the same matrix with a zero row and a zero column inserted
+        i, j = rng.randint(0, rows), rng.randint(0, cols)
+        padded = [row[:j] + [0] + row[j:] for row in data]
+        padded.insert(i, [0] * (cols + 1))
+        out.append(IntMatrix(padded))
+        # a product through a narrower middle: rank below min(rows, cols)
+        k = rng.randint(1, max(1, min(rows, cols) - 1))
+        left = IntMatrix([[rng.randint(-5, 5) for _ in range(k)] for _ in range(rows)])
+        right = IntMatrix([[rng.randint(-5, 5) for _ in range(cols)] for _ in range(k)])
+        out.append(left @ right)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_elementary_divisors_match_the_smith_form(seed):
+    for a in _random_kernel_inputs(3000 + seed):
+        form = snf(a)
+        assert form.verify(a)
+        assert elementary_divisors(a) == form.diagonal()
+
+
+def test_random_kernel_inputs_cover_the_edge_shapes():
+    inputs = _random_kernel_inputs(3000)
+    ranks = [(snf(a).rank(), min(a.rows, a.cols)) for a in inputs]
+    assert any(r < full for r, full in ranks if full)  # rank-deficient
+    assert any(a.rows and not any(map(any, a.data)) for a in inputs)  # zero matrix
+    assert any(any(x < 0 for x in row) for a in inputs for row in a.data)
+    assert any(not any(row) and any(map(any, a.data)) for a in inputs for row in a.data)
+    assert any(
+        not any(col) and any(map(any, a.data)) for a in inputs for col in a.columns()
+    )
+
+
+def test_elementary_divisors_of_the_trio_boundaries():
+    from cubicbrauer.cubiclattice import tritangent_trios
+
+    trios = tritangent_trios()
+    assert len(trios) == 45
+    for trio in trios:
+        a = trio.boundary_matrix()
+        assert elementary_divisors(a) == snf(a).diagonal() == (1, 1, 1)

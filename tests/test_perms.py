@@ -255,11 +255,12 @@ def test_orbit_normalizer_matches_bruteforce(factory):
     tg = _TableGroup(group)
     for sub in all_subgroups_bruteforce(group):
         start = frozenset(tg.index[p] for p in sub)
-        orbit, rep, gens, norm_gens = tg.conjugacy_orbit_and_normalizer(start)
+        orbit, rep, gens, norm_gens, norm = tg.conjugacy_orbit_and_normalizer(start)
         assert set(orbit) == {_conjugate(tg, x, start) for x in range(tg.n)}
         assert rep == min(orbit, key=sorted)
         assert tg.closure(gens) == rep and norm_gens[: len(gens)] == gens
         assert tg.closure(norm_gens) == _normalizer_by_conjugation(tg, rep)
+        assert norm == tg.closure(norm_gens) == _normalizer_by_conjugation(tg, rep)
 
 
 def test_orbit_normalizer_matches_bruteforce_on_the_trio_stabilizer(
@@ -275,10 +276,11 @@ def test_orbit_normalizer_matches_bruteforce_on_the_trio_stabilizer(
         if outside is not None:
             starts.append(_conjugate(tg, outside, rep))
         for start in starts:
-            orbit, found, gens, norm_gens = tg.conjugacy_orbit_and_normalizer(start)
+            orbit, found, gens, norm_gens, norm = tg.conjugacy_orbit_and_normalizer(start)
             assert found == rep and len(orbit) == cls.conjugates
             assert tg.closure(gens) == rep and norm_gens[: len(gens)] == gens
             assert tg.closure(norm_gens) == expected
+            assert norm == tg.closure(norm_gens) == expected
 
 
 def test_enumeration_rejects_nonsolvable():
