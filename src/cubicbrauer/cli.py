@@ -21,7 +21,6 @@ import argparse
 import json
 import sys
 
-from .acceptance import run_all
 from .brauer import (
     BoundaryDescriptor,
     algebraic_tables,
@@ -279,6 +278,13 @@ def _cmd_example(args) -> int:
         text,
     )
     return 0
+
+
+def run_all():
+    """The acceptance checks; the module is imported only for --seed-check."""
+    from .acceptance import run_all as run_checks
+
+    return run_checks()
 
 
 def _cmd_seed_check(args) -> int:

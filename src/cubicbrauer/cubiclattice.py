@@ -234,11 +234,25 @@ def _trio_quotient_maps(trio: TritangentTrio) -> tuple[IntMatrix, IntMatrix]:
     return projection, section
 
 
+@lru_cache(maxsize=None)
+def _induced_action(trio: TritangentTrio, g: Perm) -> IntMatrix:
+    """projection @ pic_action(g) @ section, once g is seen to stabilize the trio.
+
+    A failed check raises, so it is never cached.
+    """
+    m = pic_action(g)
+    if {m.apply(c) for c in trio.classes} != set(trio.classes):
+        raise NotStabilized("group does not stabilize the trio")
+    projection, section = _trio_quotient_maps(trio)
+    return projection @ m @ section
+
+
 def quotient_by_trio(trio: TritangentTrio, group: PermGroup) -> QuotientLattice:
     """Rank-4 quotient of Pic by a trio, with the induced subgroup action.
 
     The projection and section depend on the trio alone and are computed
-    once per trio.  Raises TorsionFound if the Smith form of the boundary
+    once per trio, and each generator's induced matrix once per (trio,
+    generator).  Raises TorsionFound if the Smith form of the boundary
     matrix has a non-unit invariant factor (it never does for a tritangent
     trio).
     """
@@ -252,14 +266,8 @@ def quotient_by_trio(trio: TritangentTrio, group: PermGroup) -> QuotientLattice:
     ):
         raise ValueError("not a tritangent trio")
     projection, section = _trio_quotient_maps(trio)
-    trio_set = set(trio.classes)
-    induced = []
-    for g in group.generators:
-        m = pic_action(g)
-        if {m.apply(c) for c in trio.classes} != trio_set:
-            raise NotStabilized("group does not stabilize the trio")
-        induced.append(projection @ m @ section)
-    module = LatticeGModule(rank=4, group=group, matrices=tuple(induced))
+    induced = tuple(_induced_action(trio, g) for g in group.generators)
+    module = LatticeGModule(rank=4, group=group, matrices=induced)
     return QuotientLattice(trio=trio, projection=projection, section=section, module=module)
 
 

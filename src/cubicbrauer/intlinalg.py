@@ -29,9 +29,15 @@ from .arith import factorint
 
 
 class IntMatrix:
-    """Immutable dense integer matrix, stored as a tuple of row tuples."""
+    """Immutable dense integer matrix, stored as a tuple of row tuples.
 
-    __slots__ = ("data",)
+    The determinant is computed at most once per matrix and kept in the
+    ``_det`` slot.  A copy is the matrix itself; a pickle stores only the
+    rows, so unpickling validates them again and recomputes the
+    determinant on demand.
+    """
+
+    __slots__ = ("data", "_det")
 
     def __init__(self, data: Iterable[Iterable[int]]):
         rows = tuple(tuple(map(index, row)) for row in data)
@@ -50,6 +56,15 @@ class IntMatrix:
 
     def __setattr__(self, *a):  # immutability
         raise AttributeError("IntMatrix is immutable")
+
+    def __reduce__(self):
+        return (IntMatrix, (self.data,))
+
+    def __copy__(self) -> IntMatrix:
+        return self
+
+    def __deepcopy__(self, memo) -> IntMatrix:
+        return self
 
     @property
     def rows(self) -> int:
@@ -162,7 +177,16 @@ class IntMatrix:
         )
 
     def det(self) -> int:
-        """Fraction-free Bareiss determinant."""
+        """Fraction-free Bareiss determinant, computed once per matrix."""
+        try:
+            return self._det
+        except AttributeError:
+            pass
+        d = self._bareiss()
+        object.__setattr__(self, "_det", d)
+        return d
+
+    def _bareiss(self) -> int:
         if not self.is_square():
             raise ValueError("determinant of a non-square matrix")
         n = self.rows

@@ -5,15 +5,20 @@ realized by :func:`compose`.  :class:`PermGroup` keeps a verified
 stabilizer chain (Schreier-Sims) for exact orders and membership, lists
 elements for groups up to a configurable bound, and enumerates subgroups
 of solvable groups up to conjugacy by the cyclic extension method.  The
-enumeration works on a Cayley table; the walk over the conjugates of each
-class also yields its normalizer, as the closure of the Schreier elements
-of that orbit (orbit-stabilizer), so no element of G is tested one by one.
+enumeration works on a Cayley table, filled in one pass: a single
+breadth-first search lists the elements and the maps of left
+multiplication by each generator, and the rows follow from those maps.
+The walk over the conjugates of each class also yields its normalizer,
+from the Schreier elements of that orbit (orbit-stabilizer), grown from
+the class one coset at a time (Dimino's algorithm), so no element of G is
+tested one by one and no subgroup is closed again from the identity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import lcm
+from operator import itemgetter
 
 from .arith import primes_dividing
 from .errors import NotSolvable, NotStabilized, TooLarge
@@ -33,7 +38,7 @@ def identity_perm(n: int) -> Perm:
 
 def compose(p: Perm, q: Perm) -> Perm:
     """(p * q)(x) = p(q(x))."""
-    return tuple(p[i] for i in q)
+    return tuple(map(p.__getitem__, q))
 
 
 def inverse(p: Perm) -> Perm:
@@ -88,6 +93,7 @@ class _Level:
     base: int
     gens: list[Perm]
     orbit: dict[int, Perm] = field(default_factory=dict)  # point -> rep with rep(base) = point
+    orbit_inv: dict[int, Perm] = field(default_factory=dict)  # point -> rep^-1
 
 
 class PermGroup:
@@ -124,10 +130,10 @@ class PermGroup:
         ident = identity_perm(self.degree)
         lvl = start
         while p != ident and lvl < len(levels):
-            rep = levels[lvl].orbit.get(p[levels[lvl].base])
-            if rep is None:
+            rep_inv = levels[lvl].orbit_inv.get(p[levels[lvl].base])
+            if rep_inv is None:
                 return p, lvl
-            p = compose(inverse(rep), p)
+            p = compose(rep_inv, p)
             lvl += 1
         return p, lvl
 
@@ -142,17 +148,22 @@ class PermGroup:
     def _recompute_orbit(self, i: int) -> None:
         level = self._chain[i]
         gens = self._cumulative_gens(i)
+        gen_invs = [inverse(g) for g in gens]
         base = level.base
-        orbit = {base: identity_perm(self.degree)}
+        ident = identity_perm(self.degree)
+        orbit = {base: ident}
+        orbit_inv = {base: ident}
         queue = [base]
         for pt in queue:
-            rep = orbit[pt]
-            for g in gens:
+            rep, rep_inv = orbit[pt], orbit_inv[pt]
+            for g, g_inv in zip(gens, gen_invs):
                 img = g[pt]
                 if img not in orbit:
                     orbit[img] = compose(g, rep)
+                    orbit_inv[img] = compose(rep_inv, g_inv)
                     queue.append(img)
         level.orbit = orbit
+        level.orbit_inv = orbit_inv
 
     def _build_chain(self) -> list[_Level]:
         if self._chain is not None:
@@ -172,7 +183,7 @@ class PermGroup:
             for pt in sorted(level.orbit):
                 rep = level.orbit[pt]
                 for g in gens:
-                    schreier = compose(inverse(level.orbit[g[pt]]), compose(g, rep))
+                    schreier = compose(level.orbit_inv[g[pt]], compose(g, rep))
                     if schreier == ident:
                         continue
                     residue, lvl = self._sift(schreier, i + 1)
@@ -209,9 +220,9 @@ class PermGroup:
     # -- element listing --------------------------------------------------
 
     def elements(self, bound: int = ELEMENT_LISTING_BOUND) -> tuple[Perm, ...]:
+        if self.order() > bound:
+            raise TooLarge(f"group of order {self.order()} exceeds bound {bound}")
         if self._elements is None:
-            if self.order() > bound:
-                raise TooLarge(f"group of order {self.order()} exceeds bound {bound}")
             ident = identity_perm(self.degree)
             seen = {ident}
             queue = [ident]
@@ -300,38 +311,67 @@ class _TableGroup:
     """A small group materialized for index arithmetic.
 
     Elements are indexed into the sorted element list; ``table[i][j]`` is
-    the index of ``elements[i] * elements[j]``.  The rows are filled by a
-    breadth-first search over generator words: with ``left[g]`` the index
-    map of left multiplication by the generator g, row g*x is ``left[g]``
-    applied to row x, so only |gens| * |G| products of permutations are
-    formed.
+    the index of ``elements[i] * elements[j]``.  One breadth-first search
+    over the generators lists the elements and records, for each generator
+    g, the map ``left[g]`` of left multiplication by g on search ids; the
+    ids are then relabelled to element indices.  Row g*x of the table is
+    ``left[g]`` applied to row x, so only |gens| * |G| products of
+    permutations are ever formed.  Inverses and element orders are read
+    off the rows.
     """
 
     def __init__(self, group: PermGroup):
-        self.elements: tuple[Perm, ...] = group.elements()
-        self.n = len(self.elements)
-        self.index = index = {p: i for i, p in enumerate(self.elements)}
-        self.e = index[identity_perm(group.degree)]
+        ident = identity_perm(group.degree)
         gen_perms = reduce_generators(group.degree, list(group.generators))
-        self.gens = [index[g] for g in gen_perms]
-        left = [[index[compose(g, q)] for q in self.elements] for g in gen_perms]
-        table: list[list[int] | None] = [None] * self.n
-        table[self.e] = list(range(self.n))
-        queue = [self.e]
+        found = [ident]
+        ids = {ident: 0}
+        left: list[list[int]] = [[] for _ in gen_perms]  # search ids of g * found[i]
+        for x in found:
+            for g, lg in zip(gen_perms, left):
+                y = compose(g, x)
+                i = ids.get(y)
+                if i is None:
+                    i = ids[y] = len(found)
+                    found.append(y)
+                lg.append(i)
+        self.n = n = len(found)
+        if n != group.order():
+            raise AssertionError("element search disagrees with the stabilizer chain")
+        by_perm = sorted(range(n), key=found.__getitem__)
+        pos = [0] * n
+        for i, old in enumerate(by_perm):
+            pos[old] = i
+        self.elements: tuple[Perm, ...] = tuple(map(found.__getitem__, by_perm))
+        for p, old in ids.items():
+            ids[p] = pos[old]
+        self.index = ids
+        self.e = e = pos[0]
+        left = [[pos[lg[old]] for old in by_perm] for lg in left]
+        self.gens = [lg[e] for lg in left]
+        table: list[tuple[int, ...] | None] = [None] * n
+        table[e] = tuple(range(n))
+        queue = [e]
         for x in queue:
             row = table[x]
             for lg in left:
                 y = lg[x]
                 if table[y] is None:
-                    table[y] = list(map(lg.__getitem__, row))
+                    table[y] = itemgetter(*row)(lg)  # n > 1 here, so a tuple
                     queue.append(y)
-        self.table: list[list[int]] = table
-        self.inv = inv = [index[inverse(p)] for p in self.elements]
+        self.table: list[tuple[int, ...]] = table
+        self.inv = inv = [row.index(e) for row in table]
         # x -> g x g^-1 for each generator g
         self.conj_maps = [
-            [table[table[g][x]][inv[g]] for x in range(self.n)] for g in self.gens
+            [table[table[g][x]][inv[g]] for x in range(n)] for g in self.gens
         ]
-        self.order_of = [perm_order(p) for p in self.elements]
+        order_of = []
+        for x, row in enumerate(table):
+            k, y = 1, x
+            while y != e:
+                y = row[y]
+                k += 1
+            order_of.append(k)
+        self.order_of = order_of
 
     def closure(self, seeds: list[int]) -> frozenset[int]:
         table = self.table
@@ -346,13 +386,36 @@ class _TableGroup:
                     queue.append(y)
         return frozenset(known)
 
+    def extend(self, elems: frozenset[int], gens: list[int]) -> frozenset[int]:
+        """<gens>, grown from a subgroup H = elems of it one left coset at a time.
+
+        Dimino's algorithm: the left cosets x H found so far are closed
+        under left multiplication by the generators once each
+        representative x has been multiplied by each of them, and a
+        product g x outside them starts the new coset (g x) H, read off
+        row g x of the table.  So each element of the result is written
+        once, and each coset, not each element, is multiplied by the
+        generators.
+        """
+        table = self.table
+        sub = list(elems)
+        known = set(elems)
+        reps = [self.e]
+        for x in reps:
+            for g in gens:
+                y = table[g][x]
+                if y not in known:
+                    known.update(map(table[y].__getitem__, sub))
+                    reps.append(y)
+        return frozenset(known)
+
     def greedy_generators(self, subgroup: frozenset[int]) -> list[int]:
         gens: list[int] = []
         covered = frozenset({self.e})
         for i in sorted(subgroup, key=lambda i: (-self.order_of[i], i)):
             if i not in covered:
                 gens.append(i)
-                covered = self.closure(gens)
+                covered = self.extend(covered, gens)
                 if len(covered) == len(subgroup):
                     break
         return gens
@@ -398,7 +461,8 @@ class _TableGroup:
         representative R = min(orbit), the greedy generators of R,
         generators of N_G(R) (those of R first), conjugated from N_G(U) by
         the transversal element of R, and the element set of N_G(R), which
-        the check of its order closes anyway.
+        the check of its order needs anyway.  That set grows from R by
+        cosets (:meth:`extend`) as each new Schreier element is added.
         """
         table, inv = self.table, self.inv
         trans = {sub: self.e}
@@ -407,7 +471,7 @@ class _TableGroup:
         for t in queue:
             tt = trans[t]
             for g, cg in zip(self.gens, self.conj_maps):
-                img = frozenset([cg[x] for x in t])
+                img = frozenset(map(cg.__getitem__, t))
                 step = table[g][tt]
                 known = trans.get(img)
                 if known is None:
@@ -425,7 +489,7 @@ class _TableGroup:
             s = table[row_c[s]][c_inv]
             if s not in norm:
                 norm_gens.append(s)
-                norm = self.closure(norm_gens)
+                norm = self.extend(norm, norm_gens)
         if len(norm) * len(trans) != self.n:
             raise AssertionError("orbit-stabilizer mismatch in the normalizer")
         return list(trans), rep, rep_gens, norm_gens, norm

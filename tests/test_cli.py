@@ -281,3 +281,22 @@ def test_package_runs_as_a_module():
         for module in ("cubicbrauer", "cubicbrauer.cli")
     ]
     assert outputs[0] and outputs[0] == outputs[1]
+
+
+def test_importing_the_cli_leaves_the_acceptance_suite_unloaded():
+    """Only --seed-check reads the acceptance checks, so no other command imports them."""
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, cubicbrauer.cli; print('cubicbrauer.acceptance' in sys.modules)",
+        ],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=env,
+        check=True,
+    )
+    assert proc.stdout == "False\n"

@@ -221,6 +221,14 @@ def test_lattice_module_validation():
         LatticeGModule(rank=1, group=group, matrices=())
 
 
+def test_lattice_module_rejects_a_cached_non_unimodular_determinant():
+    group = PermGroup(2, [perm_from_cycles(2, [[0, 1]])])
+    doubled = IntMatrix([[1, 1], [0, 2]])
+    assert doubled.det() == 2  # cached before the module reads it
+    with pytest.raises(ValueError, match="unimodular"):
+        LatticeGModule(rank=2, group=group, matrices=(doubled,))
+
+
 def test_module_matrices_respect_relations():
     """Random generator words with equal permutations get equal matrices."""
     from cubicbrauer.cubiclattice import pic_module, reference_trio, weyl_group

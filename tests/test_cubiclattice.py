@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import random
 from itertools import combinations, product
 
@@ -204,6 +205,40 @@ def test_quotient_requires_stabilizing_group():
     )
     with pytest.raises(NotStabilized):
         quotient_by_trio(trio, PermGroup(27, [moving]))
+
+
+def test_sweep_quotients_match_the_direct_product(stabilizer_classes):
+    """Each cached induced matrix is projection @ pic_action(g) @ section."""
+    trio = reference_trio()
+    for cls in stabilizer_classes:
+        quotient = quotient_by_trio(trio, cls.group)
+        assert len(quotient.module.matrices) == len(cls.group.generators)
+        for g, m in zip(cls.group.generators, quotient.module.matrices):
+            assert m == quotient.projection @ pic_action(g) @ quotient.section
+
+
+def test_a_moving_group_is_refused_after_a_stabilizing_one(trio_stabilizer):
+    """A failed stabilizer check is not cached: it raises on every call."""
+    trio = reference_trio()
+    quotient_by_trio(trio, trio_stabilizer)
+    moving = next(
+        g for g in weyl_group().generators
+        if {g[i] for i in trio.indices} != set(trio.indices)
+    )
+    for group in (PermGroup(27, [moving]), PermGroup(27, [*trio_stabilizer.generators, moving])):
+        for _ in range(2):
+            with pytest.raises(NotStabilized):
+                quotient_by_trio(trio, group)
+
+
+def test_a_trio_quotient_can_be_deep_copied(trio_stabilizer):
+    quotient = quotient_by_trio(reference_trio(), trio_stabilizer)
+    clone = copy.deepcopy(quotient)
+    assert clone.projection == quotient.projection
+    assert clone.section == quotient.section
+    assert clone.module.matrices == quotient.module.matrices
+    assert clone.module.group.order() == 1152
+    assert clone.module.action_of(trio_stabilizer.generators[0]) == quotient.module.matrices[0]
 
 
 def test_quotient_action_unimodular():

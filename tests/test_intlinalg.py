@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -276,3 +278,28 @@ def test_elementary_divisors_of_the_trio_boundaries():
     for trio in trios:
         a = trio.boundary_matrix()
         assert elementary_divisors(a) == snf(a).diagonal() == (1, 1, 1)
+
+
+def test_a_cached_determinant_equals_that_of_a_fresh_matrix():
+    rng = random.Random(20251018)
+    for n in range(6):
+        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        a = IntMatrix(rows)
+        first = a.det()
+        assert a.det() == first == IntMatrix(rows).det()
+        assert (a @ IntMatrix.identity(n)).det() == first  # a new matrix computes afresh
+
+
+@pytest.mark.parametrize("read_det", [False, True])
+def test_copy_and_pickle_round_trip(read_det):
+    a = IntMatrix([[2, 1], [7, 4]])
+    if read_det:
+        assert a.det() == 1
+    assert copy.copy(a) is a and copy.deepcopy(a) is a
+    # the pickle holds the rows only, whether or not det() was read
+    assert pickle.dumps(a) == pickle.dumps(IntMatrix([[2, 1], [7, 4]]))
+    b = pickle.loads(pickle.dumps(a))
+    assert b == a and hash(b) == hash(a) and b is not a
+    assert b.det() == 1
+    with pytest.raises(AttributeError):
+        b.data = ()

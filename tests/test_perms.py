@@ -15,6 +15,7 @@ from cubicbrauer.perms import (
     _TableGroup,
     compose,
     identity_perm,
+    inverse,
     orbit_count,
     perm_from_cycles,
     perm_order,
@@ -94,6 +95,16 @@ def test_exponent_too_large():
     big = PermGroup(20, [cyc(20, tuple(range(20))), cyc(20, (0, 1))])
     with pytest.raises(TooLarge):
         big.elements(bound=100)
+
+
+def test_element_bound_is_checked_on_every_call():
+    s6 = PermGroup(6, [cyc(6, (0, 1)), cyc(6, tuple(range(6)))])
+    assert len(s6.elements()) == 720
+    with pytest.raises(TooLarge):
+        s6.elements(bound=10)
+    with pytest.raises(TooLarge):
+        s6.exponent(bound=10)
+    assert len(s6.elements(bound=720)) == 720
 
 
 def test_setwise_stabilizer_examples():
@@ -230,6 +241,43 @@ def test_cayley_table_matches_compose_on_the_trio_stabilizer(trio_stabilizer):
     _assert_table_entries(
         tg, ((rng.randrange(tg.n), rng.randrange(tg.n)) for _ in range(20000))
     )
+
+
+def _check_table_inverses_orders_and_elements(group):
+    tg = _TableGroup(group)
+    assert tg.elements == group.elements()
+    for x, p in enumerate(tg.elements):
+        assert tg.inv[x] == tg.index[inverse(p)]
+        assert tg.order_of[x] == perm_order(p)
+
+
+@pytest.mark.parametrize("factory", [s4, gl23, d4])
+def test_table_inverses_orders_and_elements(factory):
+    _check_table_inverses_orders_and_elements(factory())
+
+
+def test_table_inverses_orders_and_elements_on_the_trio_stabilizer(trio_stabilizer):
+    _check_table_inverses_orders_and_elements(trio_stabilizer)
+
+
+def _check_extend_matches_closure(group, seed):
+    """extend(H, gens) = <gens> for H generated by each prefix of gens."""
+    tg = _TableGroup(group)
+    rng = random.Random(seed)
+    for _ in range(40):
+        gens = [rng.randrange(tg.n) for _ in range(rng.randint(1, 4))]
+        expected = tg.closure(gens)
+        for k in range(len(gens) + 1):
+            assert tg.extend(tg.closure(gens[:k]), gens) == expected
+
+
+@pytest.mark.parametrize("factory", [s4, gl23, d4])
+def test_extend_matches_closure(factory):
+    _check_extend_matches_closure(factory(), 1)
+
+
+def test_extend_matches_closure_on_the_trio_stabilizer(trio_stabilizer):
+    _check_extend_matches_closure(trio_stabilizer, 2)
 
 
 def _conjugate(tg, x, sub):
