@@ -26,7 +26,7 @@ from .arith import legendre, prime_power, squarefree_part
 from .cubiclattice import pic_module, quotient_by_trio, reference_trio, weyl_group
 from .errors import BadModulus, StabilizationFailed
 from .intlinalg import FinAbGroup
-from .perms import orbit_count, setwise_stabilizer, subgroup_classes
+from .perms import PermGroup, orbit_count, setwise_stabilizer, subgroup_classes
 
 
 # -- boundary descriptors --------------------------------------------------
@@ -284,36 +284,51 @@ class SweepEntry:
 
 
 @cache
-def _table_sweep() -> tuple[SweepEntry, ...]:
-    """H^1 over every subgroup class of the trio stabilizer in W(E6)."""
+def _stabilizer_classes() -> tuple[tuple[PermGroup, int], ...]:
+    """Each subgroup class of the trio stabilizer, with its orbit count on the trio."""
+    points = set(reference_trio().indices)
+    stabilizer = setwise_stabilizer(weyl_group(), points)
+    return tuple(
+        (cls.group, orbit_count(cls.group, points)) for cls in subgroup_classes(stabilizer)
+    )
+
+
+@cache
+def _sweep_entry(index: int) -> SweepEntry:
+    """H^1 of Pic Xbar and of Pic Ubar for one subgroup class, computed once."""
     from .cohomology import h1_lattice
 
-    trio = reference_trio()
-    stabilizer = setwise_stabilizer(weyl_group(), set(trio.indices))
-    entries = []
-    for cls in subgroup_classes(stabilizer):
-        sub = cls.group
-        orbits = orbit_count(sub, set(trio.indices))
-        brx = h1_lattice(pic_module(sub))
-        br1 = h1_lattice(quotient_by_trio(trio, sub).module)
-        entries.append(SweepEntry(orbits=orbits, pair=TablePair(br1, brx)))
-    return tuple(entries)
+    sub, orbits = _stabilizer_classes()[index]
+    brx = h1_lattice(pic_module(sub))
+    br1 = h1_lattice(quotient_by_trio(reference_trio(), sub).module)
+    return SweepEntry(orbits=orbits, pair=TablePair(br1, brx))
 
 
 def algebraic_tables(orbit_case: int) -> tuple[TablePair, ...]:
     """Distinct (Br_1, Br X) pairs for boundaries with the given orbit count.
 
     orbit_case 1: the three lines form a single Galois orbit; 2: a line and
-    a conjugate pair; 3: three rational lines.
+    a conjugate pair; 3: three rational lines.  Only the subgroup classes
+    with that many orbits on the trio have their lattices computed.
     """
     if orbit_case not in (1, 2, 3):
         raise ValueError("orbit case must be 1, 2 or 3")
-    pairs = {e.pair for e in _table_sweep() if e.orbits == orbit_case}
+    pairs = {
+        _sweep_entry(i).pair
+        for i, (_, orbits) in enumerate(_stabilizer_classes())
+        if orbits == orbit_case
+    }
     return tuple(sorted(pairs, key=TablePair.sort_key))
 
 
 def table_sweep_entries() -> tuple[SweepEntry, ...]:
-    return _table_sweep()
+    """H^1 over every subgroup class of the trio stabilizer in W(E6), in class order."""
+    return tuple(map(_sweep_entry, range(len(_stabilizer_classes()))))
+
+
+def sweep_class_count() -> int:
+    """Number of subgroup classes of the trio stabilizer the tables range over."""
+    return len(_stabilizer_classes())
 
 
 __all__ = [
@@ -325,6 +340,7 @@ __all__ = [
     "geometric_brauer",
     "qmodz_invariants",
     "sqrt_in_cyclotomic",
+    "sweep_class_count",
     "table_sweep_entries",
     "transcendental_bound",
     "twist_invariants",

@@ -25,7 +25,7 @@ from .brauer import (
     BoundaryDescriptor,
     algebraic_tables,
     geometric_brauer,
-    table_sweep_entries,
+    sweep_class_count,
     transcendental_bound,
     twist_invariants,
 )
@@ -167,7 +167,7 @@ def _cmd_tables(args) -> int:
     if case is None:
         raise ValueError("tables requires --case 1|2|3")
     pairs = algebraic_tables(case)
-    scanned = len(table_sweep_entries())
+    scanned = sweep_class_count()
     result = {
         "case": case,
         "pairs": [p.to_json() for p in pairs],

@@ -8,7 +8,11 @@ of solvable groups up to conjugacy by the cyclic extension method.  The
 enumeration works on a Cayley table, filled in one pass: a single
 breadth-first search lists the elements and the maps of left
 multiplication by each generator, and the rows follow from those maps.
-The walk over the conjugates of each class also yields its normalizer,
+The table then yields a small generating set of the group (two elements
+for the trio stabilizer, which has five permutation generators), and
+every walk over conjugates runs on it, since a walk costs one step per
+conjugate and generator.  The walk over the conjugates of each class
+also yields its normalizer,
 from the Schreier elements of that orbit (orbit-stabilizer), grown from
 the class one coset at a time (Dimino's algorithm), so no element of G is
 tested one by one and no subgroup is closed again from the identity.
@@ -16,6 +20,7 @@ tested one by one and no subgroup is closed again from the identity.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from math import lcm
 from operator import itemgetter
@@ -30,6 +35,9 @@ ELEMENT_LISTING_BOUND = 10**5
 # so this bound is also its memory guardrail; the trio stabilizer has order
 # 1152.
 SUBGROUP_ENUM_BOUND = 5000
+# random candidate generating sets tried per size before the permutation
+# generators are kept
+_RANDOM_GENERATOR_TRIES = 20
 
 
 def identity_perm(n: int) -> Perm:
@@ -316,8 +324,11 @@ class _TableGroup:
     g, the map ``left[g]`` of left multiplication by g on search ids; the
     ids are then relabelled to element indices.  Row g*x of the table is
     ``left[g]`` applied to row x, so only |gens| * |G| products of
-    permutations are ever formed.  Inverses and element orders are read
-    off the rows.
+    permutations are ever formed.  Inverses follow the same search
+    ((g x)^-1 = x^-1 g^-1) and element orders are read off the rows.
+    Once the table is filled, ``gens`` becomes a small generating set found
+    on it (:meth:`_small_generating_set`), which the conjugation maps, the
+    orbit walks and the solvability test run on.
     """
 
     def __init__(self, group: PermGroup):
@@ -347,23 +358,26 @@ class _TableGroup:
         self.index = ids
         self.e = e = pos[0]
         left = [[pos[lg[old]] for old in by_perm] for lg in left]
-        self.gens = [lg[e] for lg in left]
+        perm_gens = [lg[e] for lg in left]
+        # row y = g x is first filled from row x; then y^-1 = x^-1 g^-1
         table: list[tuple[int, ...] | None] = [None] * n
         table[e] = tuple(range(n))
         queue = [e]
+        parent: list[tuple[int, int]] = []
         for x in queue:
             row = table[x]
-            for lg in left:
+            for k, lg in enumerate(left):
                 y = lg[x]
                 if table[y] is None:
                     table[y] = itemgetter(*row)(lg)  # n > 1 here, so a tuple
                     queue.append(y)
+                    parent.append((x, k))
         self.table: list[tuple[int, ...]] = table
-        self.inv = inv = [row.index(e) for row in table]
-        # x -> g x g^-1 for each generator g
-        self.conj_maps = [
-            [table[table[g][x]][inv[g]] for x in range(n)] for g in self.gens
-        ]
+        gen_invs = [ids[inverse(g)] for g in gen_perms]
+        inv = [e] * n
+        for y, (x, k) in zip(queue[1:], parent):
+            inv[y] = table[inv[x]][gen_invs[k]]
+        self.inv = inv
         order_of = []
         for x, row in enumerate(table):
             k, y = 1, x
@@ -372,6 +386,36 @@ class _TableGroup:
                 k += 1
             order_of.append(k)
         self.order_of = order_of
+        self.gens = self._small_generating_set(perm_gens)
+        # x -> g x g^-1 for each generator g
+        self.conj_maps = [
+            [table[table[g][x]][inv[g]] for x in range(n)] for g in self.gens
+        ]
+
+    def _small_generating_set(self, perm_gens: list[int]) -> list[int]:
+        """Generators of G found on the table, no more than ``perm_gens``.
+
+        Every orbit walk costs |orbit| * |gens| steps, so fewer generators
+        make every walk cheaper.  An element of order |G| if there is one;
+        else seeded random pairs, then triples, each kept once its closure
+        is G; else ``perm_gens``.  Most finite groups met here are generated
+        by a few random elements (the trio stabilizer by about 15% of its
+        pairs).
+        """
+        n = self.n
+        if n == 1:
+            return []
+        if n in self.order_of:
+            return [self.order_of.index(n)]
+        rng = random.Random(n)
+        for size in (2, 3):
+            if size >= len(perm_gens):
+                break
+            for _ in range(_RANDOM_GENERATOR_TRIES):
+                gens = rng.sample(range(n), size)
+                if len(self.closure(gens)) == n:
+                    return gens
+        return perm_gens
 
     def closure(self, seeds: list[int]) -> frozenset[int]:
         table = self.table
@@ -572,6 +616,9 @@ def subgroup_classes(
                     register(sub)
                 break  # x yields exactly one minimal prime extension
 
+    # the conjugates of every class were needed only to recognize classes;
+    # kept while the output below is built, they would set the peak memory
+    del known
     out = []
     for cls in sorted(classes, key=lambda c: (len(c["rep"]), sorted(c["rep"]))):
         rep = cls["rep"]

@@ -284,6 +284,37 @@ def test_tables_requires_valid_case():
         algebraic_tables(4)
 
 
+def test_tables_compute_only_their_case(monkeypatch):
+    """Each case computes H^1 for its own classes only, and no class twice.
+
+    The 246 classes split 78, 120 and 48 over the cases 1, 2 and 3, with two
+    H^1 calls (Pic Xbar and Pic Ubar) per class.
+    """
+    from cubicbrauer import brauer, cohomology
+
+    calls = []
+    real = cohomology.h1_lattice
+
+    def counting(module):
+        calls.append(module)
+        return real(module)
+
+    monkeypatch.setattr(cohomology, "h1_lattice", counting)
+    brauer._stabilizer_classes.cache_clear()
+    brauer._sweep_entry.cache_clear()
+    with pytest.raises(ValueError):
+        algebraic_tables(4)
+    assert calls == [] and brauer._stabilizer_classes.cache_info().currsize == 0
+    algebraic_tables(3)
+    assert len(calls) == 96
+    assert brauer.sweep_class_count() == 246 and len(calls) == 96
+    algebraic_tables(1)
+    assert len(calls) == 96 + 156
+    algebraic_tables(2)
+    assert len(calls) == 96 + 156 + 240
+    assert len(table_sweep_entries()) == 246 and len(calls) == 492
+
+
 def test_tables_independent_of_trio_choice():
     """The sweep over a different trio's stabilizer gives the same sets.
 

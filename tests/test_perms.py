@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import random
 from itertools import product
@@ -19,6 +20,7 @@ from cubicbrauer.perms import (
     orbit_count,
     perm_from_cycles,
     perm_order,
+    reduce_generators,
     setwise_stabilizer,
     subgroup_classes,
 )
@@ -219,6 +221,10 @@ def test_enumeration_complete_vs_bruteforce(factory):
     assert _class_partition(group) == _bruteforce_partition(group)
 
 
+def _permutation_generators(tg, group):
+    return [tg.index[p] for p in reduce_generators(group.degree, list(group.generators))]
+
+
 def _assert_table_entries(tg, pairs):
     for i, j in pairs:
         expected = tg.index[compose(tg.elements[i], tg.elements[j])]
@@ -235,8 +241,9 @@ def test_cayley_table_matches_compose(factory):
 def test_cayley_table_matches_compose_on_the_trio_stabilizer(trio_stabilizer):
     tg = _TableGroup(trio_stabilizer)
     assert tg.n == 1152 and all(len(row) == tg.n for row in tg.table)
-    _assert_table_entries(tg, ((g, x) for g in tg.gens for x in range(tg.n)))
-    _assert_table_entries(tg, ((x, g) for g in tg.gens for x in range(tg.n)))
+    gens = _permutation_generators(tg, trio_stabilizer) + tg.gens
+    _assert_table_entries(tg, ((g, x) for g in gens for x in range(tg.n)))
+    _assert_table_entries(tg, ((x, g) for g in gens for x in range(tg.n)))
     rng = random.Random(20250916)
     _assert_table_entries(
         tg, ((rng.randrange(tg.n), rng.randrange(tg.n)) for _ in range(20000))
@@ -329,6 +336,55 @@ def test_orbit_normalizer_matches_bruteforce_on_the_trio_stabilizer(
             assert tg.closure(gens) == rep and norm_gens[: len(gens)] == gens
             assert tg.closure(norm_gens) == expected
             assert norm == tg.closure(norm_gens) == expected
+
+
+def _check_small_generating_set(group, expected=None):
+    tg = _TableGroup(group)
+    assert len(tg.closure(tg.gens)) == tg.n
+    assert len(tg.gens) <= len(_permutation_generators(tg, group))
+    if expected is not None:
+        assert len(tg.gens) == expected
+    assert len(tg.conj_maps) == len(tg.gens)
+
+
+@pytest.mark.parametrize(
+    "factory, expected",
+    [
+        (s4, None),
+        (gl23, None),
+        (d4, None),
+        (lambda: PermGroup(6, [cyc(6, (0, 1, 2)), cyc(6, (3, 4))]), 1),  # C6
+        (lambda: PermGroup(3, []), 0),
+        (lambda: PermGroup(6, [cyc(6, (0, 1)), cyc(6, (2, 3)), cyc(6, (4, 5))]), 3),  # (Z/2)^3
+    ],
+)
+def test_table_generators_generate_and_are_few(factory, expected):
+    _check_small_generating_set(factory(), expected)
+
+
+def test_trio_stabilizer_table_has_two_generators(trio_stabilizer):
+    _check_small_generating_set(trio_stabilizer, 2)
+
+
+def test_orbit_walk_does_not_depend_on_the_generators(trio_stabilizer, stabilizer_classes):
+    """The walk on the table's generators and on the permutation generators agree.
+
+    The orbit, its least member R, the greedy generators of R and N_G(R) as a
+    set are each defined without reference to the generators of G.
+    """
+    tg = _TableGroup(trio_stabilizer)
+    by_perms = copy.copy(tg)
+    by_perms.gens = _permutation_generators(tg, trio_stabilizer)
+    by_perms.conj_maps = [
+        [tg.table[tg.table[g][x]][tg.inv[g]] for x in range(tg.n)] for g in by_perms.gens
+    ]
+    assert len(by_perms.gens) == 5 and len(tg.gens) == 2
+    for cls in stabilizer_classes:
+        start = frozenset(tg.index[p] for p in cls.element_set)
+        orbit, rep, rep_gens, _, norm = tg.conjugacy_orbit_and_normalizer(start)
+        orbit2, rep2, rep_gens2, _, norm2 = by_perms.conjugacy_orbit_and_normalizer(start)
+        assert set(orbit) == set(orbit2) and len(orbit) == cls.conjugates
+        assert (rep, rep_gens, norm) == (rep2, rep_gens2, norm2)
 
 
 def test_enumeration_rejects_nonsolvable():
