@@ -8,10 +8,11 @@ minimal-absolute-value pivoting is entirely adequate.
 One elimination loop serves two routes.  :func:`snf` also carries the
 unimodular transforms U and V, which :func:`kernel_basis`,
 :func:`solve_columns` and ``IntMatrix.inverse_unimodular`` read.
-:func:`elementary_divisors` runs the same loop on the matrix alone and
-returns only the diagonal (Cohen, *A Course in Computational Algebraic
-Number Theory*, 2.4.4); :func:`cokernel_structure` and
-:func:`subgroup_structure_mod` use it.
+:func:`elementary_divisors` runs the same loop without them, on the
+transpose of the nonzero rows of the matrix, and returns only the
+diagonal (Cohen, *A Course in Computational Algebraic Number Theory*,
+2.4.4); :func:`cokernel_structure` and :func:`subgroup_structure_mod` use
+it.
 
 ``IntMatrix(...)`` is the one validating constructor: each entry must be
 an integer in the sense of ``operator.index``, so a float, a ``Fraction``
@@ -362,11 +363,17 @@ def snf(a: IntMatrix) -> SmithForm:
 def elementary_divisors(a: IntMatrix) -> tuple[int, ...]:
     """The diagonal of the Smith normal form of A, without U and V.
 
-    Equal to ``snf(a).diagonal()``: the same elimination, on A alone.
+    Equal to ``snf(a).diagonal()``.  The elimination runs on the transpose
+    of the nonzero rows of A: a zero row adds no elementary divisor, and a
+    matrix and its transpose have the same ones, so only the number of
+    trailing zeros, min(rows, cols) - rank, is taken from A's shape.  The
+    stacked (g - 1) matrices of H^1 are tall, and the elimination runs
+    faster on their wide transposes.
     """
-    s = [list(r) for r in a.data]
+    s = [list(col) for col in zip(*filter(any, a.data))]
     _smith_eliminate(s, None, None)
-    return tuple(s[i][i] for i in range(min(a.rows, a.cols)))
+    nonzero = [row[i] for i, row in enumerate(s) if i < len(row) and row[i]]
+    return (*nonzero, *(0,) * (min(a.rows, a.cols) - len(nonzero)))
 
 
 def kernel_basis(a: IntMatrix) -> IntMatrix:

@@ -4,23 +4,30 @@ Permutations on {0, ..., n-1} are image tuples; (p * q)(x) = p(q(x)) is
 realized by :func:`compose`.  :class:`PermGroup` keeps a verified
 stabilizer chain (Schreier-Sims) for exact orders and membership, lists
 elements for groups up to a configurable bound, and enumerates subgroups
-of solvable groups up to conjugacy by the cyclic extension method.  The
+of solvable groups up to conjugacy by the cyclic extension method.
+:func:`setwise_stabilizer` keeps Schreier generators only until the group
+they generate reaches |G| / |orbit|, so the orbit-stabilizer check is the
+loop's exit and no Schreier generator past that point is tested.  The
 enumeration works on a Cayley table, filled in one pass: a single
 breadth-first search lists the elements and the maps of left
 multiplication by each generator, and the rows follow from those maps.
-The table then yields a small generating set of the group (two elements
-for the trio stabilizer, which has five permutation generators), and
-every walk over conjugates runs on it, since a walk costs one step per
-conjugate and generator.  The walk over the conjugates of each class
-also yields its normalizer,
+That search composes byte strings with ``bytes.translate`` (the points
+the generators move are numbered 0..k-1, so k <= 256) and turns each
+element into a tuple once.  The table then yields a small generating set
+of the group (two elements for the trio stabilizer, which has five
+permutation generators), and every walk over conjugates runs on it,
+since a walk costs one step per conjugate and generator.  The walk over
+the conjugates of each class also yields its normalizer,
 from the Schreier elements of that orbit (orbit-stabilizer), grown from
-the class one coset at a time (Dimino's algorithm), so no element of G is
-tested one by one and no subgroup is closed again from the identity.
+the class one coset at a time (Dimino's algorithm) until it has the order
+the orbit dictates, so no element of G is tested one by one and no
+subgroup is closed again from the identity.
 """
 
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass, field
 from math import lcm
 from operator import itemgetter
@@ -247,19 +254,17 @@ class PermGroup:
         return lcm(*(perm_order(p) for p in self.elements(bound)))
 
 
-def reduce_generators(degree: int, gens: list[Perm]) -> list[Perm]:
-    """Drop generators already generated by the kept ones (order-preserving)."""
-    kept: list[Perm] = []
-    group = PermGroup(degree, [])
-    for g in gens:
-        if g not in group:
-            kept.append(g)
-            group = PermGroup(degree, kept)
-    return kept
-
-
 def setwise_stabilizer(g: PermGroup, points: set[int] | frozenset[int]) -> PermGroup:
-    """The subgroup { x in G : x(S) = S }, by Schreier generators on the set orbit."""
+    """The subgroup { x in G : x(S) = S }, by Schreier generators on the set orbit.
+
+    The Schreier generators are taken in a fixed order (orbit members by
+    their sorted points, then the generators of G), and each one outside
+    the group of those kept so far is kept, until that group has order
+    |G| / |orbit of S|.  It is then the whole stabilizer (orbit-stabilizer),
+    and no later Schreier generator would be kept, so the orbit-stabilizer
+    check is the loop's exit test.  The generators returned form an
+    irredundant prefix chain: none lies in the group of those before it.
+    """
     s0 = frozenset(points)
     if not s0 <= set(range(g.degree)):
         raise ValueError("points outside the domain")
@@ -273,18 +278,23 @@ def setwise_stabilizer(g: PermGroup, points: set[int] | frozenset[int]) -> PermG
             if t2 not in reps:
                 reps[t2] = compose(gen, rep)
                 queue.append(t2)
-    schreier: list[Perm] = []
-    seen = set()
-    for t in sorted(reps, key=sorted):
-        rep = reps[t]
-        for gen in g.generators:
-            t2 = frozenset(gen[x] for x in t)
-            sg = compose(inverse(reps[t2]), compose(gen, rep))
-            if sg != ident and sg not in seen:
-                seen.add(sg)
-                schreier.append(sg)
-    stab = PermGroup(g.degree, reduce_generators(g.degree, schreier))
-    if stab.order() * len(reps) != g.order():
+    target, rest = divmod(g.order(), len(reps))
+    if rest:
+        raise AssertionError("orbit size does not divide the group order")
+    rep_invs = {t: inverse(rep) for t, rep in reps.items()}
+    schreier = (
+        compose(rep_invs[frozenset(gen[x] for x in t)], compose(gen, reps[t]))
+        for t in sorted(reps, key=sorted)
+        for gen in g.generators
+    )
+    stab = PermGroup(g.degree, [])
+    while stab.order() < target:
+        sg = next(schreier, None)
+        if sg is None:
+            break
+        if sg not in stab:
+            stab = PermGroup(g.degree, stab.generators + (sg,))
+    if stab.order() != target:
         raise AssertionError("orbit-stabilizer mismatch in setwise_stabilizer")
     return stab
 
@@ -315,49 +325,82 @@ def orbit_count(g: PermGroup, points: set[int] | frozenset[int]) -> int:
 # -- subgroup enumeration (cyclic extension method) -----------------------
 
 
+def _support(generators: tuple[Perm, ...]) -> list[int]:
+    """The points that some generator moves, in increasing order."""
+    return sorted({x for g in generators for x, y in enumerate(g) if x != y})
+
+
+def _element_search(group: PermGroup) -> tuple[tuple[Perm, ...], list[list[int]]]:
+    """The sorted elements of G, and left multiplication by each generator on them.
+
+    A breadth-first search over the generators on ``bytes``: point
+    support[i] of the generators' support is byte i, so an element is the
+    bytes of its images and g * x is ``x.translate(g)``, one C call (hence
+    at most 256 moved points).  Each product is recorded as a search id;
+    byte strings sort as the permutations they encode do, so the ids are
+    relabelled to sorted indices and each element becomes a ``Perm`` once.
+    """
+    support = _support(group.generators)
+    code = {x: i for i, x in enumerate(support)}
+    pad = bytes(range(len(support), 256))
+    # byte i of g's table is the code of g(support[i]); x.translate(g) = g * x
+    gen_bytes = [bytes([code[g[x]] for x in support]) + pad for g in group.generators]
+    ident = bytes(range(len(support)))
+    found = [ident]
+    ids = {ident: 0}
+    left: list[list[int]] = [[] for _ in gen_bytes]  # search ids of g * found[i]
+    for x in found:
+        for g, lg in zip(gen_bytes, left):
+            y = x.translate(g)
+            i = ids.get(y)
+            if i is None:
+                i = ids[y] = len(found)
+                found.append(y)
+            lg.append(i)
+    n = len(found)
+    if n != group.order():
+        raise AssertionError("element search disagrees with the stabilizer chain")
+    by_perm = sorted(range(n), key=found.__getitem__)
+    pos = [0] * n
+    for i, old in enumerate(by_perm):
+        pos[old] = i
+    if len(support) == group.degree:
+        decode = tuple
+    else:
+        fixed = identity_perm(group.degree)
+
+        def decode(images: bytes) -> Perm:
+            p = list(fixed)
+            for x, c in zip(support, images):
+                p[x] = support[c]
+            return tuple(p)
+
+    elements = tuple(map(decode, map(found.__getitem__, by_perm)))
+    return elements, [[pos[lg[old]] for old in by_perm] for lg in left]
+
+
 class _TableGroup:
     """A small group materialized for index arithmetic.
 
     Elements are indexed into the sorted element list; ``table[i][j]`` is
     the index of ``elements[i] * elements[j]``.  One breadth-first search
-    over the generators lists the elements and records, for each generator
-    g, the map ``left[g]`` of left multiplication by g on search ids; the
-    ids are then relabelled to element indices.  Row g*x of the table is
-    ``left[g]`` applied to row x, so only |gens| * |G| products of
-    permutations are ever formed.  Inverses follow the same search
-    ((g x)^-1 = x^-1 g^-1) and element orders are read off the rows.
-    Once the table is filled, ``gens`` becomes a small generating set found
-    on it (:meth:`_small_generating_set`), which the conjugation maps, the
-    orbit walks and the solvability test run on.
+    over the generators (:func:`_element_search`, on byte strings) lists
+    the elements and the map ``left[g]`` of left multiplication by each
+    generator g on element indices.  Row g*x of the table is ``left[g]``
+    applied to row x, so only |gens| * |G| products of permutations are
+    ever formed.  Inverses follow the same search ((g x)^-1 = x^-1 g^-1)
+    and element orders are read off the rows.  Once the table is filled,
+    ``gens`` becomes a small generating set found on it
+    (:meth:`_small_generating_set`), which the conjugation maps, the orbit
+    walks and the solvability test run on.
     """
 
     def __init__(self, group: PermGroup):
-        ident = identity_perm(group.degree)
-        gen_perms = reduce_generators(group.degree, list(group.generators))
-        found = [ident]
-        ids = {ident: 0}
-        left: list[list[int]] = [[] for _ in gen_perms]  # search ids of g * found[i]
-        for x in found:
-            for g, lg in zip(gen_perms, left):
-                y = compose(g, x)
-                i = ids.get(y)
-                if i is None:
-                    i = ids[y] = len(found)
-                    found.append(y)
-                lg.append(i)
-        self.n = n = len(found)
-        if n != group.order():
-            raise AssertionError("element search disagrees with the stabilizer chain")
-        by_perm = sorted(range(n), key=found.__getitem__)
-        pos = [0] * n
-        for i, old in enumerate(by_perm):
-            pos[old] = i
-        self.elements: tuple[Perm, ...] = tuple(map(found.__getitem__, by_perm))
-        for p, old in ids.items():
-            ids[p] = pos[old]
-        self.index = ids
-        self.e = e = pos[0]
-        left = [[pos[lg[old]] for old in by_perm] for lg in left]
+        gen_perms = group.generators
+        self.elements, left = _element_search(group)
+        self.n = n = len(self.elements)
+        self.index = ids = {p: i for i, p in enumerate(self.elements)}
+        self.e = e = ids[identity_perm(group.degree)]
         perm_gens = [lg[e] for lg in left]
         # row y = g x is first filled from row x; then y^-1 = x^-1 g^-1
         table: list[tuple[int, ...] | None] = [None] * n
@@ -456,7 +499,8 @@ class _TableGroup:
     def greedy_generators(self, subgroup: frozenset[int]) -> list[int]:
         gens: list[int] = []
         covered = frozenset({self.e})
-        for i in sorted(subgroup, key=lambda i: (-self.order_of[i], i)):
+        # by decreasing order, then by index (the sort is stable)
+        for i in sorted(sorted(subgroup), key=self.order_of.__getitem__, reverse=True):
             if i not in covered:
                 gens.append(i)
                 covered = self.extend(covered, gens)
@@ -504,23 +548,28 @@ class _TableGroup:
         these generate N_G(U) (Schreier's lemma).  Returns the orbit, its
         representative R = min(orbit), the greedy generators of R,
         generators of N_G(R) (those of R first), conjugated from N_G(U) by
-        the transversal element of R, and the element set of N_G(R), which
-        the check of its order needs anyway.  That set grows from R by
-        cosets (:meth:`extend`) as each new Schreier element is added.
+        the transversal element of R, and the element set of N_G(R).  That
+        set grows from R by cosets (:meth:`extend`) as each new Schreier
+        element is added, until its order is |G| / |orbit|; no later
+        Schreier element would be added, so the order check is the exit.
         """
         table, inv = self.table, self.inv
         trans = {sub: self.e}
         schreier: list[int] = []
-        queue = [sub]
-        for t in queue:
-            tt = trans[t]
+        # a conjugate T waits as (trans[T], T as a tuple led by e); e maps to
+        # e, so each itemgetter has two or more items and returns a tuple
+        queue = deque([(self.e, (self.e, *sub))])
+        while queue:
+            tt, members = queue.popleft()
+            conjugate = itemgetter(*members)
             for g, cg in zip(self.gens, self.conj_maps):
-                img = frozenset(map(cg.__getitem__, t))
+                img_members = conjugate(cg)
+                img = frozenset(img_members)
                 step = table[g][tt]
                 known = trans.get(img)
                 if known is None:
                     trans[img] = step
-                    queue.append(img)
+                    queue.append((step, img_members))
                 else:
                     schreier.append(table[inv[known]][step])
         rep = min(trans, key=sorted)
@@ -529,7 +578,11 @@ class _TableGroup:
         row_c, c_inv = table[trans[rep]], inv[trans[rep]]
         norm_gens = list(rep_gens)
         norm = rep
+        # grown only until orbit-stabilizer says it is all of N_G(R)
+        order = self.n // len(trans)
         for s in schreier:
+            if len(norm) == order:
+                break
             s = table[row_c[s]][c_inv]
             if s not in norm:
                 norm_gens.append(s)
@@ -546,7 +599,11 @@ class SubgroupClass:
     group: PermGroup
     order: int
     conjugates: int
-    element_set: frozenset[Perm]
+
+    @property
+    def element_set(self) -> frozenset[Perm]:
+        """The elements of the subgroup, listed from its generators on demand."""
+        return frozenset(self.group.elements())
 
 
 def subgroup_classes(
@@ -557,10 +614,17 @@ def subgroup_classes(
     Every nontrivial subgroup of a solvable group has a normal subgroup of
     prime index, so iterating prime extensions H = <U, x> with x in N_G(U),
     x^p in U, over discovered classes U is exhaustive.
+
+    Raises TooLarge, before any Cayley table is built, if the order of G
+    exceeds ``bound`` or if its generators move more than 256 points (the
+    element search encodes a permutation of the moved points as bytes).
     """
     n = g.order()
     if n > bound:
         raise TooLarge(f"group of order {n} exceeds subgroup enumeration bound {bound}")
+    moved = len(_support(g.generators))
+    if moved > 256:
+        raise TooLarge(f"group moves {moved} points, more than the 256 a table encodes")
     tg = _TableGroup(g)
     if not tg.is_solvable():
         raise NotSolvable("subgroup enumeration implemented for solvable groups only")
@@ -602,12 +666,12 @@ def subgroup_classes(
                     xp = row_x[xp]
                 if xp not in rep:
                     continue
-                # x normalizes rep, so x * (rep x^k) = rep x^(k+1)
+                # x normalizes rep, so <rep, x> is the union of the cosets x^k rep
                 new = set(rep)
-                coset = rep
+                xk = x
                 for _ in range(p - 1):
-                    coset = {row_x[u] for u in coset}
-                    new |= coset
+                    new.update(map(table[xk].__getitem__, rep))
+                    xk = row_x[xk]
                 sub = frozenset(new)
                 if len(sub) != size * p:
                     raise AssertionError("extension does not have prime index")
@@ -616,9 +680,6 @@ def subgroup_classes(
                     register(sub)
                 break  # x yields exactly one minimal prime extension
 
-    # the conjugates of every class were needed only to recognize classes;
-    # kept while the output below is built, they would set the peak memory
-    del known
     out = []
     for cls in sorted(classes, key=lambda c: (len(c["rep"]), sorted(c["rep"]))):
         rep = cls["rep"]
@@ -628,7 +689,6 @@ def subgroup_classes(
                 group=PermGroup(g.degree, gens),
                 order=len(rep),
                 conjugates=cls["conjugates"],
-                element_set=frozenset(tg.elements[i] for i in rep),
             )
         )
     return out
@@ -648,7 +708,6 @@ __all__ = [
     "orbit_count",
     "perm_from_cycles",
     "perm_order",
-    "reduce_generators",
     "setwise_stabilizer",
     "subgroup_classes",
 ]

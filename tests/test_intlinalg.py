@@ -250,12 +250,42 @@ def _random_kernel_inputs(seed: int) -> list[IntMatrix]:
     return out
 
 
+def _edge_shape_inputs(seed: int) -> list[IntMatrix]:
+    """The zero matrix, zero rows, one row, one column, rank-deficient wide and tall."""
+    rng = random.Random(seed)
+
+    def rand(rows, cols):
+        return IntMatrix([[rng.randint(-7, 7) for _ in range(cols)] for _ in range(rows)])
+
+    zero_rows = [list(row) for row in rand(6, 3).data]
+    for i in (0, 2, 5):
+        zero_rows[i] = [0, 0, 0]
+    out = [IntMatrix.zeros(3, 5), IntMatrix.zeros(5, 3), IntMatrix(zero_rows)]
+    for n in range(1, 7):
+        out += [rand(1, n), rand(n, 1)]
+    out += [IntMatrix([[0, 0, 4, -6]]), IntMatrix([[0], [6], [0], [-9]])]
+    for rows, cols, rank in ((2, 6, 1), (3, 7, 2), (4, 9, 2), (6, 2, 1), (7, 3, 2), (9, 4, 3)):
+        out.append(rand(rows, rank) @ rand(rank, cols))
+    return out
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_elementary_divisors_match_the_smith_form(seed):
-    for a in _random_kernel_inputs(3000 + seed):
+    for a in _random_kernel_inputs(3000 + seed) + _edge_shape_inputs(seed):
         form = snf(a)
         assert form.verify(a)
         assert elementary_divisors(a) == form.diagonal()
+
+
+def test_edge_shape_inputs_cover_their_shapes():
+    for seed in range(5):
+        inputs = _edge_shape_inputs(seed)
+        ranks = [(snf(a).rank(), a.rows, a.cols) for a in inputs]
+        assert any(r < rows < cols for r, rows, cols in ranks)  # rank-deficient wide
+        assert any(r < cols < rows for r, rows, cols in ranks)  # rank-deficient tall
+        assert any(rows == 1 < cols for _, rows, cols in ranks)
+        assert any(cols == 1 < rows for _, rows, cols in ranks)
+        assert any(r == 0 for r, _, _ in ranks)
 
 
 def test_random_kernel_inputs_cover_the_edge_shapes():

@@ -20,7 +20,6 @@ from cubicbrauer.perms import (
     orbit_count,
     perm_from_cycles,
     perm_order,
-    reduce_generators,
     setwise_stabilizer,
     subgroup_classes,
 )
@@ -126,6 +125,31 @@ def test_setwise_stabilizer_is_exact():
     assert set(stab.elements()) == expected
 
 
+def _assert_prefix_chain(stab, order):
+    """No generator lies in the group of the ones before it."""
+    gens = stab.generators
+    assert gens and stab.order() == order
+    for i, g in enumerate(gens):
+        assert g not in PermGroup(stab.degree, gens[:i])
+
+
+def test_setwise_stabilizer_generators_form_a_prefix_chain():
+    _assert_prefix_chain(setwise_stabilizer(s4(), {0, 1}), 4)
+    _assert_prefix_chain(setwise_stabilizer(s4(), {0}), 6)
+    _assert_prefix_chain(setwise_stabilizer(s3(), {0}), 2)
+    # here a Schreier generator inside the group kept so far comes before the last
+    _assert_prefix_chain(setwise_stabilizer(s4(), {2}), 6)
+    s5 = PermGroup(5, [cyc(5, (0, 1)), cyc(5, (0, 1, 2, 3, 4))])
+    _assert_prefix_chain(setwise_stabilizer(s5, {0, 3}), 12)
+
+
+def test_trio_and_line_stabilizers_form_prefix_chains(trio_stabilizer):
+    from cubicbrauer.cubiclattice import weyl_group
+
+    _assert_prefix_chain(trio_stabilizer, 1152)
+    _assert_prefix_chain(setwise_stabilizer(weyl_group(), {0}), 1920)
+
+
 def test_orbit_count():
     trivial = PermGroup(3, [])
     assert orbit_count(trivial, {0, 1, 2}) == 3
@@ -221,8 +245,17 @@ def test_enumeration_complete_vs_bruteforce(factory):
     assert _class_partition(group) == _bruteforce_partition(group)
 
 
+def _reduce_generators(degree, gens):
+    """Drop generators already generated by the kept ones (order-preserving)."""
+    kept = []
+    for g in gens:
+        if g not in PermGroup(degree, kept):
+            kept.append(g)
+    return kept
+
+
 def _permutation_generators(tg, group):
-    return [tg.index[p] for p in reduce_generators(group.degree, list(group.generators))]
+    return [tg.index[p] for p in _reduce_generators(group.degree, list(group.generators))]
 
 
 def _assert_table_entries(tg, pairs):
@@ -248,6 +281,31 @@ def test_cayley_table_matches_compose_on_the_trio_stabilizer(trio_stabilizer):
     _assert_table_entries(
         tg, ((rng.randrange(tg.n), rng.randrange(tg.n)) for _ in range(20000))
     )
+
+
+def test_table_takes_redundant_generators_as_given():
+    """S4 from duplicates and products has the same table as from two generators."""
+    t, c = cyc(4, (0, 1)), cyc(4, (0, 1, 2, 3))
+    redundant = [t, c, t, compose(t, c), compose(c, c), c, identity_perm(4)]
+    group = PermGroup(4, redundant)
+    assert len(group.generators) == 4  # PermGroup drops only repeats and e
+    reduced, full = _TableGroup(s4()), _TableGroup(group)
+    assert full.n == reduced.n == 24
+    assert full.elements == reduced.elements
+    assert full.table == reduced.table
+    assert full.inv == reduced.inv
+    assert full.order_of == reduced.order_of
+
+
+def test_table_on_a_partial_support():
+    """S3 on points 2, 5, 7 of nine and a transposition on 300 points."""
+    for group in (
+        PermGroup(9, [cyc(9, (2, 5)), cyc(9, (2, 5, 7))]),
+        PermGroup(300, [cyc(300, (17, 290))]),
+    ):
+        tg = _TableGroup(group)
+        _assert_table_entries(tg, product(range(tg.n), repeat=2))
+        _check_table_inverses_orders_and_elements(group)
 
 
 def _check_table_inverses_orders_and_elements(group):
@@ -409,6 +467,28 @@ def test_enumeration_bound_guards_the_cayley_table(monkeypatch):
     monkeypatch.setattr(perms, "_TableGroup", forbidden)
     group = PermGroup(26, [cyc(26, (2 * i, 2 * i + 1)) for i in range(13)])
     assert group.order() == 8192
+    with pytest.raises(TooLarge):
+        subgroup_classes(group)
+
+
+def test_a_transposition_on_300_points_enumerates():
+    """Only the two moved points are encoded, far below the 256 a table takes."""
+    group = PermGroup(300, [cyc(300, (0, 299))])
+    classes = subgroup_classes(group)
+    assert [(c.order, c.conjugates) for c in classes] == [(1, 1), (2, 1)]
+    assert classes[1].element_set == {identity_perm(300), cyc(300, (0, 299))}
+
+
+def test_more_than_256_moved_points_are_refused_before_the_table(monkeypatch):
+    """129 disjoint transpositions move 258 points: rejected before any table."""
+    from cubicbrauer import perms
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("no Cayley table beyond 256 moved points")
+
+    monkeypatch.setattr(perms, "_TableGroup", forbidden)
+    group = PermGroup(300, [cyc(300, *((2 * i, 2 * i + 1) for i in range(129)))])
+    assert group.order() == 2
     with pytest.raises(TooLarge):
         subgroup_classes(group)
 
