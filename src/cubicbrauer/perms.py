@@ -27,10 +27,10 @@ subgroup is closed again from the identity.
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass, field
 from math import lcm
 from operator import itemgetter
+from typing import Iterable
 
 from .arith import primes_dividing
 from .errors import NotSolvable, NotStabilized, TooLarge
@@ -537,45 +537,46 @@ class _TableGroup:
             h_size = len(derived)
 
     def conjugacy_orbit_and_normalizer(
-        self, sub: frozenset[int]
-    ) -> tuple[list[frozenset[int]], frozenset[int], list[int], list[int], frozenset[int]]:
+        self, sub: Iterable[int]
+    ) -> tuple[list[tuple[int, ...]], frozenset[int], list[int], list[int], frozenset[int]]:
         """The conjugates of U, and N_G(U) by orbit-stabilizer.
 
         One breadth-first search over the conjugates g U g^-1 keeps a
         transversal element t with t U t^-1 = T for each conjugate T.  An
         edge T -> g T g^-1 that closes back into the orbit gives the
         Schreier element trans[img]^-1 * g * trans[T], which normalizes U;
-        these generate N_G(U) (Schreier's lemma).  Returns the orbit, its
-        representative R = min(orbit), the greedy generators of R,
-        generators of N_G(R) (those of R first), conjugated from N_G(U) by
-        the transversal element of R, and the element set of N_G(R).  That
-        set grows from R by cosets (:meth:`extend`) as each new Schreier
-        element is added, until its order is |G| / |orbit|; no later
-        Schreier element would be added, so the order check is the exit.
+        these generate N_G(U) (Schreier's lemma).  Each conjugate is the
+        sorted tuple of its elements, several times smaller than a
+        frozenset, which matters for the set of every conjugate that
+        :func:`subgroup_classes` keeps (5191 for the trio stabilizer);
+        and R = min(orbit) needs no sort key.  Returns the orbit, its representative R as a set, the greedy
+        generators of R, generators of N_G(R) (those of R first),
+        conjugated from N_G(U) by the transversal element of R, and the
+        element set of N_G(R).  That set grows from R by cosets
+        (:meth:`extend`) as each new Schreier element is added, until its
+        order is |G| / |orbit|; no later Schreier element would be added,
+        so the order check is the exit.
         """
         table, inv = self.table, self.inv
-        trans = {sub: self.e}
+        trans = {tuple(sorted(sub)): self.e}
         schreier: list[int] = []
-        # a conjugate T waits as (trans[T], T as a tuple led by e); e maps to
-        # e, so each itemgetter has two or more items and returns a tuple
-        queue = deque([(self.e, (self.e, *sub))])
-        while queue:
-            tt, members = queue.popleft()
-            conjugate = itemgetter(*members)
+        queue = list(trans)
+        for t in queue:
+            tt = trans[t]
             for g, cg in zip(self.gens, self.conj_maps):
-                img_members = conjugate(cg)
-                img = frozenset(img_members)
+                img = tuple(sorted(map(cg.__getitem__, t)))
                 step = table[g][tt]
                 known = trans.get(img)
                 if known is None:
                     trans[img] = step
-                    queue.append((step, img_members))
+                    queue.append(img)
                 else:
                     schreier.append(table[inv[known]][step])
-        rep = min(trans, key=sorted)
+        rep_key = min(trans)
+        rep = frozenset(rep_key)
         rep_gens = self.greedy_generators(rep)
         # N_G(R) = c N_G(U) c^-1 with c = trans[R]
-        row_c, c_inv = table[trans[rep]], inv[trans[rep]]
+        row_c, c_inv = table[trans[rep_key]], inv[trans[rep_key]]
         norm_gens = list(rep_gens)
         norm = rep
         # grown only until orbit-stabilizer says it is all of N_G(R)
@@ -633,9 +634,9 @@ def subgroup_classes(
     trivial = frozenset({tg.e})
 
     classes: list[dict] = []
-    known: set[frozenset[int]] = set()  # every conjugate of every class found
+    known: set[tuple[int, ...]] = set()  # every conjugate of every class found
 
-    def register(sub: frozenset[int]) -> None:
+    def register(sub: Iterable[int]) -> None:
         orbit, rep, rep_gens, _, norm = tg.conjugacy_orbit_and_normalizer(sub)
         known.update(orbit)
         classes.append(
@@ -672,12 +673,11 @@ def subgroup_classes(
                 for _ in range(p - 1):
                     new.update(map(table[xk].__getitem__, rep))
                     xk = row_x[xk]
-                sub = frozenset(new)
-                if len(sub) != size * p:
+                if len(new) != size * p:
                     raise AssertionError("extension does not have prime index")
-                covered |= sub
-                if sub not in known:
-                    register(sub)
+                covered |= new
+                if tuple(sorted(new)) not in known:
+                    register(new)
                 break  # x yields exactly one minimal prime extension
 
     out = []

@@ -369,8 +369,9 @@ def test_orbit_normalizer_matches_bruteforce(factory):
     for sub in all_subgroups_bruteforce(group):
         start = frozenset(tg.index[p] for p in sub)
         orbit, rep, gens, norm_gens, norm = tg.conjugacy_orbit_and_normalizer(start)
-        assert set(orbit) == {_conjugate(tg, x, start) for x in range(tg.n)}
-        assert rep == min(orbit, key=sorted)
+        assert all(list(t) == sorted(t) for t in orbit)
+        assert set(map(frozenset, orbit)) == {_conjugate(tg, x, start) for x in range(tg.n)}
+        assert rep == min(map(frozenset, orbit), key=sorted)
         assert tg.closure(gens) == rep and norm_gens[: len(gens)] == gens
         assert tg.closure(norm_gens) == _normalizer_by_conjugation(tg, rep)
         assert norm == tg.closure(norm_gens) == _normalizer_by_conjugation(tg, rep)
