@@ -549,13 +549,13 @@ class _TableGroup:
         sorted tuple of its elements, several times smaller than a
         frozenset, which matters for the set of every conjugate that
         :func:`subgroup_classes` keeps (5191 for the trio stabilizer);
-        and R = min(orbit) needs no sort key.  Returns the orbit, its representative R as a set, the greedy
-        generators of R, generators of N_G(R) (those of R first),
-        conjugated from N_G(U) by the transversal element of R, and the
-        element set of N_G(R).  That set grows from R by cosets
-        (:meth:`extend`) as each new Schreier element is added, until its
-        order is |G| / |orbit|; no later Schreier element would be added,
-        so the order check is the exit.
+        and R = min(orbit) needs no sort key.  Returns the orbit, its
+        representative R as a set, the greedy generators of R, generators
+        of N_G(R) (those of R first), conjugated from N_G(U) by the
+        transversal element of R, and the element set of N_G(R).  That set
+        grows from R by cosets (:meth:`extend`) as each new Schreier
+        element is added, until its order is |G| / |orbit|; no later
+        Schreier element would be added, so the order check is the exit.
         """
         table, inv = self.table, self.inv
         trans = {tuple(sorted(sub)): self.e}
