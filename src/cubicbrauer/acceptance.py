@@ -18,14 +18,13 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Callable
 
-from .arith import squarefree_part
 from .brauer import (
     BoundaryDescriptor,
     TablePair,
+    _cyclotomic_class,
     _fixes_sqrt_d,
     algebraic_tables,
     geometric_brauer,
-    sqrt_in_cyclotomic,
     transcendental_bound,
     twist_invariants,
 )
@@ -691,13 +690,12 @@ def twist_invariants_by_listing(d: int, n: int) -> FinAbGroup:
     whether sqrt(d) lies in Q(zeta_n) and which t fix it, this shares no
     code with the gcd of ``twist_invariants``.
     """
-    d = squarefree_part(d)
-    inside = sqrt_in_cyclotomic(d, n)
+    p, c = _cyclotomic_class(d, n)
     scalars = set()
     for t in range(1, n):
         if gcd(t, n) != 1:
             continue
-        signs = ((1 if _fixes_sqrt_d(d, t, n) else -1),) if inside else (1, -1)
+        signs = (1, -1) if c is None else ((1 if _fixes_sqrt_d(c, t, p) else -1),)
         scalars.update(eps * pow(t, -1, n) % n for eps in signs)
     count = sum(1 for m in range(n) if all((a * m - m) % n == 0 for a in scalars))
     return FinAbGroup.from_orders([count])

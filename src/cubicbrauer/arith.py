@@ -1,10 +1,12 @@
 """Small exact integer utilities: factorization, square classes, primality.
 
-Inputs here are desk-scale (discriminants of tiny polynomials, orders of
-groups of size at most a few thousand), so trial division up to
-``TRIAL_DIVISION_BOUND`` does nearly all the work; a deterministic
-Miller-Rabin round decides the large cofactor it leaves, and decides prime
-powers without any factoring.
+One trial-division loop, up to B = ``TRIAL_DIVISION_BOUND``, serves
+:func:`factorint` and :func:`squarefree_part`.  Its cofactor has no prime
+factor up to B, so below B^3 = 10^18 it is p, p^2 or p*q: squarefree
+unless a perfect square.  Deterministic Miller-Rabin decides larger
+cofactors, and prime powers without factoring.  Square-class decisions
+are ``isqrt`` tests; only a printed representative is factored, once per
+input (a boundary's d, a cubic's Galois-type d).
 """
 
 from __future__ import annotations
@@ -45,35 +47,45 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
-def factorint(n: int) -> dict[int, int]:
-    """Prime factorization by trial division, meant for group orders.
+def _trial_divide(n: int) -> tuple[dict[int, int], int]:
+    """Prime factors of |n| up to ``TRIAL_DIVISION_BOUND``, and the cofactor left.
 
-    Trial division runs up to ``TRIAL_DIVISION_BOUND``.  The cofactor left
-    over is kept as a prime when it is below the bound squared or passes
-    :func:`is_probable_prime`; any other cofactor raises :class:`TooLarge`
-    instead of trial-dividing on towards its square root.
+    The loop stops early once the divisor passes the square root of what is
+    left, which then is 1 or a prime.
     """
-    if n == 0:
-        raise ValueError("cannot factor 0")
     n = abs(n)
-    out: dict[int, int] = {}
+    small: dict[int, int] = {}
     for p in (2, 3):
         while n % p == 0:
-            out[p] = out.get(p, 0) + 1
+            small[p] = small.get(p, 0) + 1
             n //= p
     f = 5
     while f * f <= n and f <= TRIAL_DIVISION_BOUND:
         for p in (f, f + 2):
             while n % p == 0:
-                out[p] = out.get(p, 0) + 1
+                small[p] = small.get(p, 0) + 1
                 n //= p
         f += 6
-    if n > 1:
-        if f * f <= n and not is_probable_prime(n):
+    return small, n
+
+
+def factorint(n: int) -> dict[int, int]:
+    """Prime factorization by trial division, for group orders and coefficients.
+
+    The cofactor left by trial division up to ``TRIAL_DIVISION_BOUND`` is
+    kept when it is 1 or passes :func:`is_probable_prime`; any other
+    cofactor raises :class:`TooLarge` instead of trial-dividing on towards
+    its square root.
+    """
+    if n == 0:
+        raise ValueError("cannot factor 0")
+    out, rest = _trial_divide(n)
+    if rest > 1:
+        if not is_probable_prime(rest):
             raise TooLarge(
-                f"cannot factor {n}: it has no prime factor up to {TRIAL_DIVISION_BOUND}"
+                f"cannot factor {rest}: it has no prime factor up to {TRIAL_DIVISION_BOUND}"
             )
-        out[n] = out.get(n, 0) + 1
+        out[rest] = 1
     return out
 
 
@@ -82,44 +94,37 @@ def is_perfect_square(n: int) -> bool:
 
 
 def squarefree_part(q: int | Fraction) -> int:
-    """Representative of the square class of a nonzero rational.
+    """The squarefree integer in the square class of a nonzero rational.
 
-    Trial division up to ``TRIAL_DIVISION_BOUND``; a surviving cofactor is
-    handled when it is a perfect square or a prime (always enough at the
-    input sizes that occur here).
+    This is the one square-class routine that factors; call it only for a
+    representative that is printed.  The cofactor c left by trial division
+    up to B = ``TRIAL_DIVISION_BOUND`` is dropped when it is a perfect
+    square and kept otherwise, which is exact when c < B^3 (then c is p,
+    p^2 or p*q) or c is prime.  A composite, non-square c >= B^3 raises
+    :class:`TooLarge`.
     """
     q = Fraction(q)
     if q == 0:
         raise ValueError("0 has no square class")
-    n = q.numerator * q.denominator
-    sign = -1 if n < 0 else 1
-    n = abs(n)
-    part = 1
-    p = 2
-    while p <= TRIAL_DIVISION_BOUND and p * p <= n:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            if e % 2:
-                part *= p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        if is_perfect_square(n):
-            pass
-        elif is_probable_prime(n):
-            part *= n
-        else:
-            raise ValueError(f"cannot extract squarefree part of cofactor {n}")
-    return sign * part
+    small, rest = _trial_divide(q.numerator * q.denominator)
+    part = -1 if q < 0 else 1
+    for p, e in small.items():
+        if e % 2:
+            part *= p
+    if not is_perfect_square(rest):
+        if rest >= TRIAL_DIVISION_BOUND**3 and not is_probable_prime(rest):
+            raise TooLarge(
+                f"cannot find the square class of {q}: cofactor {rest} has no prime "
+                f"factor up to {TRIAL_DIVISION_BOUND} and is at least {TRIAL_DIVISION_BOUND}^3"
+            )
+        part *= rest
+    return part
 
 
 def is_rational_square(q: int | Fraction) -> bool:
+    """Whether q is the square of a rational: numerator and denominator are squares."""
     q = Fraction(q)
-    if q == 0:
-        return True
-    return q > 0 and squarefree_part(q) == 1
+    return is_perfect_square(q.numerator) and is_perfect_square(q.denominator)
 
 
 def _integer_root(n: int, k: int) -> int:
@@ -147,26 +152,11 @@ def prime_power(n: int) -> tuple[int, int] | None:
     return None
 
 
-def legendre(a: int, p: int) -> int:
-    """Legendre symbol (a/p) for odd prime p."""
-    a %= p
-    if a == 0:
-        return 0
-    r = pow(a, (p - 1) // 2, p)
-    return 1 if r == 1 else -1
-
-
-def primes_dividing(n: int) -> list[int]:
-    return sorted(factorint(n))
-
-
 __all__ = [
     "factorint",
     "is_perfect_square",
     "is_probable_prime",
     "is_rational_square",
-    "legendre",
     "prime_power",
-    "primes_dividing",
     "squarefree_part",
 ]

@@ -22,7 +22,7 @@ from functools import cache
 from math import gcd
 from typing import Literal
 
-from .arith import legendre, prime_power, squarefree_part
+from .arith import is_perfect_square, is_rational_square, prime_power, squarefree_part
 from .cubiclattice import pic_module, quotient_by_trio, reference_trio, weyl_group
 from .errors import BadModulus, StabilizationFailed
 from .intlinalg import FinAbGroup
@@ -31,10 +31,12 @@ from .perms import PermGroup, orbit_count, setwise_stabilizer, subgroup_classes
 
 # -- boundary descriptors --------------------------------------------------
 
-LineConicKind = Literal["tangent", "two_rational", "quadratic"]
-IrreducibleKind = Literal["cuspidal", "nodal_split", "nodal_nonsplit"]
-ThreeLinesGalois = Literal["trivial", "c2", "c3", "s3"]
-
+# each boundary kind: the JSON field that names its case, and the cases
+_CASES = {
+    "line_conic": ("intersection", ("tangent", "two_rational", "quadratic")),
+    "irreducible": ("kind", ("cuspidal", "nodal_split", "nodal_nonsplit")),
+    "three_lines": ("galois", ("trivial", "c2", "c3", "s3")),
+}
 _NEEDS_D = {"quadratic", "nodal_nonsplit", "c2", "s3"}
 
 
@@ -54,14 +56,9 @@ class BoundaryDescriptor:
     eckardt: bool = False
 
     def __post_init__(self):
-        allowed = {
-            "line_conic": {"tangent", "two_rational", "quadratic"},
-            "irreducible": {"cuspidal", "nodal_split", "nodal_nonsplit"},
-            "three_lines": {"trivial", "c2", "c3", "s3"},
-        }
-        if self.kind not in allowed:
+        if self.kind not in _CASES:
             raise ValueError(f"unknown boundary kind {self.kind!r}")
-        if self.sub not in allowed[self.kind]:
+        if self.sub not in _CASES[self.kind][1]:
             raise ValueError(f"unknown case {self.sub!r} for {self.kind}")
         if self.eckardt and self.kind != "three_lines":
             raise ValueError("eckardt applies only to three lines")
@@ -69,7 +66,7 @@ class BoundaryDescriptor:
             if self.d is None:
                 raise ValueError(f"case {self.sub!r} requires a square class d")
             d = squarefree_part(self.d)
-            if d in (0, 1):
+            if d == 1:
                 raise ValueError("d must define a nontrivial quadratic extension")
             object.__setattr__(self, "d", d)
         elif self.d is not None:
@@ -77,38 +74,48 @@ class BoundaryDescriptor:
 
     # JSON wire format, consumed by the CLI
     def to_json(self) -> dict:
-        if self.kind == "line_conic":
-            inter = {"quadratic": self.d} if self.sub == "quadratic" else self.sub
-            return {"type": "line_conic", "intersection": inter}
-        if self.kind == "irreducible":
-            kind = {"nodal_nonsplit": self.d} if self.sub == "nodal_nonsplit" else self.sub
-            return {"type": "irreducible", "kind": kind}
-        galois = {self.sub: self.d} if self.sub in ("c2", "s3") else self.sub
-        return {"type": "three_lines", "galois": galois, "eckardt": self.eckardt}
+        case = self.sub if self.d is None else {self.sub: self.d}
+        out = {"type": self.kind, _CASES[self.kind][0]: case}
+        if self.kind == "three_lines":
+            out["eckardt"] = self.eckardt
+        return out
 
     @classmethod
     def from_json(cls, obj: dict | str) -> BoundaryDescriptor:
+        """Parse the wire format; malformed JSON raises a ValueError naming the field."""
         if isinstance(obj, str):
-            obj = json.loads(obj)
+            try:
+                obj = json.loads(obj)
+            except RecursionError:
+                raise ValueError("boundary JSON is nested too deeply") from None
+        if not isinstance(obj, dict):
+            raise ValueError("boundary must be a JSON object")
         kind = obj.get("type")
-        if kind == "line_conic":
-            inter = obj["intersection"]
-            if isinstance(inter, dict):
-                return cls("line_conic", "quadratic", d=int(inter["quadratic"]))
-            return cls("line_conic", inter)
-        if kind == "irreducible":
-            sub = obj["kind"]
-            if isinstance(sub, dict):
-                return cls("irreducible", "nodal_nonsplit", d=int(sub["nodal_nonsplit"]))
-            return cls("irreducible", sub)
-        if kind == "three_lines":
-            galois = obj["galois"]
-            eckardt = bool(obj.get("eckardt", False))
-            if isinstance(galois, dict):
-                ((sub, d),) = galois.items()
-                return cls("three_lines", sub, d=int(d), eckardt=eckardt)
-            return cls("three_lines", galois, eckardt=eckardt)
-        raise ValueError(f"unknown boundary type {kind!r}")
+        if not isinstance(kind, str) or kind not in _CASES:
+            raise ValueError(f"unknown boundary type {kind!r}")
+        field = _CASES[kind][0]
+        if field not in obj:
+            raise ValueError(f"{kind} boundary requires the field {field!r}")
+        sub, d = obj[field], None
+        if isinstance(sub, dict) and len(sub) == 1:
+            ((sub, d),) = sub.items()
+            d = _json_integer(d, field)
+        if not isinstance(sub, str):
+            raise ValueError(f"{field} must be a case name or a one-entry object {{case: d}}")
+        eckardt = kind == "three_lines" and bool(obj.get("eckardt", False))
+        return cls(kind, sub, d=d, eckardt=eckardt)
+
+
+def _json_integer(value, field: str) -> int:
+    """A square class read from JSON: an integer, integral float or decimal string."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ValueError(f"{field}: d must be an integer, not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -137,40 +144,45 @@ def geometric_brauer(boundary: BoundaryDescriptor) -> GeometricBrauer:
 # -- twisted invariants over Q ---------------------------------------------
 
 
-def sqrt_in_cyclotomic(d: int, n: int) -> bool:
-    """Whether sqrt(d) lies in Q(zeta_n) for a prime power n.
+def _cyclotomic_class(d: int, n: int) -> tuple[int, int | None]:
+    """The prime p of a prime power n, and the class c of sqrt(d) in Q(zeta_n).
 
     Quadratic subfields of prime-power cyclotomic fields: Q(i) inside
     Q(zeta_{2^i}) for i >= 2, and Q(sqrt(+-2)) for i >= 3; for odd p the
-    unique one is Q(sqrt(p*)) with p* = (-1)^((p-1)/2) p.
+    unique one is Q(sqrt(p*)) with p* = (-1)^((p-1)/2) p.  So c is the one
+    of -1, 2, -2, p* in Q(zeta_n) with c * d a square, or None when sqrt(d)
+    is not in Q(zeta_n); deciding it takes square tests, not factoring.
     """
-    d = squarefree_part(d)
     pp = prime_power(n)
     if pp is None:
         raise BadModulus(f"{n} is not a prime power")
     p, _ = pp
     if p == 2:
-        return (d == -1 and n % 4 == 0) or (d in (2, -2) and n % 8 == 0)
-    p_star = p if p % 4 == 1 else -p
-    return d == p_star
+        classes = (-1, 2, -2) if n % 8 == 0 else (-1,) if n % 4 == 0 else ()
+    else:
+        classes = (p if p % 4 == 1 else -p,)
+    return p, next((c for c in classes if is_perfect_square(c * d)), None)
 
 
-def _fixes_sqrt_d(d: int, t: int, n: int) -> bool:
+def sqrt_in_cyclotomic(d: int, n: int) -> bool:
+    """Whether sqrt(d) lies in Q(zeta_n), for a non-square d and a prime power n."""
+    return _cyclotomic_class(d, n)[1] is not None
+
+
+def _fixes_sqrt_d(c: int, t: int, p: int) -> bool:
     """Whether the cyclotomic automorphism zeta -> zeta^t fixes sqrt(d).
 
-    Only valid when sqrt(d) lies in Q(zeta_n); decided by congruence
-    conditions on t (closed forms for the quadratic subfields).
+    Only valid when sqrt(d) lies in Q(zeta_{p^k}), in the class c found by
+    _cyclotomic_class; decided by congruence conditions on t (closed forms
+    for the quadratic subfields).
     """
-    p, _ = prime_power(n)
-    if p == 2:
-        if d == -1:
-            return t % 4 == 1
-        if d == 2:
-            return t % 8 in (1, 7)
-        if d == -2:
-            return t % 8 in (1, 3)
-        raise AssertionError("unreachable: sqrt(d) not in this field")
-    return legendre(t, p) == 1
+    if c == -1:
+        return t % 4 == 1
+    if c == 2:
+        return t % 8 in (1, 7)
+    if c == -2:
+        return t % 8 in (1, 3)
+    return pow(t, (p - 1) // 2, p) == 1  # Euler's criterion: t is a square mod p
 
 
 def _unit_generators(n: int, p: int) -> tuple[int, ...]:
@@ -203,19 +215,16 @@ def twist_invariants(d: int, n: int) -> FinAbGroup:
     _unit_generators and, when sqrt(d) is not in Q(zeta_n), the element
     that fixes zeta_n and negates sqrt(d), with a = -1.
     """
-    pp = prime_power(n)
-    if pp is None:
-        raise BadModulus(f"{n} is not a prime power")
-    p, _ = pp
-    d = squarefree_part(d)
-    if d in (0, 1):
+    if is_rational_square(d):
         raise ValueError("d must define a nontrivial quadratic extension")
+    p, c = _cyclotomic_class(d, n)
     units = _unit_generators(n, p)
-    if sqrt_in_cyclotomic(d, n):
-        scalars = [(1 if _fixes_sqrt_d(d, t, n) else -1) * pow(t, -1, n) for t in units]
+    if c is not None:
+        scalars = [(1 if _fixes_sqrt_d(c, t, p) else -1) * pow(t, -1, n) for t in units]
     else:
         scalars = [-1] + [pow(t, -1, n) for t in units]
-    return FinAbGroup.from_orders([gcd(n, *(a - 1 for a in scalars))])
+    g = gcd(n, *(a - 1 for a in scalars))
+    return FinAbGroup(0, (g,) if g > 1 else ())  # cyclic, so nothing to factor
 
 
 def qmodz_invariants(n: int) -> FinAbGroup:

@@ -32,7 +32,7 @@ from math import lcm
 from operator import itemgetter
 from typing import Iterable
 
-from .arith import primes_dividing
+from .arith import factorint
 from .errors import NotSolvable, NotStabilized, TooLarge
 
 Perm = tuple[int, ...]
@@ -630,7 +630,7 @@ def subgroup_classes(
     if not tg.is_solvable():
         raise NotSolvable("subgroup enumeration implemented for solvable groups only")
 
-    primes = primes_dividing(n) if n > 1 else []
+    primes = sorted(factorint(n))
     trivial = frozenset({tg.e})
 
     classes: list[dict] = []

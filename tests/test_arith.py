@@ -7,6 +7,7 @@ from math import isqrt
 
 import pytest
 
+from cubicbrauer import arith
 from cubicbrauer.arith import (
     TRIAL_DIVISION_BOUND,
     factorint,
@@ -79,3 +80,33 @@ def test_factorint_refuses_a_composite_cofactor_above_the_bound():
         factorint(1000003 * 1000033)
     with pytest.raises(TooLarge):
         factorint(6 * (10**9 + 7) * (10**9 + 9))
+
+
+def test_squarefree_part_drops_the_square_of_a_prime_above_the_bound():
+    assert squarefree_part(7 * 1000003**2) == 7
+
+
+def test_squarefree_part_keeps_a_product_of_two_primes_above_the_bound():
+    """Below 10^18 a cofactor free of primes up to 10^6 is p, p^2 or p*q."""
+    assert squarefree_part(-(5**2) * 10000019 * 10000079) == -100000980001501
+
+
+def test_squarefree_part_refuses_a_composite_cofactor_from_the_bound_cubed():
+    d = 1000003**2 * 1000033
+    assert d >= TRIAL_DIVISION_BOUND**3
+    with pytest.raises(TooLarge):
+        squarefree_part(d)
+    assert squarefree_part(MERSENNE_61 * 3**2) == MERSENNE_61  # a prime is decided
+
+
+def test_is_rational_square_never_factors(monkeypatch):
+    def refuse(n):
+        raise AssertionError("is_rational_square factored")
+
+    monkeypatch.setattr(arith, "_trial_divide", refuse)
+    big = 1000003**2 * 1000033
+    assert is_rational_square(Fraction(big**2, 4 * MERSENNE_61**2))
+    assert is_rational_square(0)
+    assert not is_rational_square(big)
+    assert not is_rational_square(-(big**2))
+    assert not is_rational_square(Fraction(1, 2))

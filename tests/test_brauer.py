@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from cubicbrauer import arith
 from cubicbrauer.acceptance import residue_kernel_check, twist_invariants_by_listing
 from cubicbrauer.brauer import (
     BoundaryDescriptor,
@@ -63,6 +64,18 @@ def test_descriptor_json_roundtrip(descriptor):
     assert BoundaryDescriptor.from_json(json.dumps(descriptor.to_json())) == descriptor
 
 
+def test_descriptor_json_reads_integral_d_as_before():
+    for d in (12, 12.0, "12", "-27"):
+        boundary = BoundaryDescriptor.from_json({"type": "three_lines", "galois": {"s3": d}})
+        assert boundary.d == (3 if d != "-27" else -3)
+
+
+@pytest.mark.parametrize("d", [True, 1.5, None, [5], "five", float("inf")])
+def test_descriptor_json_refuses_a_non_integral_d(d):
+    with pytest.raises(ValueError, match="galois: d must be an integer"):
+        BoundaryDescriptor.from_json({"type": "three_lines", "galois": {"c2": d}})
+
+
 def test_geometric_brauer_case_table():
     rows = [
         (BoundaryDescriptor("line_conic", "tangent"), "zero", None),
@@ -117,6 +130,28 @@ def test_twist_square_class_invariance():
     for d, m in ((-1, 2), (5, 3), (-3, 5), (2, 6)):
         for n in (2, 4, 8, 3, 9, 5):
             assert twist_invariants(d, n) == twist_invariants(d * m * m, n)
+
+
+def test_twist_invariants_never_factor(monkeypatch):
+    """Square classes are decided by square tests, so a d near 10^40 answers."""
+
+    def refuse(n):
+        raise AssertionError("twist_invariants factored")
+
+    trivial, z2, z3, z4 = G(), G(2), G(3), G(4)
+    monkeypatch.setattr(arith, "_trial_divide", refuse)
+    m = 10**20 + 39
+    d = 10**40 + 1  # not a square, and not in any class below
+    for n in (2, 4, 8, 3, 9, 5, 7):
+        assert twist_invariants(d, n) == (z2 if n % 2 == 0 else trivial), n
+    assert twist_invariants(-(m**2), 4) == z4
+    assert twist_invariants(-2 * m**2, 8) == z2
+    assert twist_invariants(-3 * m**2, 9) == z3
+    assert twist_invariants(5 * m**2, 25) == trivial
+    with pytest.raises(ValueError):
+        twist_invariants(m**2, 4)
+    with pytest.raises(ValueError):
+        twist_invariants(0, 4)
 
 
 def test_twist_stabilization():

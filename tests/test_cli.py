@@ -222,6 +222,58 @@ def test_invariants_prime_witness_square_class(capsys):
 
 
 @pytest.mark.parametrize(
+    "boundary",
+    [
+        '{"type":"line_conic"}',
+        "[1]",
+        "null",
+        '{"type":"three_lines","galois":["c2"]}',
+        '{"type":"three_lines","galois":{"c2":true}}',
+        '{"type":"three_lines","galois":{"c2":1.5}}',
+        '{"type":"irreducible","kind":{"nodal_nonsplit":null}}',
+        '{"type":"line_conic","intersection":{"quadratic":5,"tangent":3}}',
+        '{"type":["three_lines"]}',
+        "[" * 5000 + "]" * 5000,
+    ],
+    ids=lambda boundary: boundary[:40],
+)
+def test_classify_malformed_boundary_exit(capsys, boundary):
+    code, out, err = run(capsys, "classify", "--boundary", boundary)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_invariants_of_a_product_of_two_primes_above_the_bound(capsys):
+    # 100000980001501 = 10000019 * 10000079, both above the trial-division bound
+    code, out, _ = run(capsys, "--format", "json", "invariants", "--d", "100000980001501", "--n", "4")
+    assert code == 0
+    assert json.loads(out)["result"]["invariants"] == {"free_rank": 0, "factors": [2]}
+
+
+def test_classify_echoes_the_squarefree_class_of_a_large_d(capsys):
+    boundary = '{"type":"three_lines","galois":{"s3":-9118199493733675},"eckardt":false}'
+    code, out, _ = run(capsys, "--format", "json", "classify", "--boundary", boundary)
+    assert code == 0
+    result = json.loads(out)["result"]
+    # -9118199493733675 = -5^2 * 47 * 1374761 * 5644741
+    assert result["boundary"]["galois"] == {"s3": -364727979749347}
+    assert result["invariants_over_Q"] == {"free_rank": 0, "factors": [2]}
+
+
+def test_classify_refuses_an_undecidable_class_that_invariants_answers(capsys):
+    """squarefree_part raises TooLarge for this d (see test_arith)."""
+    d = 1000003**2 * 1000033  # above 10^18, composite, no prime factor up to 10^6
+    boundary = json.dumps({"type": "line_conic", "intersection": {"quadratic": d}})
+    code, out, err = run(capsys, "classify", "--boundary", boundary)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot find the square class of {d}") and err.count("\n") == 1
+    code, out, _ = run(capsys, "invariants", "--d", str(d), "--n", "4")
+    assert code == 0
+    assert out == f"invariants of M_{d}/4(-1) over Q: Z/2\n"
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("invariants", "--d", "5", "--n", "1000000016000000063"),

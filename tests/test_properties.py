@@ -1,0 +1,111 @@
+"""Property tests: square classes, twisted invariants and the boundary parser."""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+from fractions import Fraction
+from math import prod
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from cubicbrauer.acceptance import twist_invariants_by_listing  # noqa: E402
+from cubicbrauer.arith import is_rational_square, squarefree_part  # noqa: E402
+from cubicbrauer.brauer import twist_invariants  # noqa: E402
+from cubicbrauer.cli import main  # noqa: E402
+
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 997, 999983)
+# primes above the trial-division bound 10^6; any two multiply to below 10^18
+LARGE_PRIMES = (1000003, 1000033, 1000037, 9999991, 10000019, 10000079, 999999937)
+
+quick = settings(max_examples=25, deadline=None)
+
+
+@st.composite
+def square_classes(draw):
+    """(s, m): s squarefree from distinct primes, m with s * m^2 left by trial
+    division with a cofactor below 10^18 (at most two primes above 10^6)."""
+    small = draw(st.sets(st.sampled_from(SMALL_PRIMES), max_size=4))
+    large = draw(st.sets(st.sampled_from(LARGE_PRIMES), max_size=2))
+    m = draw(st.one_of(st.integers(1, 10**4), st.sampled_from(LARGE_PRIMES)))
+    assume(len(large) + (2 if m > 10**6 else 0) <= 2)
+    sign = draw(st.sampled_from((1, -1)))
+    return sign * prod(small | large), m
+
+
+@settings(max_examples=12, deadline=None)  # a cofactor above 10^12 costs a full trial division
+@given(square_classes())
+def test_squarefree_part_of_a_class_times_a_square(case):
+    s, m = case
+    assert squarefree_part(s * m * m) == s
+
+
+@quick
+@given(square_classes(), st.integers(1, 10**6))
+def test_is_rational_square_matches_the_construction(case, k):
+    s, m = case
+    assert is_rational_square(Fraction(s * m * m, k * k)) == (s == 1)
+
+
+@quick
+@given(square_classes(), st.sampled_from((2, 4, 8, 3, 9, 5, 7)))
+def test_twist_invariants_depend_on_the_square_class_only(case, n):
+    s, m = case
+    assume(s != 1)
+    assert twist_invariants(s * m * m, n) == twist_invariants(s, n)
+    assert twist_invariants(s, n) == twist_invariants_by_listing(s, n)
+
+
+# floats are kept small: an integral float is a valid d, and a d of hundreds
+# of digits costs a full trial division, which is not what is tested here
+scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(10**9), 10**9)
+    | st.floats(-(10**9), 10**9)
+    | st.sampled_from((float("nan"), float("inf")))
+    | st.text("0123456789-+_. ec", max_size=6)
+)
+json_values = st.recursive(
+    scalars,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text("ceg", max_size=2), inner, max_size=2),
+    max_leaves=5,
+)
+cases = st.sampled_from(
+    ("tangent", "two_rational", "quadratic", "cuspidal", "nodal_split", "nodal_nonsplit",
+     "trivial", "c2", "c3", "s3", "")
+)
+
+
+@st.composite
+def boundaries(draw):
+    """Arbitrary JSON, or an object close to the boundary schema."""
+    if draw(st.booleans()):
+        return draw(json_values)
+    boundary = {
+        "type": draw(st.sampled_from(("line_conic", "irreducible", "three_lines")) | json_values)
+    }
+    field = draw(st.sampled_from(("intersection", "kind", "galois")))
+    boundary[field] = draw(cases | st.dictionaries(cases, json_values, max_size=2) | json_values)
+    if draw(st.booleans()):
+        boundary["eckardt"] = draw(json_values)
+    return boundary
+
+
+@settings(max_examples=40, deadline=None)
+@given(boundaries())
+def test_classify_answers_or_reports_one_error_line(boundary):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["classify", f"--boundary={json.dumps(boundary)}", "--format", "json"])
+    if code == 0:
+        assert err.getvalue() == "" and json.loads(out.getvalue())["command"] == "classify"
+    else:
+        assert code == 1 and out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
