@@ -426,7 +426,7 @@ def check_examples_end_to_end() -> CheckResult:
         poly = RationalPoly.parse(text)
         try:
             outcome = find_admissible_a(poly, 20)
-            got = example_brauer(poly, outcome.a)
+            _, got = example_brauer(poly, outcome.a)
         except CubicBrauerError as exc:
             ok = False
             notes.append(f"{text}: {exc}")

@@ -40,7 +40,7 @@ from .cubiclattice import (
 from .errors import CubicBrauerError
 from .intlinalg import FinAbGroup
 from .perms import setwise_stabilizer
-from .qexamples import cubic_galois_type, example_brauer, find_admissible_a
+from .qexamples import example_brauer, find_admissible_a
 from .ratpoly import RationalPoly, parse_rational
 
 CONFIG_KEYS = ("format", "case", "d", "n", "poly", "a", "auto_a", "boundary")
@@ -246,8 +246,7 @@ def _cmd_example(args) -> int:
         a = parse_rational(args.a)
     else:
         raise ValueError("example requires --a or --auto-a")
-    galois = cubic_galois_type(poly)
-    group = example_brauer(poly, a)
+    galois, group = example_brauer(poly, a)
     result = {
         "polynomial": [str(c) for c in poly.coefficients],
         "galois_type": {"type": galois.variant, "d": galois.d},

@@ -204,16 +204,20 @@ def boundary_from_galois(galois: GaloisType) -> BoundaryDescriptor:
     return BoundaryDescriptor("three_lines", galois.variant)
 
 
-def example_brauer(f: RationalPoly, a) -> FinAbGroup:
-    """Br(U)/Br_1(U) for the blowup surface attached to (F, a).
+def example_brauer(f: RationalPoly, a) -> tuple[GaloisType, FinAbGroup]:
+    """The Galois type of F, and Br(U)/Br_1(U) for the blowup surface attached to (F, a).
 
     For this construction the Galois-invariant bound is attained, so the
-    descriptor's transcendental bound is reported as an equality.  Raises
-    GeneralPositionFailed or EckardtPoint when (F, a) gives no such surface.
+    descriptor's transcendental bound is reported as an equality.  The
+    Galois type is returned too, so a caller that reports it does not
+    compute it again.  Raises GeneralPositionFailed or EckardtPoint when
+    (F, a) gives no such surface; the Galois type is computed first, so
+    its errors come before those.
     """
+    galois = cubic_galois_type(f)
     if eckardt_concurrent(f, a) is EckardtVerdict.YES:
         raise EckardtPoint("the three boundary lines are concurrent")
-    return transcendental_bound(boundary_from_galois(cubic_galois_type(f)))
+    return galois, transcendental_bound(boundary_from_galois(galois))
 
 
 @dataclass(frozen=True)

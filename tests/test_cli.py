@@ -244,6 +244,55 @@ def test_classify_malformed_boundary_exit(capsys, boundary):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("eckardt", ['"false"', "0", "1", "null"])
+def test_classify_refuses_a_non_boolean_eckardt(capsys, eckardt):
+    """The string "false" once read as true; 0, 1 and null once answered too."""
+    boundary = '{"type":"three_lines","galois":"trivial","eckardt":%s}' % eckardt
+    code, out, err = run(capsys, "classify", "--boundary", boundary)
+    assert (code, out) == (1, "")
+    assert err == f"error: eckardt must be true or false, not {json.loads(eckardt)!r}\n"
+
+
+def test_classify_reads_a_boolean_eckardt(capsys):
+    results = []
+    for eckardt in ("true", "false"):
+        boundary = '{"type":"three_lines","galois":"trivial","eckardt":%s}' % eckardt
+        code, out, _ = run(capsys, "--format", "json", "classify", "--boundary", boundary)
+        assert code == 0
+        results.append(json.loads(out)["result"]["geometric_brauer"])
+    assert results == ["zero", "full_twist"]
+
+
+# sha256 of `--format json example --poly 1000003,-1,1,1 --auto-a 20`, as
+# printed when the Galois type was computed twice per request
+EXAMPLE_JSON_SHA256 = "869f3535f41135e58cc48feb532cd45a49431877a5a9066bf9c2524dddef1751"
+
+
+def test_example_computes_the_galois_type_once(capsys, monkeypatch):
+    from cubicbrauer import qexamples
+
+    calls = []
+    galois_type = qexamples.cubic_galois_type
+
+    def counted(f):
+        calls.append(f)
+        return galois_type(f)
+
+    monkeypatch.setattr(qexamples, "cubic_galois_type", counted)
+    argv = ("example", "--poly", "1000003,-1,1,1", "--auto-a", "20")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and len(calls) == 1
+    assert out == (
+        "F = t^3 + t^2 - t + 1000003\n"
+        "  galois type: s3 (d = -600751691)\n"
+        "  a = 2 (general position: ok, lines not concurrent)\n"
+        "  Br(U)/Br_1(U) = Z/2\n"
+    )
+    code, out, _ = run(capsys, "--format", "json", *argv)
+    assert code == 0 and len(calls) == 2
+    assert hashlib.sha256(out.encode()).hexdigest() == EXAMPLE_JSON_SHA256
+
+
 def test_invariants_of_a_product_of_two_primes_above_the_bound(capsys):
     # 100000980001501 = 10000019 * 10000079, both above the trial-division bound
     code, out, _ = run(capsys, "--format", "json", "invariants", "--d", "100000980001501", "--n", "4")

@@ -200,9 +200,9 @@ def test_eckardt_requires_general_position():
 
 
 def test_example_brauer_published_values():
-    assert example_brauer(P("-2,-2,1,1"), 3) == G(2)
-    assert example_brauer(P("1,1,1,1"), 2) == G(4)
-    assert example_brauer(P("3,3,1,1"), 2) == G(2, 3)
+    assert example_brauer(P("-2,-2,1,1"), 3) == (GaloisType("c2", 2), G(2))
+    assert example_brauer(P("1,1,1,1"), 2) == (GaloisType("c2", -1), G(4))
+    assert example_brauer(P("3,3,1,1"), 2) == (GaloisType("c2", -3), G(2, 3))
 
 
 def test_example_brauer_error_paths():
