@@ -102,7 +102,7 @@ class BoundaryDescriptor:
             d = _json_integer(d, field)
         if not isinstance(sub, str):
             raise ValueError(f"{field} must be a case name or a one-entry object {{case: d}}")
-        eckardt = obj.get("eckardt", False) if kind == "three_lines" else False
+        eckardt = obj.get("eckardt", False)
         if not isinstance(eckardt, bool):
             raise ValueError(f"eckardt must be true or false, not {eckardt!r}")
         return cls(kind, sub, d=d, eckardt=eckardt)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .brauer import (
     BoundaryDescriptor,
@@ -386,8 +387,19 @@ def _join_dash_values(argv: list[str]) -> list[str]:
     return out
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process.
+
+    Reuse is safe: ``parse_args`` starts a new namespace on every call,
+    argparse looks ``sys.stdout`` and ``sys.stderr`` up when it prints, and
+    ``_merge_config`` writes only to the namespace.
+    """
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     if argv is None:
         argv = sys.argv[1:]
     args = parser.parse_args(_join_dash_values(list(argv)))

@@ -5,13 +5,14 @@ realized by :func:`compose`.  :class:`PermGroup` keeps a verified
 stabilizer chain (Schreier-Sims) for exact orders and membership, lists
 elements for groups up to a configurable bound, and enumerates subgroups
 of solvable groups up to conjugacy by the cyclic extension method.
-:func:`setwise_stabilizer` keeps Schreier generators only until the group
-they generate reaches |G| / |orbit|, so the orbit-stabilizer check is the
-loop's exit and no Schreier generator past that point is tested.  The
-enumeration works on indices into the sorted element list, listed by a
-single breadth-first search on byte strings: the points the generators
-move are numbered 0..k-1 (so k <= 256), an element is the bytes of its
-images, and each element becomes a tuple once.  Every product of two
+Both :func:`setwise_stabilizer` and the enumeration work on byte strings:
+the points the generators move are numbered 0..k-1 (so k <= 256) and an
+element is the bytes of its images.  :func:`setwise_stabilizer` tests
+every Schreier generator of the set's orbit against the element set of
+the group kept so far, grown by Dimino's cosets, so it builds no
+stabilizer chain.  The enumeration works on indices into the sorted
+element list, listed by a single breadth-first search on the byte codes,
+and each element becomes a tuple once.  Every product of two
 indices is formed when it is read, by one ``bytes.translate`` and one
 dict lookup, so memory stays linear in the order of the group; no table
 of all products is built.  A small generating set of the group (two
@@ -31,7 +32,7 @@ import random
 from dataclasses import dataclass, field
 from itertools import repeat
 from math import lcm
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .arith import factorint
 from .errors import NotSolvable, NotStabilized, TooLarge
@@ -255,49 +256,111 @@ class PermGroup:
         return lcm(*(perm_order(p) for p in self.elements(bound)))
 
 
-def setwise_stabilizer(g: PermGroup, points: set[int] | frozenset[int]) -> PermGroup:
-    """The subgroup { x in G : x(S) = S }, by Schreier generators on the set orbit.
+# -- byte codes ------------------------------------------------------------
 
-    The Schreier generators are taken in a fixed order (orbit members by
-    their sorted points, then the generators of G), and each one outside
-    the group of those kept so far is kept, until that group has order
-    |G| / |orbit of S|.  It is then the whole stabilizer (orbit-stabilizer),
-    and no later Schreier generator would be kept, so the orbit-stabilizer
-    check is the loop's exit test.  The generators returned form an
-    irredundant prefix chain: none lies in the group of those before it.
+
+def _support(generators: tuple[Perm, ...]) -> list[int]:
+    """The points that some generator moves, in increasing order."""
+    return sorted({x for g in generators for x, y in enumerate(g) if x != y})
+
+
+def _byte_codec(
+    group: PermGroup,
+) -> tuple[Callable[[Perm], bytes], Callable[[bytes], Perm], bytes]:
+    """Byte codes for the elements of G: (encode, decode, pad).
+
+    Point support[i] of the generators' support is byte i, so an element is
+    the bytes of its images, and g * x is ``x.translate(g + pad)`` with pad
+    the bytes k..255 for k moved points, one C call (hence k <= 256; more
+    raise TooLarge).  Byte strings sort as the permutations they encode do.
+    """
+    support = _support(group.generators)
+    k = len(support)
+    if k > 256:
+        raise TooLarge(f"group moves {k} points, more than the 256 a byte code encodes")
+    code = {x: i for i, x in enumerate(support)}
+
+    def encode(p: Perm) -> bytes:
+        return bytes([code[p[x]] for x in support])
+
+    if k == group.degree:
+        decode = tuple
+    else:
+        fixed = identity_perm(group.degree)
+
+        def decode(images: bytes) -> Perm:
+            p = list(fixed)
+            for x, c in zip(support, images):
+                p[x] = support[c]
+            return tuple(p)
+
+    return encode, decode, bytes(range(k, 256))
+
+
+def setwise_stabilizer(g: PermGroup, points: set[int] | frozenset[int]) -> PermGroup:
+    """The subgroup { x in G : x(S) = S }, by Schreier's lemma on the set orbit.
+
+    The Schreier generators of the orbit of S generate the stabilizer.  They
+    are taken in a fixed order (orbit members by their sorted points, then
+    the generators of G), and each one outside the group of those kept so
+    far is kept.  That group is held as the set of its elements' byte codes
+    (:func:`_byte_codec`), grown by Dimino's cosets each time a generator is
+    kept, so membership is one set lookup and no stabilizer chain is built,
+    neither for G nor for the group kept so far.  The generators returned
+    form an irredundant prefix chain: none lies in the group of those before
+    it.  Raises TooLarge once the stabilizer has more than
+    ELEMENT_LISTING_BOUND elements, or if G moves more than 256 points.
     """
     s0 = frozenset(points)
     if not s0 <= set(range(g.degree)):
         raise ValueError("points outside the domain")
-    ident = identity_perm(g.degree)
-    reps: dict[frozenset[int], Perm] = {s0: ident}
+    encode, decode, pad = _byte_codec(g)
+    ident = encode(identity_perm(g.degree))
+    gen_pads = [encode(gen) + pad for gen in g.generators]
+    reps: dict[frozenset[int], bytes] = {s0: ident}
     queue = [s0]
     for t in queue:
         rep = reps[t]
-        for gen in g.generators:
+        for gen, gen_pad in zip(g.generators, gen_pads):
             t2 = frozenset(gen[x] for x in t)
             if t2 not in reps:
-                reps[t2] = compose(gen, rep)
+                reps[t2] = rep.translate(gen_pad)  # gen * rep
                 queue.append(t2)
-    target, rest = divmod(g.order(), len(reps))
-    if rest:
-        raise AssertionError("orbit size does not divide the group order")
-    rep_invs = {t: inverse(rep) for t, rep in reps.items()}
-    schreier = (
-        compose(rep_invs[frozenset(gen[x] for x in t)], compose(gen, reps[t]))
-        for t in sorted(reps, key=sorted)
-        for gen in g.generators
-    )
-    stab = PermGroup(g.degree, [])
-    while stab.order() < target:
-        sg = next(schreier, None)
-        if sg is None:
-            break
-        if sg not in stab:
-            stab = PermGroup(g.degree, stab.generators + (sg,))
-    if stab.order() != target:
-        raise AssertionError("orbit-stabilizer mismatch in setwise_stabilizer")
-    return stab
+    k = len(ident)
+    rep_inv_pads = {
+        t: bytes(sorted(range(k), key=rep.__getitem__)) + pad for t, rep in reps.items()
+    }
+    kept: list[bytes] = []
+    kept_pads: list[bytes] = []
+    elements = [ident]
+    known = {ident}
+    for t in sorted(reps, key=sorted):
+        rep = reps[t]
+        for gen, gen_pad in zip(g.generators, gen_pads):
+            image = frozenset(gen[x] for x in t)
+            sg = rep.translate(gen_pad).translate(rep_inv_pads[image])
+            if sg in known:
+                continue
+            kept.append(sg)
+            kept_pads.append(sg + pad)
+            # Dimino: left cosets x H of the group H kept before, each coset
+            # representative multiplied by every kept generator
+            sub = list(elements)
+            coset_reps = [ident]
+            for x in coset_reps:
+                for kp in kept_pads:
+                    y = x.translate(kp)  # kept generator * x
+                    if y not in known:
+                        coset = [u.translate(y + pad) for u in sub]  # y H
+                        known.update(coset)
+                        elements += coset
+                        coset_reps.append(y)
+                        if len(elements) > ELEMENT_LISTING_BOUND:
+                            raise TooLarge(
+                                f"stabilizer of order over {ELEMENT_LISTING_BOUND} "
+                                "exceeds the element listing bound"
+                            )
+    return PermGroup(g.degree, [decode(c) for c in kept])
 
 
 def orbit_count(g: PermGroup, points: set[int] | frozenset[int]) -> int:
@@ -326,31 +389,22 @@ def orbit_count(g: PermGroup, points: set[int] | frozenset[int]) -> int:
 # -- subgroup enumeration (cyclic extension method) -----------------------
 
 
-def _support(generators: tuple[Perm, ...]) -> list[int]:
-    """The points that some generator moves, in increasing order."""
-    return sorted({x for g in generators for x, y in enumerate(g) if x != y})
-
-
 def _element_search(
     group: PermGroup,
 ) -> tuple[tuple[Perm, ...], list[bytes], dict[bytes, int], list[int]]:
     """The sorted elements of G, their byte codes, the index of each code and of each inverse.
 
-    A breadth-first search over the generators on ``bytes``: point
-    support[i] of the generators' support is byte i, so an element is the
-    bytes of its images, and g * x is ``x.translate(g + pad)`` with pad the
-    bytes k..255 for k moved points, one C call (hence k <= 256).  Each
-    element found as y = g x gets its inverse x^-1 g^-1 by one more call,
-    so the search tree yields every inverse.  Byte strings sort as the
-    permutations they encode do, so sorting the codes sorts the elements,
-    and each element becomes a ``Perm`` once.
+    A breadth-first search over the generators on the byte codes of
+    :func:`_byte_codec`.  Each element found as y = g x gets its inverse
+    x^-1 g^-1 by one more ``translate``, so the search tree yields every
+    inverse.  Byte strings sort as the permutations they encode do, so
+    sorting the codes sorts the elements, and each element becomes a
+    ``Perm`` once.
     """
-    support = _support(group.generators)
-    k = len(support)
-    code = {x: i for i, x in enumerate(support)}
-    pad = bytes(range(k, 256))
-    gen_codes = [bytes([code[g[x]] for x in support]) for g in group.generators]
+    encode, decode, pad = _byte_codec(group)
+    gen_codes = [encode(g) for g in group.generators]
     gen_pads = [c + pad for c in gen_codes]
+    k = 256 - len(pad)
     gen_inv_codes = [bytes(sorted(range(k), key=c.__getitem__)) for c in gen_codes]
     ident = bytes(range(k))
     found, found_inv = [ident], [ident]
@@ -370,17 +424,6 @@ def _element_search(
     codes = [found[old] for old in by_perm]
     ids = {c: i for i, c in enumerate(codes)}
     inv = [ids[found_inv[old]] for old in by_perm]
-    if k == group.degree:
-        decode = tuple
-    else:
-        fixed = identity_perm(group.degree)
-
-        def decode(images: bytes) -> Perm:
-            p = list(fixed)
-            for x, c in zip(support, images):
-                p[x] = support[c]
-            return tuple(p)
-
     return tuple(map(decode, codes)), codes, ids, inv
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations
+from math import comb
 from typing import Literal
 
 from .arith import is_rational_square, squarefree_part
@@ -29,7 +29,7 @@ from .errors import (
     WrongDegree,
 )
 from .intlinalg import FinAbGroup
-from .ratpoly import RationalPoly, discriminant, fraction_det, rational_roots, resultant
+from .ratpoly import RationalPoly, discriminant, rational_roots, resultant
 
 
 @dataclass(frozen=True)
@@ -94,51 +94,62 @@ class GeneralPositionReport:
         return out
 
 
-def _companion(monic: RationalPoly) -> list[list[Fraction]]:
-    n = monic.degree
-    cols = []
-    for j in range(n - 1):
-        cols.append([Fraction(1) if i == j + 1 else Fraction(0) for i in range(n)])
-    cols.append([-monic.coeff(i) for i in range(n)])
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
+def _triple_sum_product(f: RationalPoly, a: Fraction) -> Fraction:
+    """The product of the 20 sums of three distinct roots of H = F(t)F(t-a).
 
+    With r1, r2, r3 the roots of F and e1 their sum, the triple sums are
+    e1 and e1 + 3a once, e1 + a and e1 + 2a three times each, and
+    2r_i + r_j + a and 2r_i + r_j + 2a for the six ordered pairs i != j:
 
-def _triple_sum_determinant(h: RationalPoly) -> Fraction:
-    """det of the derivation operator on the third exterior power.
+        e1 (e1 + a)^3 (e1 + 2a)^3 (e1 + 3a) Q(a) Q(2a),
+        Q(c) = prod_{i != j} (2r_i + r_j + c).
 
-    The companion matrix C of monic H acts on Q^6; the operator
-    v_i^v_j^v_k -> Cv_i^v_j^v_k + v_i^Cv_j^v_k + v_i^v_j^Cv_k on the
-    20-dimensional third exterior power has eigenvalues exactly the sums
-    of three distinct roots of H, so its determinant vanishes iff some
-    three roots sum to zero.
+    These sums are the eigenvalues of the derivation induced by H's
+    companion matrix on the third exterior power of Q^6, so the product is
+    that operator's determinant.  Q(c) = sum_k E_k c^(6-k), where E_k are
+    the elementary symmetric functions of the six u_ij = 2r_i + r_j, found
+    by Newton's identities from their power sums
+
+        S_k = sum_m C(k, m) 2^m p_m p_(k-m) - 3^k p_k,
+
+    p_m being the power sums of r1, r2, r3 (p_0 = 3), themselves found by
+    Newton's identities from F's coefficients.  Everything is an integer:
+    for F = c3 t^3 + c2 t^2 + c1 t + c0 in lowest integer terms and
+    a = n/d, the D r_i with D = c3 d are the roots of a monic integer
+    cubic and D a = c3 n, so the product is computed for them and divided
+    by D^20 once.
     """
-    c = _companion(h.monic())
-    triples = list(combinations(range(6), 3))
-    index = {t: i for i, t in enumerate(triples)}
-    size = len(triples)
-    mat = [[Fraction(0)] * size for _ in range(size)]
-    for col, triple in enumerate(triples):
-        for slot in range(3):
-            for m in range(6):
-                coeff = c[m][triple[slot]]
-                if coeff == 0:
-                    continue
-                replaced = list(triple)
-                replaced[slot] = m
-                if len(set(replaced)) < 3:
-                    continue
-                sign = 1
-                ordered = sorted(replaced)
-                # parity of the permutation sorting a 3-tuple
-                inversions = sum(
-                    1
-                    for x, y in combinations(range(3), 2)
-                    if replaced[x] > replaced[y]
-                )
-                if inversions % 2:
-                    sign = -1
-                mat[index[tuple(ordered)]][col] += sign * coeff
-    return fraction_det(mat)
+    c0, c1, c2, c3 = f.integer_scaled()
+    d = a.denominator
+    scale = c3 * d
+    shift = c3 * a.numerator  # D a
+    # elementary symmetric functions of the D r_i, then their power sums
+    e = (1, -c2 * d, c1 * c3 * d * d, -c0 * c3 * c3 * d**3)
+    p = [3]
+    for k in range(1, 7):
+        pk = (-1) ** (k - 1) * k * e[k] if k <= 3 else 0
+        p.append(pk + sum((-1) ** (i - 1) * e[i] * p[k - i] for i in range(1, min(k, 4))))
+    # power sums of the D u_ij, then their elementary symmetric functions
+    s = [
+        sum(comb(k, m) * 2**m * p[m] * p[k - m] for m in range(k + 1)) - 3**k * p[k]
+        for k in range(7)
+    ]
+    big_e = [1]
+    for k in range(1, 7):
+        big_e.append(sum((-1) ** (i - 1) * big_e[k - i] * s[i] for i in range(1, k + 1)) // k)
+
+    def q(c: int) -> int:
+        acc = 0
+        for coefficient in big_e:
+            acc = acc * c + coefficient
+        return acc
+
+    e1 = e[1]
+    product = (
+        e1 * (e1 + shift) ** 3 * (e1 + 2 * shift) ** 3 * (e1 + 3 * shift)
+        * q(shift) * q(2 * shift)
+    )
+    return Fraction(product, scale**20)
 
 
 def general_position(f: RationalPoly, a) -> GeneralPositionReport:
@@ -154,7 +165,7 @@ def general_position(f: RationalPoly, a) -> GeneralPositionReport:
     res = resultant(f, shifted)
     distinct = disc_f != 0 and res != 0
     degree5 = h.coeff(5)
-    det = _triple_sum_determinant(h)
+    det = _triple_sum_product(f, a)
     return GeneralPositionReport(
         distinct_roots=distinct,
         degree5_nonzero=degree5 != 0,

@@ -145,6 +145,50 @@ def test_config_flag_override(tmp_path, capsys):
     assert json.loads(out)["result"]["invariants"]["factors"] == [3]
 
 
+def _request_outcomes(capsys, requests, fresh):
+    """(exit code, stdout, stderr) of each request, with a fresh parser each time or not."""
+    outcomes = []
+    for argv in requests:
+        if fresh:
+            cli._parser.cache_clear()
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+        captured = capsys.readouterr()
+        outcomes.append((code, captured.out, captured.err))
+    return outcomes
+
+
+def test_the_parser_built_once_answers_as_a_fresh_one(tmp_path, capsys, monkeypatch):
+    config = tmp_path / "settings.conf"
+    config.write_text("format=json\nd=-1\nn=4\n", encoding="utf-8")
+    requests = [
+        ["--format", "json", "invariants", "--d", "-3", "--n", "3"],
+        ["--config", str(config), "invariants"],
+        ["tables", "--case", "9"],  # a usage error: exit 2
+        ["classify", "--boundary", '{"type":"line_conic","intersection":"tangent"}'],
+        ["--config", str(config), "invariants", "--n", "3"],
+        [],  # no subcommand: usage, exit 2
+        ["example", "--poly", "-2,-2,1,1", "--a", "3"],
+        ["invariants", "--d", "-1", "--n", "4"],  # no format or config left over
+    ]
+    built = []
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    cli._parser.cache_clear()
+    shared = _request_outcomes(capsys, requests, fresh=False)
+    assert len(built) == 1
+    fresh = _request_outcomes(capsys, requests, fresh=True)
+    cli._parser.cache_clear()
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 0, 2, 0, 0, 2, 0, 0]
+    assert "invalid choice: 9" in shared[2][2]
+    assert json.loads(shared[1][1])["result"]["invariants"]["factors"] == [4]
+    assert json.loads(shared[4][1])["inputs"] == {"d": -1, "n": 3}  # --n beats the config
+    assert shared[7][1] == "invariants of M_-1/4(-1) over Q: Z/4\n"
+
+
 def test_config_rejects_unknown_keys(tmp_path, capsys):
     config = tmp_path / "settings.conf"
     config.write_text("volume=11\n", encoding="utf-8")
@@ -261,6 +305,33 @@ def test_classify_reads_a_boolean_eckardt(capsys):
         assert code == 0
         results.append(json.loads(out)["result"]["geometric_brauer"])
     assert results == ["zero", "full_twist"]
+
+
+@pytest.mark.parametrize(
+    "boundary, message",
+    [
+        ('{"type":"line_conic","intersection":"two_rational","eckardt":true}',
+         "eckardt applies only to three lines"),
+        ('{"type":"irreducible","kind":"cuspidal","eckardt":true}',
+         "eckardt applies only to three lines"),
+        ('{"type":"line_conic","intersection":"two_rational","eckardt":"yes"}',
+         "eckardt must be true or false, not 'yes'"),
+    ],
+)
+def test_classify_refuses_eckardt_off_three_lines(capsys, boundary, message):
+    """Once ignored on these kinds, so these inputs answered as if it were absent."""
+    code, out, err = run(capsys, "classify", "--boundary", boundary)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_classify_reads_eckardt_false_on_any_kind(capsys):
+    for boundary in ('{"type":"line_conic","intersection":"two_rational"%s}',
+                     '{"type":"irreducible","kind":"cuspidal"%s}'):
+        _, absent, _ = run(capsys, "--format", "json", "classify", "--boundary", boundary % "")
+        code, out, _ = run(
+            capsys, "--format", "json", "classify", "--boundary", boundary % ',"eckardt":false'
+        )
+        assert code == 0 and out == absent
 
 
 # sha256 of `--format json example --poly 1000003,-1,1,1 --auto-a 20`, as

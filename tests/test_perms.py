@@ -151,6 +151,38 @@ def test_trio_and_line_stabilizers_form_prefix_chains(trio_stabilizer):
     _assert_prefix_chain(setwise_stabilizer(weyl_group(), {0}), 1920)
 
 
+def test_setwise_stabilizer_builds_no_stabilizer_chain(monkeypatch):
+    """Membership is read from the element set of the group kept so far."""
+    from cubicbrauer.cubiclattice import reference_trio, weyl_group
+
+    w = PermGroup(27, weyl_group().generators)  # no chain built yet
+
+    def forbidden(self):
+        raise AssertionError("no Schreier-Sims chain in setwise_stabilizer")
+
+    monkeypatch.setattr(PermGroup, "_build_chain", forbidden)
+    stab = setwise_stabilizer(w, set(reference_trio().indices))
+    monkeypatch.undo()
+    assert stab.order() == 1152
+
+
+def test_setwise_stabilizer_refuses_past_the_listing_bound(monkeypatch):
+    from cubicbrauer import perms
+
+    s6 = PermGroup(6, [cyc(6, (0, 1)), cyc(6, tuple(range(6)))])
+    assert setwise_stabilizer(s6, {0}).order() == 120
+    monkeypatch.setattr(perms, "ELEMENT_LISTING_BOUND", 100)
+    with pytest.raises(TooLarge):
+        setwise_stabilizer(s6, {0})
+    assert setwise_stabilizer(s6, {0, 1}).order() == 48  # S2 x S4
+
+
+def test_setwise_stabilizer_refuses_more_than_256_moved_points():
+    group = PermGroup(300, [cyc(300, *((2 * i, 2 * i + 1) for i in range(129)))])
+    with pytest.raises(TooLarge):
+        setwise_stabilizer(group, {0, 1})
+
+
 def test_orbit_count():
     trivial = PermGroup(3, [])
     assert orbit_count(trivial, {0, 1, 2}) == 3

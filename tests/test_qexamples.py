@@ -7,6 +7,7 @@ from itertools import combinations
 
 import pytest
 
+from cubicbrauer.arith import is_rational_square
 from cubicbrauer.errors import (
     EckardtPoint,
     GeneralPositionFailed,
@@ -24,7 +25,7 @@ from cubicbrauer.qexamples import (
     find_admissible_a,
     general_position,
 )
-from cubicbrauer.ratpoly import RationalPoly, fraction_det, rational_roots
+from cubicbrauer.ratpoly import RationalPoly, discriminant, fraction_det, rational_roots
 
 P = RationalPoly.parse
 
@@ -88,9 +89,128 @@ def test_general_position_triple_sum():
     assert general_position(P("-2,-2,1,1"), 3).ok
 
 
+def _companion(monic: RationalPoly) -> list[list[Fraction]]:
+    n = monic.degree
+    cols = []
+    for j in range(n - 1):
+        cols.append([Fraction(1) if i == j + 1 else Fraction(0) for i in range(n)])
+    cols.append([-monic.coeff(i) for i in range(n)])
+    return [[cols[j][i] for j in range(n)] for i in range(n)]
+
+
+def _derivation_determinant(h: RationalPoly) -> Fraction:
+    """det of the derivation operator on the third exterior power (the second route).
+
+    The companion matrix C of monic H acts on Q^6; the operator
+    v_i^v_j^v_k -> Cv_i^v_j^v_k + v_i^Cv_j^v_k + v_i^v_j^Cv_k on the
+    20-dimensional third exterior power has eigenvalues exactly the sums
+    of three distinct roots of H, so its determinant is their product.
+    """
+    c = _companion(h.monic())
+    triples = list(combinations(range(6), 3))
+    index = {t: i for i, t in enumerate(triples)}
+    size = len(triples)
+    mat = [[Fraction(0)] * size for _ in range(size)]
+    for col, triple in enumerate(triples):
+        for slot in range(3):
+            for m in range(6):
+                coeff = c[m][triple[slot]]
+                if coeff == 0:
+                    continue
+                replaced = list(triple)
+                replaced[slot] = m
+                if len(set(replaced)) < 3:
+                    continue
+                # parity of the permutation sorting a 3-tuple
+                inversions = sum(
+                    1 for x, y in combinations(range(3), 2) if replaced[x] > replaced[y]
+                )
+                sign = -1 if inversions % 2 else 1
+                mat[index[tuple(sorted(replaced))]][col] += sign * coeff
+    return fraction_det(mat)
+
+
+def _from_roots(*roots) -> RationalPoly:
+    f = RationalPoly.from_coeffs([1])
+    for r in roots:
+        f = f * RationalPoly.from_coeffs([-Fraction(r), 1])
+    return f
+
+
+def _seeded_cubics(rng, count):
+    """(F, a) pairs cycling through the four Galois types, heights up to 10^6.
+
+    Each cubic is scaled by a random rational and, for the cyclic type,
+    Shanks' simplest cubic t^3 - m t^2 - (m+3) t - 1 is moved by t -> u t + v;
+    the shifts a are rationals with denominators up to 7.
+    """
+    for k in range(count):
+        kind = ("trivial", "c2", "c3", "s3")[k % 4]
+        height = 10 ** rng.randint(1, 6)
+        if kind == "trivial":
+            bound, q = round(height ** (1 / 3)), rng.randint(1, 3)
+            f = _from_roots(*(Fraction(r, q) for r in rng.sample(range(-bound, bound + 1), 3)))
+        elif kind == "c2":
+            # a negative discriminant b^2 - 4c keeps the quadratic factor irreducible
+            bound = round(height ** (1 / 3))
+            b = rng.randint(-bound, bound)
+            c = rng.randint(b * b // 4 + 1, b * b // 4 + bound * bound)
+            f = _from_roots(rng.randint(-bound, bound)) * RationalPoly.from_coeffs([c, b, 1])
+        elif kind == "c3":
+            m = rng.randint(-100, 100)
+            shanks = RationalPoly.from_coeffs([-1, -(m + 3), -m, 1])
+            u = Fraction(rng.randint(1, 9) * rng.choice((-1, 1)), rng.randint(1, 5))
+            f = shanks.shift(rng.randint(-20, 20))
+            f = RationalPoly.from_coeffs(c * u ** (3 - i) for i, c in enumerate(f.coefficients))
+        else:
+            f = RationalPoly.from_coeffs([rng.randint(-height, height) for _ in range(3)] + [1])
+        f = f.scaled(Fraction(rng.randint(1, 12) * rng.choice((-1, 1)), rng.randint(1, 12)))
+        a = Fraction(rng.randint(1, 40) * rng.choice((-1, 1)), rng.randint(1, 7))
+        yield kind, f, a
+
+
+def test_derivation_determinant_matches_the_exterior_power_operator():
+    import random
+
+    rng = random.Random(20260)
+    seen = dict.fromkeys(("trivial", "c2", "c3", "s3"), 0)
+    for kind, f, a in _seeded_cubics(rng, 204):
+        # the Galois type without the square class, which may need factoring
+        variant = {3: "trivial", 1: "c2"}.get(len(rational_roots(f)))
+        if variant is None:
+            variant = "c3" if is_rational_square(discriminant(f)) else "s3"
+        if kind == "s3" and variant != "s3":
+            continue  # a random cubic that happens to be reducible or cyclic
+        assert variant == kind, (f, kind)
+        det = general_position(f, a).derivation_determinant
+        assert det == _derivation_determinant(f * f.shift(a)), (f, a)
+        seen[kind] += 1
+    assert min(seen.values()) >= 45, seen
+
+
+@pytest.mark.parametrize("family", ["e1+0a", "e1+1a", "e1+2a", "e1+3a", "2ri+rj+a", "2ri+rj+2a"])
+def test_derivation_determinant_vanishes_on_each_zero_family(family):
+    # split cubics whose roots put one triple sum of each kind at zero
+    cases = 0
+    for r1, r2 in ((1, 5), (-2, 7), (Fraction(3, 2), -4)):
+        for a in (Fraction(1), Fraction(-2), Fraction(5, 3)):
+            if family.startswith("e1"):
+                k = int(family[3])
+                roots = (r1, r2, -r1 - r2 - k * a)  # e1 + k a = 0
+            else:
+                c = 1 if family == "2ri+rj+a" else 2
+                roots = (r1, -2 * r1 - c * a, r2)  # 2 r_1 + r_2 + c a = 0
+            f = _from_roots(*roots).scaled(Fraction(-3, 2))
+            report = general_position(f, a)
+            assert report.derivation_determinant == 0
+            assert not report.no_triple_sum_zero
+            assert _derivation_determinant(f * f.shift(a)) == 0
+            cases += 1
+    assert cases == 9
+
+
 def test_derivation_determinant_against_numeric_roots():
     mpmath = pytest.importorskip("mpmath")
-    from cubicbrauer.qexamples import _triple_sum_determinant
 
     mpmath.mp.dps = 60
     for text, a in (("-2,-2,1,1", 3), ("1,1,1,1", 2), ("-1,-2,1,1", 1), ("7,-3,2,1", 2)):
@@ -101,7 +221,7 @@ def test_derivation_determinant_against_numeric_roots():
         numeric = mpmath.mpf(1)
         for i, j, k in combinations(range(6), 3):
             numeric *= roots[i] + roots[j] + roots[k]
-        exact = _triple_sum_determinant(h)
+        exact = general_position(f, a).derivation_determinant
         assert abs(complex(numeric) - complex(Fraction(exact))) < 1e-25 * max(
             1.0, abs(complex(Fraction(exact)))
         )
