@@ -51,7 +51,7 @@ from .qexamples import (
     find_admissible_a,
     general_position,
 )
-from .ratpoly import RationalPoly, discriminant, resultant
+from .ratpoly import RationalPoly
 
 __version__ = "0.1.0"
 
@@ -72,7 +72,6 @@ __all__ = [
     "algebraic_tables",
     "cokernel_structure",
     "cubic_galois_type",
-    "discriminant",
     "eckardt_concurrent",
     "elementary_divisors",
     "example_brauer",
@@ -92,7 +91,6 @@ __all__ = [
     "qmodz_invariants",
     "quotient_by_trio",
     "reference_trio",
-    "resultant",
     "setwise_stabilizer",
     "snf",
     "torsion_free_line_conic",

@@ -56,7 +56,7 @@ from .intlinalg import (
     subgroup_structure_mod,
 )
 from .perms import PermGroup, orbit_count, perm_order, setwise_stabilizer
-from .qexamples import example_brauer, find_admissible_a
+from .qexamples import searched_example_brauer
 from .ratpoly import RationalPoly
 
 
@@ -425,8 +425,7 @@ def check_examples_end_to_end() -> CheckResult:
     for text, want in cases:
         poly = RationalPoly.parse(text)
         try:
-            outcome = find_admissible_a(poly, 20)
-            _, got = example_brauer(poly, outcome.a)
+            outcome, _, got = searched_example_brauer(poly, 20)
         except CubicBrauerError as exc:
             ok = False
             notes.append(f"{text}: {exc}")

@@ -41,7 +41,7 @@ from .cubiclattice import (
 from .errors import CubicBrauerError
 from .intlinalg import FinAbGroup
 from .perms import setwise_stabilizer
-from .qexamples import example_brauer, find_admissible_a
+from .qexamples import example_brauer, searched_example_brauer
 from .ratpoly import RationalPoly, parse_rational
 
 CONFIG_KEYS = ("format", "case", "d", "n", "poly", "a", "auto_a", "boundary")
@@ -240,20 +240,20 @@ def _cmd_example(args) -> int:
     poly = RationalPoly.parse(args.poly)
     rejected: list = []
     if args.auto_a is not None:
-        outcome = find_admissible_a(poly, args.auto_a)
+        outcome, galois, group = searched_example_brauer(poly, args.auto_a)
         a = outcome.a
         rejected = [{"a": str(r), "reason": why} for r, why in outcome.rejected]
     elif args.a is not None:
         a = parse_rational(args.a)
+        galois, group = example_brauer(poly, a)
     else:
         raise ValueError("example requires --a or --auto-a")
-    galois, group = example_brauer(poly, a)
     result = {
         "polynomial": [str(c) for c in poly.coefficients],
         "galois_type": {"type": galois.variant, "d": galois.d},
         "a": str(a),
         "rejected_a": rejected,
-        # example_brauer raises GeneralPositionFailed unless all three hold
+        # a shift that fails any of the three raises GeneralPositionFailed
         "general_position": {
             "distinct_roots": True,
             "degree5_nonzero": True,

@@ -9,6 +9,17 @@ is permuted by the Galois group of F; provided the lines are not
 concurrent, the transcendental Brauer group of the complement is the
 invariant group of the twisted boundary module, so the whole pipeline
 reduces to the cubic's Galois type.
+
+Every invariant here is computed in integers on the integral scaling
+F = c3 t^3 + c2 t^2 + c1 t + c0 of f = lambda F, each in closed form:
+disc(f) = lambda^4 disc(F); the rational roots by bisection
+(``ratpoly.monic_cubic_integer_roots``); Res(f, f(t - a)) =
+lambda^6 (-a^3 c3^2 ((c3^2 a^2 - D0)^2 a^2 - disc F)) with
+D0 = c2^2 - 3 c1 c3; the t^5 coefficient f3 (2 f2 - 3 a f3) of H; and
+the product of H's triple root sums.  ``tests/test_qexamples.py``
+checks each against its elimination route: the Sylvester resultant and
+discriminant and the rational-root-theorem listing of
+``tests/oracles.py``, and the 20x20 exterior-power operator.
 """
 
 from __future__ import annotations
@@ -19,7 +30,7 @@ from fractions import Fraction
 from math import comb
 from typing import Literal
 
-from .arith import is_rational_square, squarefree_part
+from .arith import is_perfect_square, squarefree_part
 from .brauer import BoundaryDescriptor, transcendental_bound
 from .errors import (
     EckardtPoint,
@@ -29,7 +40,7 @@ from .errors import (
     WrongDegree,
 )
 from .intlinalg import FinAbGroup
-from .ratpoly import RationalPoly, discriminant, rational_roots, resultant
+from .ratpoly import RationalPoly, cubic_discriminant, monic_cubic_integer_roots
 
 
 @dataclass(frozen=True)
@@ -47,24 +58,38 @@ class GaloisType:
             raise ValueError("trivial/c3 types carry no square class")
 
 
-def cubic_galois_type(f: RationalPoly) -> GaloisType:
-    """Galois group of a degree-3 separable polynomial over Q."""
+def _integral(f: RationalPoly) -> tuple[tuple[int, int, int, int], Fraction]:
+    """(c0, c1, c2, c3), the integral scaling F of a cubic f, and lambda with f = lambda F."""
     if f.is_zero() or f.degree != 3:
         raise WrongDegree("expected a cubic polynomial")
-    disc = discriminant(f)
+    c = f.integer_scaled()
+    return c, f.leading / c[3]
+
+
+def cubic_galois_type(f: RationalPoly) -> GaloisType:
+    """Galois group of a degree-3 separable polynomial over Q.
+
+    On f = lambda F, disc(f) = lambda^4 disc(F), and the rational roots of F
+    are u/c3 for the integer roots u of g(u) = u^3 + c2 u^2 + c1 c3 u +
+    c0 c3^2 = c3^2 F(u/c3).  With one such root, synthetic division gives
+    g = (u' - u)(u'^2 + qb u' + qc), and f's quadratic cofactor has the
+    discriminant lambda^2 (qb^2 - 4 qc).
+    """
+    (c0, c1, c2, c3), scale = _integral(f)
+    disc = cubic_discriminant(c0, c1, c2, c3)
     if disc == 0:
         raise NotSeparable("cubic has a repeated root")
-    roots = rational_roots(f)
+    roots = monic_cubic_integer_roots(c2, c1 * c3, c0 * c3 * c3)
     if len(roots) == 3:
         return GaloisType("trivial")
     if len(roots) == 1:
-        quadratic = f // RationalPoly((-roots[0], Fraction(1)))
-        qdisc = discriminant(quadratic)
-        return GaloisType("c2", squarefree_part(qdisc))
+        qb = c2 + roots[0]
+        qc = c1 * c3 + qb * roots[0]
+        return GaloisType("c2", squarefree_part(scale * scale * (qb * qb - 4 * qc)))
     # no rational root: irreducible cubic
-    if is_rational_square(disc):
+    if is_perfect_square(disc):
         return GaloisType("c3")
-    return GaloisType("s3", squarefree_part(disc))
+    return GaloisType("s3", squarefree_part(scale**4 * disc))
 
 
 # -- general position --------------------------------------------------------
@@ -94,7 +119,7 @@ class GeneralPositionReport:
         return out
 
 
-def _triple_sum_product(f: RationalPoly, a: Fraction) -> Fraction:
+def _triple_sum_product(c: tuple[int, int, int, int], a: Fraction) -> Fraction:
     """The product of the 20 sums of three distinct roots of H = F(t)F(t-a).
 
     With r1, r2, r3 the roots of F and e1 their sum, the triple sums are
@@ -119,7 +144,7 @@ def _triple_sum_product(f: RationalPoly, a: Fraction) -> Fraction:
     cubic and D a = c3 n, so the product is computed for them and divided
     by D^20 once.
     """
-    c0, c1, c2, c3 = f.integer_scaled()
+    c0, c1, c2, c3 = c
     d = a.denominator
     scale = c3 * d
     shift = c3 * a.numerator  # D a
@@ -152,22 +177,43 @@ def _triple_sum_product(f: RationalPoly, a: Fraction) -> Fraction:
     return Fraction(product, scale**20)
 
 
+def _shift_resultant(c: tuple[int, int, int, int], disc: int, a: Fraction) -> Fraction:
+    """Res(F(t), F(t - a)) for F = c3 t^3 + c2 t^2 + c1 t + c0 of discriminant disc.
+
+    It is c3^6 prod_{i,j} (r_i - r_j - a).  The three factors i = j give
+    -a^3; the pair (i, j), (j, i) gives a^2 - (r_i - r_j)^2.  The squared
+    differences sum to 2 D0 / c3^2 with D0 = c2^2 - 3 c1 c3, their pairwise
+    products sum to the square of half that (the differences sum to zero),
+    and they multiply to disc(F) / c3^4, so
+
+        Res = -a^3 c3^2 ((c3^2 a^2 - D0)^2 a^2 - disc F),
+
+    here with a = n/d cleared of its denominator d.
+    """
+    c0, c1, c2, c3 = c
+    n, d = a.numerator, a.denominator
+    d0 = c2 * c2 - 3 * c1 * c3
+    inner = (c3 * c3 * n * n - d0 * d * d) ** 2 * n * n - disc * d**6
+    return Fraction(-(n**3) * c3 * c3 * inner, d**9)
+
+
 def general_position(f: RationalPoly, a) -> GeneralPositionReport:
-    """Evaluate the three general-position conditions for H = F(t)F(t-a)."""
+    """Evaluate the three general-position conditions for H = F(t)F(t-a).
+
+    With f = lambda F, Res(f, f(t - a)) = lambda^6 Res(F, F(t - a)), and
+    H's t^5 coefficient is f3 (2 f2 - 3 a f3).
+    """
     a = Fraction(a)
-    if f.is_zero() or f.degree != 3:
-        raise WrongDegree("expected a cubic polynomial")
+    c, scale = _integral(f)
     if a == 0:
         raise ValueError("the shift a must be nonzero")
-    shifted = f.shift(a)  # F(t - a)
-    h = f * shifted
-    disc_f = discriminant(f)
-    res = resultant(f, shifted)
-    distinct = disc_f != 0 and res != 0
-    degree5 = h.coeff(5)
-    det = _triple_sum_product(f, a)
+    disc = cubic_discriminant(*c)
+    res = scale**6 * _shift_resultant(c, disc, a)
+    f2, f3 = f.coeff(2), f.coeff(3)
+    degree5 = f3 * (2 * f2 - 3 * a * f3)
+    det = _triple_sum_product(c, a)
     return GeneralPositionReport(
-        distinct_roots=distinct,
+        distinct_roots=disc != 0 and res != 0,
         degree5_nonzero=degree5 != 0,
         no_triple_sum_zero=det != 0,
         resultant_f_fshift=res,
@@ -253,6 +299,20 @@ def find_admissible_a(f: RationalPoly, bound: int = 20) -> SearchOutcome:
     raise NoAdmissibleShift(f"no admissible a found up to {bound}")
 
 
+def searched_example_brauer(
+    f: RationalPoly, bound: int = 20
+) -> tuple[SearchOutcome, GaloisType, FinAbGroup]:
+    """:func:`find_admissible_a`, then :func:`example_brauer` at the shift found.
+
+    The search has already passed that shift through general position and
+    the Eckardt test, so neither runs again.  The search's errors come
+    before the Galois type's, as when the two functions are called in turn.
+    """
+    outcome = find_admissible_a(f, bound)
+    galois = cubic_galois_type(f)
+    return outcome, galois, transcendental_bound(boundary_from_galois(galois))
+
+
 __all__ = [
     "EckardtVerdict",
     "GaloisType",
@@ -264,4 +324,5 @@ __all__ = [
     "example_brauer",
     "find_admissible_a",
     "general_position",
+    "searched_example_brauer",
 ]

@@ -1,17 +1,21 @@
-"""Exact univariate polynomials over Q.
+"""Exact univariate polynomials over Q, and closed forms for integral cubics.
 
-Coefficients are ``fractions.Fraction`` in ascending degree; all the
-arithmetic used downstream (products, shifts, resultants, discriminants,
-gcds, rational roots) is exact.
+Coefficients are ``fractions.Fraction`` in ascending degree; products,
+shifts, divisions and gcds are exact.  The example pipeline works on the
+integral scaling c3 t^3 + c2 t^2 + c1 t + c0 of a cubic instead, with no
+Fraction elimination: its discriminant is a closed form, and its rational
+roots are u/c3 for the integer roots u of the monic cubic
+u^3 + c2 u^2 + c1 c3 u + c0 c3^2, found by exact bisection between its
+critical points, with no factoring.  The Sylvester-matrix resultant and
+discriminant and the rational-root-theorem listing are the second route,
+in ``tests/oracles.py``; ``tests/test_ratpoly.py`` compares the two.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
-
-from .arith import factorint
+from math import gcd, isqrt, lcm
 
 
 def parse_rational(text: str) -> Fraction:
@@ -175,102 +179,56 @@ class RationalPoly:
         return " ".join([head] + terms[1:]) if len(terms) > 1 else head
 
 
-def resultant(f: RationalPoly, g: RationalPoly) -> Fraction:
-    """Resultant via the Sylvester matrix (exact fraction elimination)."""
-    if f.is_zero() or g.is_zero():
-        return Fraction(0)
-    m, n = f.degree, g.degree
-    if m == 0:
-        return f.leading**n
-    if n == 0:
-        return g.leading**m
-    size = m + n
-    rows = []
-    fc = list(reversed(f.coefficients))  # descending
-    gc = list(reversed(g.coefficients))
-    for i in range(n):
-        rows.append([Fraction(0)] * i + fc + [Fraction(0)] * (size - m - 1 - i))
-    for i in range(m):
-        rows.append([Fraction(0)] * i + gc + [Fraction(0)] * (size - n - 1 - i))
-    return fraction_det(rows)
+def cubic_discriminant(c0: int, c1: int, c2: int, c3: int) -> int:
+    """disc(c3 t^3 + c2 t^2 + c1 t + c0) = c3^4 prod_{i<j} (r_i - r_j)^2, in closed form."""
+    return (
+        c2 * c2 * c1 * c1 - 4 * c3 * c1**3 - 4 * c2**3 * c0 - 27 * c3 * c3 * c0 * c0
+        + 18 * c3 * c2 * c1 * c0
+    )
 
 
-def fraction_det(rows: list[list[Fraction]]) -> Fraction:
-    n = len(rows)
-    m = [row[:] for row in rows]
-    det = Fraction(1)
-    for k in range(n):
-        pivot_row = next((i for i in range(k, n) if m[i][k] != 0), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != k:
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            det = -det
-        pivot = m[k][k]
-        det *= pivot
-        inv = 1 / pivot
-        for i in range(k + 1, n):
-            if m[i][k]:
-                factor = m[i][k] * inv
-                m[i] = [a - factor * b for a, b in zip(m[i], m[k])]
-    return det
+def monic_cubic_integer_roots(b2: int, b1: int, b0: int) -> list[int]:
+    """The distinct integer roots of g(u) = u^3 + b2 u^2 + b1 u + b0, ascending.
 
+    g' = 3u^2 + 2 b2 u + b1 vanishes at (-b2 -+ sqrt(D0))/3, D0 = b2^2 - 3 b1.
+    When D0 > 0, g increases on the integers up to the floor of the first,
+    decreases up to the floor of the second and increases after it; both
+    floors follow from s = isqrt(D0).  Otherwise g increases everywhere.
+    Every real root lies within the Cauchy bound 1 + max |b_k|, so each
+    monotone piece holds at most one root, found by exact bisection.
+    """
 
-def discriminant(f: RationalPoly) -> Fraction:
-    """disc(f) = (-1)^(n(n-1)/2) Res(f, f') / lc(f)."""
-    n = f.degree
-    sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    return sign * resultant(f, f.derivative()) / f.leading
+    def g(u: int) -> int:
+        return ((u + b2) * u + b1) * u + b0
 
-
-def rational_roots(f: RationalPoly) -> list[Fraction]:
-    """All rational roots, with multiplicity, by the rational root theorem."""
-    if f.is_zero():
-        raise ValueError("zero polynomial")
-    roots: list[Fraction] = []
-    current = f
-    while not current.is_zero() and current.degree >= 1:
-        ints = current.integer_scaled()
-        k = 0
-        while ints[k] == 0:
-            k += 1
-        if k:
-            roots.extend([Fraction(0)] * k)
-            current = current.divmod(RationalPoly((0, 1) if k == 1 else tuple([0] * k + [1])))[0]
+    bound = 1 + max(abs(b2), abs(b1), abs(b0))
+    d0 = b2 * b2 - 3 * b1
+    if d0 > 0:
+        s = isqrt(d0)
+        # -sqrt(D0) lies in (-s - 1, -s) unless D0 is a perfect square
+        low = (-b2 - s - (s * s != d0)) // 3
+        high = (-b2 + s) // 3
+        pieces = ((-bound, low, 1), (low + 1, high, -1), (high + 1, bound, 1))
+    else:
+        pieces = ((-bound, bound, 1),)
+    roots = []
+    for lo, hi, sign in pieces:
+        if lo > hi or sign * g(lo) > 0 or sign * g(hi) < 0:
             continue
-        a0, an = abs(ints[0]), abs(ints[-1])
-        found = None
-        for p in sorted(_divisors(a0)):
-            for q in sorted(_divisors(an)):
-                for cand in (Fraction(p, q), Fraction(-p, q)):
-                    if current(cand) == 0:
-                        found = cand
-                        break
-                if found is not None:
-                    break
-            if found is not None:
-                break
-        if found is None:
-            break
-        roots.append(found)
-        current = current // RationalPoly((-found, Fraction(1)))
-    return sorted(roots)
-
-
-def _divisors(n: int) -> list[int]:
-    if n == 0:
-        return []
-    out = [1]
-    for p, e in factorint(n).items():
-        out = [d * p**k for d in out for k in range(e + 1)]
-    return sorted(out)
+        while lo < hi:  # the least u in [lo, hi] with sign * g(u) >= 0
+            mid = (lo + hi) // 2
+            if sign * g(mid) >= 0:
+                hi = mid
+            else:
+                lo = mid + 1
+        if g(lo) == 0:
+            roots.append(lo)
+    return roots
 
 
 __all__ = [
     "RationalPoly",
-    "discriminant",
-    "rational_roots",
-    "resultant",
-    "fraction_det",
+    "cubic_discriminant",
+    "monic_cubic_integer_roots",
     "parse_rational",
 ]

@@ -1,0 +1,123 @@
+"""Elimination routes for the cubic invariants that the library computes in closed form.
+
+The Sylvester-matrix resultant and discriminant, their Fraction
+determinant, and the rational roots by the rational root theorem over the
+divisors of the end coefficients.  ``cubicbrauer.ratpoly`` and
+``cubicbrauer.qexamples`` compute the same values in integers without
+elimination or factoring; the tests compare the two.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from cubicbrauer.arith import factorint, is_rational_square
+from cubicbrauer.ratpoly import RationalPoly
+
+
+def resultant(f: RationalPoly, g: RationalPoly) -> Fraction:
+    """Resultant via the Sylvester matrix (exact fraction elimination)."""
+    if f.is_zero() or g.is_zero():
+        return Fraction(0)
+    m, n = f.degree, g.degree
+    if m == 0:
+        return f.leading**n
+    if n == 0:
+        return g.leading**m
+    size = m + n
+    rows = []
+    fc = list(reversed(f.coefficients))  # descending
+    gc = list(reversed(g.coefficients))
+    for i in range(n):
+        rows.append([Fraction(0)] * i + fc + [Fraction(0)] * (size - m - 1 - i))
+    for i in range(m):
+        rows.append([Fraction(0)] * i + gc + [Fraction(0)] * (size - n - 1 - i))
+    return fraction_det(rows)
+
+
+def fraction_det(rows: list[list[Fraction]]) -> Fraction:
+    n = len(rows)
+    m = [row[:] for row in rows]
+    det = Fraction(1)
+    for k in range(n):
+        pivot_row = next((i for i in range(k, n) if m[i][k] != 0), None)
+        if pivot_row is None:
+            return Fraction(0)
+        if pivot_row != k:
+            m[k], m[pivot_row] = m[pivot_row], m[k]
+            det = -det
+        pivot = m[k][k]
+        det *= pivot
+        inv = 1 / pivot
+        for i in range(k + 1, n):
+            if m[i][k]:
+                factor = m[i][k] * inv
+                m[i] = [a - factor * b for a, b in zip(m[i], m[k])]
+    return det
+
+
+def discriminant(f: RationalPoly) -> Fraction:
+    """disc(f) = (-1)^(n(n-1)/2) Res(f, f') / lc(f)."""
+    n = f.degree
+    sign = -1 if (n * (n - 1) // 2) % 2 else 1
+    return sign * resultant(f, f.derivative()) / f.leading
+
+
+def rational_roots(f: RationalPoly) -> list[Fraction]:
+    """All rational roots, with multiplicity, by the rational root theorem."""
+    if f.is_zero():
+        raise ValueError("zero polynomial")
+    roots: list[Fraction] = []
+    current = f
+    while not current.is_zero() and current.degree >= 1:
+        ints = current.integer_scaled()
+        k = 0
+        while ints[k] == 0:
+            k += 1
+        if k:
+            roots.extend([Fraction(0)] * k)
+            current = current.divmod(RationalPoly((0, 1) if k == 1 else tuple([0] * k + [1])))[0]
+            continue
+        a0, an = abs(ints[0]), abs(ints[-1])
+        found = None
+        for p in sorted(_divisors(a0)):
+            for q in sorted(_divisors(an)):
+                for cand in (Fraction(p, q), Fraction(-p, q)):
+                    if current(cand) == 0:
+                        found = cand
+                        break
+                if found is not None:
+                    break
+            if found is not None:
+                break
+        if found is None:
+            break
+        roots.append(found)
+        current = current // RationalPoly((-found, Fraction(1)))
+    return sorted(roots)
+
+
+def galois_type(f: RationalPoly, roots=None) -> tuple[str, Fraction | None]:
+    """A separable cubic's Galois type by elimination, without factoring its class.
+
+    Returns the variant and, for c2 and s3, a rational whose square class is
+    d: the discriminant of the quadratic cofactor, or of the cubic.  ``roots``
+    are the rational roots when known from a construction; by default they
+    are listed from divisors.
+    """
+    roots = sorted(set(rational_roots(f) if roots is None else map(Fraction, roots)))
+    if len(roots) == 3:
+        return "trivial", None
+    if len(roots) == 1:
+        return "c2", discriminant(f // RationalPoly((-roots[0], Fraction(1))))
+    disc = discriminant(f)
+    return ("c3", None) if is_rational_square(disc) else ("s3", disc)
+
+
+def _divisors(n: int) -> list[int]:
+    if n == 0:
+        return []
+    out = [1]
+    for p, e in factorint(n).items():
+        out = [d * p**k for d in out for k in range(e + 1)]
+    return sorted(out)

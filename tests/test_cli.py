@@ -364,6 +364,43 @@ def test_example_computes_the_galois_type_once(capsys, monkeypatch):
     assert hashlib.sha256(out.encode()).hexdigest() == EXAMPLE_JSON_SHA256
 
 
+def test_auto_a_tests_each_shift_once(capsys, monkeypatch):
+    from cubicbrauer import qexamples
+
+    shifts = []
+    general_position = qexamples.general_position
+
+    def counted(f, a):
+        shifts.append(a)
+        return general_position(f, a)
+
+    monkeypatch.setattr(qexamples, "general_position", counted)
+    code, out, _ = run(capsys, "example", "--poly", "-2,-2,1,1", "--auto-a", "20")
+    assert code == 0 and "a = 3 " in out
+    assert shifts == [1, 2, 3]  # 1 fails general position, 2 is concurrent
+
+
+def test_example_finds_a_rational_root_past_the_trial_division_bound(capsys):
+    # (t^2 + 1)(t - 1000036000099), and 1000036000099 = 1000003 * 1000033
+    argv = ("example", "--poly", "-1000036000099,1,-1000036000099,1", "--auto-a", "20")
+    code, out, err = run(capsys, "--format", "json", *argv)
+    assert code == 0 and err == ""
+    result = json.loads(out)["result"]
+    assert result["galois_type"] == {"type": "c2", "d": -1}
+    assert result["brauer_quotient"] == {"free_rank": 0, "factors": [4]}
+
+
+def test_example_without_rational_roots_names_the_discriminant_it_cannot_class(capsys):
+    # t^3 + t + (10^9 + 7)(10^9 + 9): no rational root, and the square class
+    # of the discriminant needs a 38-digit composite factored
+    code, out, err = run(capsys, "example", "--poly", "1000000016000000063,1,0,1", "--a", "1")
+    assert code == 1 and out == ""
+    assert err.startswith(
+        "error: cannot find the square class of -27000000864000010314000054432000107167: "
+    )
+    assert err.count("\n") == 1
+
+
 def test_invariants_of_a_product_of_two_primes_above_the_bound(capsys):
     # 100000980001501 = 10000019 * 10000079, both above the trial-division bound
     code, out, _ = run(capsys, "--format", "json", "invariants", "--d", "100000980001501", "--n", "4")

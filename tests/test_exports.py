@@ -38,3 +38,12 @@ def test_module_exports_resolve(name):
     missing = [attr for attr in exported if not hasattr(module, attr)]
     assert not missing
     assert set(exported) <= set(_star_import(module.__name__))
+
+
+def test_elimination_routes_stay_in_the_tests():
+    # the Sylvester and divisor-listing routes live in tests/oracles.py
+    import cubicbrauer.ratpoly
+
+    for name in ("discriminant", "resultant", "fraction_det", "rational_roots"):
+        assert not hasattr(cubicbrauer, name)
+        assert not hasattr(cubicbrauer.ratpoly, name)

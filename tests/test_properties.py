@@ -1,4 +1,4 @@
-"""Property tests: square classes, twisted invariants and the boundary parser."""
+"""Property tests: square classes, twisted invariants, the boundary parser and examples."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import contextlib
 import io
 import json
 from fractions import Fraction
-from math import prod
+from math import isqrt, prod
 
 import pytest
 
@@ -14,10 +14,13 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from oracles import galois_type  # noqa: E402
+
 from cubicbrauer.acceptance import twist_invariants_by_listing  # noqa: E402
 from cubicbrauer.arith import is_rational_square, squarefree_part  # noqa: E402
 from cubicbrauer.brauer import twist_invariants  # noqa: E402
 from cubicbrauer.cli import main  # noqa: E402
+from cubicbrauer.ratpoly import RationalPoly  # noqa: E402
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 997, 999983)
 # primes above the trial-division bound 10^6; any two multiply to below 10^18
@@ -109,3 +112,49 @@ def test_classify_answers_or_reports_one_error_line(boundary):
     else:
         assert code == 1 and out.getvalue() == ""
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+HEIGHT = 10**6
+# small numerators give zero coefficients, repeated roots and failing shifts
+rationals = st.builds(
+    Fraction, st.integers(-3, 3) | st.integers(-HEIGHT, HEIGHT), st.integers(1, 12)
+)
+
+
+@st.composite
+def example_cubics(draw):
+    """(F, its rational roots or None): built from a root and a monic quadratic
+    t^2 + bt + c, or drawn coefficient by coefficient (roots then listed from
+    divisors, which the small heights keep cheap)."""
+    if draw(st.booleans()):
+        r = draw(rationals)
+        b, c = draw(st.integers(-HEIGHT, HEIGHT)), draw(st.integers(-HEIGHT, HEIGHT))
+        f = RationalPoly.from_coeffs([-r, 1]) * RationalPoly.from_coeffs([c, b, 1])
+        roots = [r]
+        s = b * b - 4 * c
+        if s >= 0 and isqrt(s) ** 2 == s:
+            roots += [Fraction(-b + isqrt(s), 2), Fraction(-b - isqrt(s), 2)]
+        return f.scaled(draw(rationals.filter(bool))), roots
+    coeffs = [draw(rationals) for _ in range(3)] + [draw(rationals.filter(bool))]
+    return RationalPoly.from_coeffs(coeffs), None
+
+
+@settings(max_examples=40, deadline=None)
+@given(example_cubics(), rationals, st.integers(0, 4))
+def test_example_answers_or_reports_one_error_line(cubic, a, auto):
+    f, roots = cubic
+    poly = ",".join(str(c) for c in f.coefficients)
+    shift = ["--auto-a", str(auto)] if auto else ["--a", str(a)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["--format", "json", "example", f"--poly={poly}", *shift])
+    if code != 0:
+        assert code == 1 and out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        return
+    assert err.getvalue() == ""
+    got = json.loads(out.getvalue())["result"]["galois_type"]
+    variant, d_class = galois_type(f, roots)
+    assert got["type"] == variant
+    if d_class is not None:
+        assert is_rational_square(d_class / got["d"])

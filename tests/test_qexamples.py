@@ -7,6 +7,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from oracles import discriminant, fraction_det, galois_type, rational_roots, resultant
 
 from cubicbrauer.arith import is_rational_square
 from cubicbrauer.errors import (
@@ -14,6 +15,7 @@ from cubicbrauer.errors import (
     GeneralPositionFailed,
     NoAdmissibleShift,
     NotSeparable,
+    TooLarge,
     WrongDegree,
 )
 from cubicbrauer.intlinalg import FinAbGroup
@@ -26,7 +28,7 @@ from cubicbrauer.qexamples import (
     find_admissible_a,
     general_position,
 )
-from cubicbrauer.ratpoly import RationalPoly, discriminant, fraction_det, rational_roots
+from cubicbrauer.ratpoly import RationalPoly, cubic_discriminant, monic_cubic_integer_roots
 
 P = RationalPoly.parse
 
@@ -174,10 +176,7 @@ def test_derivation_determinant_matches_the_exterior_power_operator():
     rng = random.Random(20260)
     seen = dict.fromkeys(("trivial", "c2", "c3", "s3"), 0)
     for kind, f, a in _seeded_cubics(rng, 204):
-        # the Galois type without the square class, which may need factoring
-        variant = {3: "trivial", 1: "c2"}.get(len(rational_roots(f)))
-        if variant is None:
-            variant = "c3" if is_rational_square(discriminant(f)) else "s3"
+        variant, _ = galois_type(f)
         if kind == "s3" and variant != "s3":
             continue  # a random cubic that happens to be reducible or cyclic
         assert variant == kind, (f, kind)
@@ -221,6 +220,90 @@ def test_derivation_determinant_against_numeric_roots():
         assert abs(complex(numeric) - complex(Fraction(exact))) < 1e-25 * max(
             1.0, abs(complex(Fraction(exact)))
         )
+
+
+def _assert_closed_forms_match_elimination(f: RationalPoly, a: Fraction, roots) -> None:
+    """disc, Res(f, f(t - a)), H's t^5 coefficient and the rational roots, both routes.
+
+    ``roots`` are F's rational roots, from the divisor listing or from the
+    construction where that listing cannot factor.
+    """
+    shifted = f.shift(a)
+    report = general_position(f, a)
+    res, disc = resultant(f, shifted), discriminant(f)
+    assert report.resultant_f_fshift == res, (f, a)
+    assert report.degree5_coefficient == (f * shifted).coeff(5), (f, a)
+    assert report.distinct_roots == (disc != 0 and res != 0)
+    c0, c1, c2, c3 = c = f.integer_scaled()
+    assert (f.leading / c3) ** 4 * cubic_discriminant(*c) == disc, f
+    found = monic_cubic_integer_roots(c2, c1 * c3, c0 * c3 * c3)
+    assert found == sorted(found)
+    assert sorted(Fraction(u, c3) for u in found) == sorted(set(map(Fraction, roots))), f
+
+
+def _assert_galois_type_matches(f: RationalPoly, variant: str, d_class) -> None:
+    """cubic_galois_type against the elimination routes, d by its square class."""
+    try:
+        galois = cubic_galois_type(f)
+    except TooLarge:  # a printed d whose cofactor cannot be classed
+        return
+    assert galois.variant == variant, f
+    if d_class is not None:
+        assert is_rational_square(d_class / galois.d), f
+
+
+def _special_cubics():
+    """(F, its rational roots): repeated roots, zero constant terms, roots at
+    and around the critical points of the monic integer cubic, and roots
+    near its Cauchy bound, where the divisor listing cannot factor."""
+    n = 1000036000099  # 1000003 * 1000033
+    for roots, scale in (
+        ((2, 2, -5), 1),  # a double root is a critical point
+        ((Fraction(3, 7),) * 3, 1),  # D0 = 0
+        ((0, 0, 4), 1),
+        ((0, 1, -1), 1),  # critical points at +-1/sqrt(3), between the roots
+        ((-1, 0, 1), -5),
+        ((7, 8, 9), 1),
+        ((Fraction(7, 3), Fraction(8, 3), 3), -9),
+        ((-3, -2, 11), -4),
+        ((Fraction(1, 100), 1, n), -1000000),
+    ):
+        yield _from_roots(*roots).scaled(scale), roots
+    yield _from_roots(0) * P("3,-1,1"), (0,)  # zero constant term, irreducible quadratic
+    yield P(f"{-n},1,{-n},1"), (n,)  # (t^2 + 1)(t - n): the root is the Cauchy bound less one
+    yield P(f"{n},1,{n},1"), (-n,)  # (t^2 + 1)(t + n)
+    yield P(f"{n},-1,{-n},1"), (1, -1, n)
+    yield P("-1,0,0,1000000").scaled(-1), (Fraction(1, 100),)  # negative leading coefficient
+
+
+def test_closed_forms_match_the_elimination_routes():
+    rng = random.Random(20261)
+    seen = dict.fromkeys(("trivial", "c2", "c3", "s3"), 0)
+    for k, (kind, f, a) in enumerate(_seeded_cubics(rng, 860)):
+        roots = rational_roots(f)
+        variant, d_class = galois_type(f, roots)
+        if k < 200:  # squarefree_part trial-divides each printed d
+            _assert_galois_type_matches(f, variant, d_class)
+        if kind == "s3" and variant != "s3":
+            continue  # a random cubic that happens to be reducible or cyclic
+        assert variant == kind, (f, kind)
+        _assert_closed_forms_match_elimination(f, a, roots)
+        seen[kind] += 1
+    assert min(seen.values()) >= 200, seen
+    for f, roots in _special_cubics():
+        for a in (Fraction(1), Fraction(-2, 3), Fraction(7, 5)):
+            _assert_closed_forms_match_elimination(f, a, roots)
+
+
+@pytest.mark.parametrize("i,j", [(0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1)])
+def test_shift_resultant_vanishes_on_each_zero_family(i, j):
+    # a = r_i - r_j puts the root r_i of F among the roots r + a of F(t - a)
+    for roots in ((1, 5, -3), (Fraction(3, 2), -4, 0), (-7, Fraction(2, 9), 13)):
+        f = _from_roots(*roots).scaled(Fraction(-3, 2))
+        a = Fraction(roots[i]) - Fraction(roots[j])
+        report = general_position(f, a)
+        assert report.resultant_f_fshift == 0 == resultant(f, f.shift(a))
+        assert not report.distinct_roots
 
 
 def test_eckardt_verdicts():

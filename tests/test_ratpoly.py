@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from cubicbrauer.ratpoly import RationalPoly, discriminant, rational_roots, resultant
+from oracles import discriminant, rational_roots, resultant
+
+from cubicbrauer.ratpoly import RationalPoly
 
 P = RationalPoly.from_coeffs
 
