@@ -17,10 +17,9 @@ Two computations live here.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cache
 from math import gcd
-from typing import Literal
+from typing import Literal, NamedTuple
 
 from .arith import is_perfect_square, is_rational_square, prime_power, squarefree_part
 from .cubiclattice import pic_module, quotient_by_trio, reference_trio, weyl_group
@@ -40,7 +39,6 @@ _CASES = {
 _NEEDS_D = {"quadratic", "nodal_nonsplit", "c2", "s3"}
 
 
-@dataclass(frozen=True)
 class BoundaryDescriptor:
     """Case data for a singular hyperplane section.
 
@@ -48,29 +46,74 @@ class BoundaryDescriptor:
     the case within the kind; d is the square class of the splitting
     quadratic field where one is involved (normalized to its squarefree
     representative); eckardt only applies to three concurrent lines.
+    Immutable: the fields are set once, by the validating constructor.
     """
 
-    kind: Literal["line_conic", "irreducible", "three_lines"]
-    sub: str
-    d: int | None = None
-    eckardt: bool = False
+    __slots__ = ("kind", "sub", "d", "eckardt")
 
-    def __post_init__(self):
-        if self.kind not in _CASES:
-            raise ValueError(f"unknown boundary kind {self.kind!r}")
-        if self.sub not in _CASES[self.kind][1]:
-            raise ValueError(f"unknown case {self.sub!r} for {self.kind}")
-        if self.eckardt and self.kind != "three_lines":
+    def __init__(
+        self,
+        kind: Literal["line_conic", "irreducible", "three_lines"],
+        sub: str,
+        d: int | None = None,
+        eckardt: bool = False,
+    ):
+        self._set(kind, sub, d, eckardt, normalize=True)
+
+    @classmethod
+    def _of_squarefree(cls, kind: str, sub: str, d: int | None = None) -> BoundaryDescriptor:
+        """A descriptor whose d is already its squarefree representative.
+
+        Every check of the constructor runs, but d is not trial-divided
+        again; for a d that ``squarefree_part`` has just returned.
+        """
+        self = object.__new__(cls)
+        self._set(kind, sub, d, False, normalize=False)
+        return self
+
+    def _set(self, kind, sub, d, eckardt, normalize: bool) -> None:
+        if kind not in _CASES:
+            raise ValueError(f"unknown boundary kind {kind!r}")
+        if sub not in _CASES[kind][1]:
+            raise ValueError(f"unknown case {sub!r} for {kind}")
+        if eckardt and kind != "three_lines":
             raise ValueError("eckardt applies only to three lines")
-        if self.sub in _NEEDS_D:
-            if self.d is None:
-                raise ValueError(f"case {self.sub!r} requires a square class d")
-            d = squarefree_part(self.d)
+        if sub in _NEEDS_D:
+            if d is None:
+                raise ValueError(f"case {sub!r} requires a square class d")
+            if normalize:
+                d = squarefree_part(d)
             if d == 1:
                 raise ValueError("d must define a nontrivial quadratic extension")
-            object.__setattr__(self, "d", d)
-        elif self.d is not None:
-            raise ValueError(f"case {self.sub!r} takes no square class")
+        elif d is not None:
+            raise ValueError(f"case {sub!r} takes no square class")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "sub", sub)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "eckardt", eckardt)
+
+    def __setattr__(self, *a):  # immutability
+        raise AttributeError("BoundaryDescriptor is immutable")
+
+    def __reduce__(self):
+        return (BoundaryDescriptor, self._key())
+
+    def _key(self) -> tuple:
+        return (self.kind, self.sub, self.d, self.eckardt)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not BoundaryDescriptor:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"BoundaryDescriptor(kind={self.kind!r}, sub={self.sub!r}, d={self.d!r}, "
+            f"eckardt={self.eckardt!r})"
+        )
 
     # JSON wire format, consumed by the CLI
     def to_json(self) -> dict:
@@ -120,8 +163,7 @@ def _json_integer(value, field: str) -> int:
     raise ValueError(f"{field}: d must be an integer, not {value!r}")
 
 
-@dataclass(frozen=True)
-class GeometricBrauer:
+class GeometricBrauer(NamedTuple):
     """Br(Ubar) as a Galois-module descriptor."""
 
     kind: Literal["zero", "full_twist", "d_twist"]
@@ -269,8 +311,7 @@ def transcendental_bound(boundary: BoundaryDescriptor) -> FinAbGroup:
 # -- the algebraic tables ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TablePair:
+class TablePair(NamedTuple):
     """A possibility for (Br_1(U)/Br(k), Br(X)/Br(k))."""
 
     br1: FinAbGroup
@@ -288,8 +329,7 @@ class TablePair:
         return {"br1": self.br1.to_json(), "brx": self.brx.to_json()}
 
 
-@dataclass(frozen=True)
-class SweepEntry:
+class SweepEntry(NamedTuple):
     orbits: int
     pair: TablePair
 

@@ -15,34 +15,59 @@ description for cyclic groups.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import NotCyclic
 from .intlinalg import FinAbGroup, IntMatrix, cokernel_structure, kernel_basis, solve_columns
 from .perms import Perm, PermGroup, compose, identity_perm, perm_order
 
 
-@dataclass(frozen=True)
 class LatticeGModule:
     """A lattice Z^rank with a finite group acting by unimodular matrices.
 
     ``matrices[i]`` is the action of ``group.generators[i]``; the assignment
     is assumed (and spot-checked in tests) to extend to a homomorphism.
+    Immutable but for the matrix of every group element, which
+    :meth:`action_of` lists once into the ``_matrix_cache`` slot; equality,
+    hashing and copies ignore that cache.
     """
 
-    rank: int
-    group: PermGroup
-    matrices: tuple[IntMatrix, ...]
+    __slots__ = ("rank", "group", "matrices", "_matrix_cache")
 
-    def __post_init__(self):
-        if len(self.matrices) != len(self.group.generators):
+    def __init__(self, rank: int, group: PermGroup, matrices: tuple[IntMatrix, ...]):
+        if len(matrices) != len(group.generators):
             raise ValueError("one action matrix per group generator required")
-        for m in self.matrices:
-            if m.rows != self.rank or m.cols != self.rank:
+        for m in matrices:
+            if m.rows != rank or m.cols != rank:
                 raise ValueError("action matrix of wrong shape")
             if m.det() not in (1, -1):
                 raise ValueError("action matrices must be unimodular")
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "matrices", matrices)
         object.__setattr__(self, "_matrix_cache", None)
+
+    def __setattr__(self, *a):  # immutability
+        raise AttributeError("LatticeGModule is immutable")
+
+    def __reduce__(self):
+        return (LatticeGModule, (self.rank, self.group, self.matrices))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not LatticeGModule:
+            return NotImplemented
+        return (self.rank, self.group, self.matrices) == (
+            other.rank,
+            other.group,
+            other.matrices,
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.rank, self.group, self.matrices))
+
+    def __repr__(self) -> str:
+        return (
+            f"LatticeGModule(rank={self.rank!r}, group={self.group!r}, "
+            f"matrices={self.matrices!r})"
+        )
 
     def action_of(self, p: Perm) -> IntMatrix:
         """Matrix of an arbitrary group element.
@@ -51,7 +76,7 @@ class LatticeGModule:
         generator words, keeping each element's matrix; every later call
         is a lookup.
         """
-        cache = object.__getattribute__(self, "_matrix_cache")
+        cache = self._matrix_cache
         if cache is None:
             ident = identity_perm(self.group.degree)
             cache = {ident: IntMatrix.identity(self.rank)}

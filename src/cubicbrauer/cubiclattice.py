@@ -12,7 +12,6 @@ the Weyl group W(E6) of order 51840, realized here as permutations of the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, lru_cache
 from itertools import combinations
 from typing import NamedTuple, Sequence
@@ -209,8 +208,7 @@ def pic_module(group: PermGroup) -> LatticeGModule:
     )
 
 
-@dataclass(frozen=True)
-class QuotientLattice:
+class QuotientLattice(NamedTuple):
     """Pic(Ubar) = Pic(Xbar) / <boundary trio> with the induced action."""
 
     trio: TritangentTrio

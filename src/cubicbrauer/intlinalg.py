@@ -22,9 +22,8 @@ results from rows that are already tuples of ints and skips that pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add, index, mul, neg, sub
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .arith import factorint
 
@@ -232,8 +231,7 @@ class IntMatrix:
         return f"IntMatrix({[list(r) for r in self.data]})"
 
 
-@dataclass(frozen=True)
-class SmithForm:
+class SmithForm(NamedTuple):
     """U @ A @ V = S with U, V unimodular and S the Smith normal form of A."""
 
     U: IntMatrix
@@ -419,26 +417,49 @@ def mod_kernel(a: IntMatrix, n: int) -> list[tuple[int, ...]]:
     return out
 
 
-@dataclass(frozen=True)
 class FinAbGroup:
     """Isomorphism type of a finitely generated abelian group.
 
     ``invariant_factors`` is the canonical divisibility chain (no unit
-    factors); equality of values is isomorphism of groups.
+    factors); equality of values is isomorphism of groups.  Immutable: the
+    fields are set once, by the validating constructor.
     """
 
-    free_rank: int
-    invariant_factors: tuple[int, ...] = ()
+    __slots__ = ("free_rank", "invariant_factors")
 
-    def __post_init__(self):
-        if self.free_rank < 0:
+    def __init__(self, free_rank: int, invariant_factors: Iterable[int] = ()):
+        if free_rank < 0:
             raise ValueError("negative free rank")
-        fac = tuple(int(d) for d in self.invariant_factors)
-        object.__setattr__(self, "invariant_factors", fac)
+        fac = tuple(int(d) for d in invariant_factors)
         if any(d <= 1 for d in fac):
             raise ValueError("invariant factors must exceed 1")
         if any(fac[i + 1] % fac[i] for i in range(len(fac) - 1)):
             raise ValueError("invariant factors must form a divisibility chain")
+        object.__setattr__(self, "free_rank", free_rank)
+        object.__setattr__(self, "invariant_factors", fac)
+
+    def __setattr__(self, *a):  # immutability
+        raise AttributeError("FinAbGroup is immutable")
+
+    def __reduce__(self):
+        return (FinAbGroup, (self.free_rank, self.invariant_factors))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not FinAbGroup:
+            return NotImplemented
+        return (
+            self.free_rank == other.free_rank
+            and self.invariant_factors == other.invariant_factors
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.free_rank, self.invariant_factors))
+
+    def __repr__(self) -> str:
+        return (
+            f"FinAbGroup(free_rank={self.free_rank!r}, "
+            f"invariant_factors={self.invariant_factors!r})"
+        )
 
     @classmethod
     def trivial(cls) -> FinAbGroup:

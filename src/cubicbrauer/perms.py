@@ -2,9 +2,16 @@
 
 Permutations on {0, ..., n-1} are image tuples; (p * q)(x) = p(q(x)) is
 realized by :func:`compose`.  :class:`PermGroup` keeps a verified
-stabilizer chain (Schreier-Sims) for exact orders and membership, lists
-elements for groups up to a configurable bound, and enumerates subgroups
-of solvable groups up to conjugacy by the cyclic extension method.
+stabilizer chain (Schreier-Sims) for membership, lists elements for
+groups up to a configurable bound, and enumerates subgroups of solvable
+groups up to conjugacy by the cyclic extension method.  A group's order
+comes from one of two listings.  A group returned by
+:func:`setwise_stabilizer` carries the number of elements its Dimino
+listing found; any other group multiplies the orbit lengths of its
+stabilizer chain, built on the first call to ``order()``.  The
+enumeration's breadth-first element search checks its own count against
+that order, so on the table sweep's path two independent listings of the
+trio stabilizer check each other and no chain is built.
 Both :func:`setwise_stabilizer` and the enumeration work on byte strings:
 the points the generators move are numbered 0..k-1 (so k <= 256) and an
 element is the bytes of its images.  :func:`setwise_stabilizer` tests
@@ -29,10 +36,9 @@ subgroup is closed again from the identity.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from itertools import repeat
 from math import lcm
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .arith import factorint
 from .errors import NotSolvable, NotStabilized, TooLarge
@@ -105,20 +111,27 @@ def first_moved(p: Perm) -> int | None:
     return None
 
 
-@dataclass
 class _Level:
-    base: int
-    gens: list[Perm]
-    orbit: dict[int, Perm] = field(default_factory=dict)  # point -> rep with rep(base) = point
-    orbit_inv: dict[int, Perm] = field(default_factory=dict)  # point -> rep^-1
+    """One level of a stabilizer chain: its base point, strong generators and orbit."""
+
+    __slots__ = ("base", "gens", "orbit", "orbit_inv")
+
+    def __init__(self, base: int, gens: list[Perm]):
+        self.base = base
+        self.gens = gens
+        self.orbit: dict[int, Perm] = {}  # point -> rep with rep(base) = point
+        self.orbit_inv: dict[int, Perm] = {}  # point -> rep^-1
 
 
 class PermGroup:
     """A finite permutation group given by generators.
 
-    The stabilizer chain and element list are built lazily and cached;
-    build them from a single thread (any query triggers construction),
-    after which queries only read.
+    The order, the stabilizer chain and the element list are built lazily
+    and cached; build them from a single thread (any query triggers
+    construction), after which queries only read.  ``order()`` reads the
+    cached order first: :func:`setwise_stabilizer` fills it with the count
+    of its Dimino listing, and a group built from bare generators fills it
+    from its stabilizer chain on the first call.
     """
 
     def __init__(self, degree: int, generators: list[Perm] | tuple[Perm, ...]):
@@ -136,6 +149,7 @@ class PermGroup:
                 gens.append(g)
         self.degree = degree
         self.generators: tuple[Perm, ...] = tuple(gens)
+        self._order: int | None = None
         self._chain: list[_Level] | None = None
         self._elements: tuple[Perm, ...] | None = None
 
@@ -218,10 +232,12 @@ class PermGroup:
         return levels
 
     def order(self) -> int:
-        n = 1
-        for level in self._build_chain():
-            n *= len(level.orbit)
-        return n
+        if self._order is None:
+            n = 1
+            for level in self._build_chain():
+                n *= len(level.orbit)
+            self._order = n
+        return self._order
 
     def __contains__(self, p: Perm) -> bool:
         p = tuple(p)
@@ -308,8 +324,10 @@ def setwise_stabilizer(g: PermGroup, points: set[int] | frozenset[int]) -> PermG
     kept, so membership is one set lookup and no stabilizer chain is built,
     neither for G nor for the group kept so far.  The generators returned
     form an irredundant prefix chain: none lies in the group of those before
-    it.  Raises TooLarge once the stabilizer has more than
-    ELEMENT_LISTING_BOUND elements, or if G moves more than 256 points.
+    it.  The group returned carries its order, the number of elements
+    listed, so ``order()`` builds no chain for it.  Raises TooLarge once the
+    stabilizer has more than ELEMENT_LISTING_BOUND elements, or if G moves
+    more than 256 points.
     """
     s0 = frozenset(points)
     if not s0 <= set(range(g.degree)):
@@ -360,7 +378,9 @@ def setwise_stabilizer(g: PermGroup, points: set[int] | frozenset[int]) -> PermG
                                 f"stabilizer of order over {ELEMENT_LISTING_BOUND} "
                                 "exceeds the element listing bound"
                             )
-    return PermGroup(g.degree, [decode(c) for c in kept])
+    stabilizer = PermGroup(g.degree, [decode(c) for c in kept])
+    stabilizer._order = len(elements)
+    return stabilizer
 
 
 def orbit_count(g: PermGroup, points: set[int] | frozenset[int]) -> int:
@@ -399,7 +419,9 @@ def _element_search(
     x^-1 g^-1 by one more ``translate``, so the search tree yields every
     inverse.  Byte strings sort as the permutations they encode do, so
     sorting the codes sorts the elements, and each element becomes a
-    ``Perm`` once.
+    ``Perm`` once.  The count found is checked against ``group.order()``:
+    the Dimino listing's count for a group from :func:`setwise_stabilizer`,
+    the stabilizer chain's order otherwise.
     """
     encode, decode, pad = _byte_codec(group)
     gen_codes = [encode(g) for g in group.generators]
@@ -419,7 +441,7 @@ def _element_search(
                 found_inv.append(g_inv.translate(x_inv_pad))  # (g x)^-1 = x^-1 g^-1
     n = len(found)
     if n != group.order():
-        raise AssertionError("element search disagrees with the stabilizer chain")
+        raise AssertionError("element search disagrees with the order of the group")
     by_perm = sorted(range(n), key=found.__getitem__)
     codes = [found[old] for old in by_perm]
     ids = {c: i for i, c in enumerate(codes)}
@@ -644,8 +666,7 @@ class _TableGroup:
         return list(trans), rep, rep_gens, norm_gens, norm
 
 
-@dataclass
-class SubgroupClass:
+class SubgroupClass(NamedTuple):
     """One conjugacy class of subgroups, with enumeration metadata."""
 
     group: PermGroup

@@ -24,11 +24,10 @@ discriminant and the rational-root-theorem listing of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import comb
-from typing import Literal
+from typing import Literal, NamedTuple
 
 from .arith import is_perfect_square, squarefree_part
 from .brauer import BoundaryDescriptor, transcendental_bound
@@ -43,19 +42,39 @@ from .intlinalg import FinAbGroup
 from .ratpoly import RationalPoly, cubic_discriminant, monic_cubic_integer_roots
 
 
-@dataclass(frozen=True)
 class GaloisType:
-    """Galois type of a separable rational cubic, with quadratic class d."""
+    """Galois type of a separable rational cubic, with quadratic class d.
 
-    variant: Literal["trivial", "c2", "c3", "s3"]
-    d: int | None = None
+    Immutable: the fields are set once, by the validating constructor.
+    """
 
-    def __post_init__(self):
-        needs_d = self.variant in ("c2", "s3")
-        if needs_d and (self.d is None or self.d in (0, 1)):
+    __slots__ = ("variant", "d")
+
+    def __init__(self, variant: Literal["trivial", "c2", "c3", "s3"], d: int | None = None):
+        needs_d = variant in ("c2", "s3")
+        if needs_d and (d is None or d in (0, 1)):
             raise ValueError("c2/s3 types carry a nontrivial square class")
-        if not needs_d and self.d is not None:
+        if not needs_d and d is not None:
             raise ValueError("trivial/c3 types carry no square class")
+        object.__setattr__(self, "variant", variant)
+        object.__setattr__(self, "d", d)
+
+    def __setattr__(self, *a):  # immutability
+        raise AttributeError("GaloisType is immutable")
+
+    def __reduce__(self):
+        return (GaloisType, (self.variant, self.d))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not GaloisType:
+            return NotImplemented
+        return self.variant == other.variant and self.d == other.d
+
+    def __hash__(self) -> int:
+        return hash((self.variant, self.d))
+
+    def __repr__(self) -> str:
+        return f"GaloisType(variant={self.variant!r}, d={self.d!r})"
 
 
 def _integral(f: RationalPoly) -> tuple[tuple[int, int, int, int], Fraction]:
@@ -95,8 +114,7 @@ def cubic_galois_type(f: RationalPoly) -> GaloisType:
 # -- general position --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GeneralPositionReport:
+class GeneralPositionReport(NamedTuple):
     distinct_roots: bool
     degree5_nonzero: bool
     no_triple_sum_zero: bool
@@ -256,9 +274,12 @@ def eckardt_concurrent(f: RationalPoly, a) -> EckardtVerdict:
 
 
 def boundary_from_galois(galois: GaloisType) -> BoundaryDescriptor:
-    if galois.variant in ("c2", "s3"):
-        return BoundaryDescriptor("three_lines", galois.variant, d=galois.d)
-    return BoundaryDescriptor("three_lines", galois.variant)
+    """The three-line boundary whose lines Galois permutes as the cubic's roots.
+
+    The d of a c2 or s3 type is the squarefree representative that
+    :func:`cubic_galois_type` printed, so it is not trial-divided again.
+    """
+    return BoundaryDescriptor._of_squarefree("three_lines", galois.variant, galois.d)
 
 
 def example_brauer(f: RationalPoly, a) -> tuple[GaloisType, FinAbGroup]:
@@ -277,14 +298,29 @@ def example_brauer(f: RationalPoly, a) -> tuple[GaloisType, FinAbGroup]:
     return galois, transcendental_bound(boundary_from_galois(galois))
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(NamedTuple):
     a: Fraction
     rejected: tuple[tuple[Fraction, str], ...]
 
 
+def _fails_every_shift(f: RationalPoly) -> bool:
+    """Whether no shift a puts the six points of F(t)F(t - a) in general position.
+
+    So it is when F has a repeated root (disc F = 0), which H then has for
+    every a, or when F's roots sum to zero (c2 = 0), which makes the triple
+    sum e1 vanish.  Otherwise each condition, and the Eckardt test, fails
+    for finitely many a only, so the search below ends after a few shifts
+    whatever its bound.
+    """
+    (c0, c1, c2, c3), _ = _integral(f)
+    return c2 == 0 or cubic_discriminant(c0, c1, c2, c3) == 0
+
+
 def find_admissible_a(f: RationalPoly, bound: int = 20) -> SearchOutcome:
-    """Smallest integer a in 1..bound passing general position and Eckardt."""
+    """Smallest integer a in 1..bound passing general position and Eckardt.
+
+    The search stops at the first rejected shift once no shift can pass.
+    """
     rejected: list[tuple[Fraction, str]] = []
     for candidate in range(1, bound + 1):
         a = Fraction(candidate)
@@ -292,6 +328,8 @@ def find_admissible_a(f: RationalPoly, bound: int = 20) -> SearchOutcome:
             verdict = eckardt_concurrent(f, a)
         except GeneralPositionFailed as exc:
             rejected.append((a, "; ".join(exc.report.failures())))
+            if _fails_every_shift(f):
+                break
             continue
         if verdict is EckardtVerdict.NO:
             return SearchOutcome(a=a, rejected=tuple(rejected))

@@ -13,28 +13,52 @@ in ``tests/oracles.py``; ``tests/test_ratpoly.py`` compares the two.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 
 def parse_rational(text: str) -> Fraction:
-    """A rational such as '-3/4'; ValueError on malformed text or a zero denominator."""
+    """A rational such as '-3/4' or '0.25'; ValueError on malformed text or a zero denominator.
+
+    Exponent notation is refused: a few characters such as '1e999999999'
+    would denote an integer of a billion digits, so the size of what is
+    computed would no longer follow the length of the text.
+    """
+    if "e" in text.lower():
+        raise ValueError(f"exponent notation in {text!r}: write an integer, a decimal or p/q")
     try:
         return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
 
 
-@dataclass(frozen=True)
 class RationalPoly:
-    coefficients: tuple[Fraction, ...]  # ascending degree, no trailing zeros
+    """An immutable polynomial; ``coefficients`` ascend in degree, with no trailing zeros."""
 
-    def __post_init__(self):
-        coeffs = tuple(Fraction(c) for c in self.coefficients)
+    __slots__ = ("coefficients",)
+
+    def __init__(self, coefficients):
+        coeffs = tuple(Fraction(c) for c in coefficients)
         while coeffs and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
         object.__setattr__(self, "coefficients", coeffs)
+
+    def __setattr__(self, *a):  # immutability
+        raise AttributeError("RationalPoly is immutable")
+
+    def __reduce__(self):
+        return (RationalPoly, (self.coefficients,))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not RationalPoly:
+            return NotImplemented
+        return self.coefficients == other.coefficients
+
+    def __hash__(self) -> int:
+        return hash((self.coefficients,))
+
+    def __repr__(self) -> str:
+        return f"RationalPoly(coefficients={self.coefficients!r})"
 
     @classmethod
     def from_coeffs(cls, coeffs) -> RationalPoly:

@@ -250,6 +250,38 @@ def test_example_zero_denominator_exit(capsys, argv):
     assert err == "error: zero denominator in '1/0'\n"
 
 
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (("example", "--poly", "1e999999999,1,0,1", "--a", "1"), "1e999999999"),
+        (("example", "--poly", "1,1,1,1", "--a", "2E-3"), "2E-3"),
+    ],
+)
+def test_example_refuses_exponent_notation(capsys, argv, text):
+    """A few characters of exponent notation would denote a billion-digit integer."""
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == f"error: exponent notation in {text!r}: write an integer, a decimal or p/q\n"
+
+
+@pytest.mark.parametrize("poly", ["0,0,1,1", "1,1,0,1"])  # t^2 (t + 1); roots summing to 0
+def test_auto_a_stops_once_no_shift_can_pass(capsys, monkeypatch, poly):
+    from cubicbrauer import qexamples
+
+    shifts = []
+    general_position = qexamples.general_position
+
+    def counted(f, a):
+        shifts.append(a)
+        return general_position(f, a)
+
+    monkeypatch.setattr(qexamples, "general_position", counted)
+    code, out, err = run(capsys, "example", "--poly", poly, "--auto-a", str(10**12))
+    assert code == 1 and out == ""
+    assert err == f"error: no admissible a found up to {10**12}\n"
+    assert shifts == [1]
+
+
 def test_config_rejects_max_bits_key(tmp_path, capsys):
     config = tmp_path / "settings.conf"
     config.write_text("max_bits=256\n", encoding="utf-8")
@@ -378,6 +410,31 @@ def test_auto_a_tests_each_shift_once(capsys, monkeypatch):
     code, out, _ = run(capsys, "example", "--poly", "-2,-2,1,1", "--auto-a", "20")
     assert code == 0 and "a = 3 " in out
     assert shifts == [1, 2, 3]  # 1 fails general position, 2 is concurrent
+
+
+@pytest.mark.parametrize(
+    "poly, galois",
+    [
+        ("1000003,1000003,1,1", {"type": "c2", "d": -1000003}),  # (t + 1)(t^2 + 1000003)
+        ("1000003,-1,1,1", {"type": "s3", "d": -600751691}),
+    ],
+)
+def test_example_trial_divides_the_printed_d_once(capsys, monkeypatch, poly, galois):
+    """The d that cubic_galois_type finds is not trial-divided again on its way to the bound."""
+    from cubicbrauer import arith
+
+    divided = []
+    trial_divide = arith._trial_divide
+
+    def counted(n):
+        divided.append(n)
+        return trial_divide(n)
+
+    monkeypatch.setattr(arith, "_trial_divide", counted)
+    code, out, err = run(capsys, "--format", "json", "example", "--poly", poly, "--auto-a", "20")
+    assert code == 0 and err == ""
+    assert json.loads(out)["result"]["galois_type"] == galois
+    assert len([n for n in divided if n % galois["d"] == 0]) == 1
 
 
 def test_example_finds_a_rational_root_past_the_trial_division_bound(capsys):
@@ -509,3 +566,32 @@ def test_importing_the_cli_leaves_the_acceptance_suite_unloaded():
         check=True,
     )
     assert proc.stdout == "False\n"
+
+
+def test_the_cli_and_tables_load_neither_dataclasses_nor_inspect():
+    """Every command starts a fresh interpreter, so the import path stays lean.
+
+    ``dataclasses`` imports ``inspect`` (and with it ``ast``, ``dis`` and
+    ``tokenize``), and each dataclass generates its methods at import time.
+    """
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    script = (
+        "import contextlib, io, sys\n"
+        "def loaded():\n"
+        "    return [m for m in ('dataclasses', 'inspect') if m in sys.modules]\n"
+        "import cubicbrauer.cli\n"
+        "print(loaded())\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cubicbrauer.cli.main(['tables', '--case', '3'])\n"
+        "print(code, loaded())\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=env,
+        check=True,
+    )
+    assert proc.stdout == "[]\n0 []\n"

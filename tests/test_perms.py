@@ -152,18 +152,42 @@ def test_trio_and_line_stabilizers_form_prefix_chains(trio_stabilizer):
 
 
 def test_setwise_stabilizer_builds_no_stabilizer_chain(monkeypatch):
-    """Membership is read from the element set of the group kept so far."""
+    """Membership is read from the element set of the group kept so far.
+
+    The stabilizer carries the order its Dimino listing found, so the
+    enumeration's bound check and its element-count check need no chain
+    either; a group built afresh from the same generators finds the same
+    order from its own chain.
+    """
     from cubicbrauer.cubiclattice import reference_trio, weyl_group
 
     w = PermGroup(27, weyl_group().generators)  # no chain built yet
 
     def forbidden(self):
-        raise AssertionError("no Schreier-Sims chain in setwise_stabilizer")
+        raise AssertionError("no Schreier-Sims chain on the table sweep's path")
 
     monkeypatch.setattr(PermGroup, "_build_chain", forbidden)
     stab = setwise_stabilizer(w, set(reference_trio().indices))
-    monkeypatch.undo()
     assert stab.order() == 1152
+    classes = subgroup_classes(stab)
+    monkeypatch.undo()
+    assert len(classes) == 246
+    assert stab._chain is None
+    assert PermGroup(27, stab.generators).order() == stab.order()
+
+
+def test_a_group_from_bare_generators_builds_its_chain(monkeypatch):
+    calls = []
+    build = PermGroup._build_chain
+
+    def counted(self):
+        calls.append(self)
+        return build(self)
+
+    monkeypatch.setattr(PermGroup, "_build_chain", counted)
+    group = PermGroup(4, setwise_stabilizer(s4(), {0, 1}).generators)
+    assert group.order() == 4 and calls == [group]
+    assert group.order() == 4 and len(calls) == 1  # the order is cached
 
 
 def test_setwise_stabilizer_refuses_past_the_listing_bound(monkeypatch):
@@ -557,7 +581,7 @@ def test_enumeration_memory_stays_linear_in_the_group_order(trio_stabilizer):
     A 1152 x 1152 table of products alone took about 10.7 MB; the products
     formed on demand bring the peak to about 3 MB.
     """
-    trio_stabilizer.order()  # the stabilizer chain is not part of the enumeration
+    trio_stabilizer.order()  # carried from setwise_stabilizer: no chain is built
     tracemalloc.start()
     try:
         classes = subgroup_classes(trio_stabilizer)

@@ -1,10 +1,14 @@
-"""Property tests: square classes, twisted invariants, the boundary parser and examples."""
+"""Property tests: square classes, twisted invariants, the boundary parser,
+examples, polynomial text and config files."""
 
 from __future__ import annotations
 
 import contextlib
 import io
 import json
+import os
+import signal
+import tempfile
 from fractions import Fraction
 from math import isqrt, prod
 
@@ -19,7 +23,7 @@ from oracles import galois_type  # noqa: E402
 from cubicbrauer.acceptance import twist_invariants_by_listing  # noqa: E402
 from cubicbrauer.arith import is_rational_square, squarefree_part  # noqa: E402
 from cubicbrauer.brauer import twist_invariants  # noqa: E402
-from cubicbrauer.cli import main  # noqa: E402
+from cubicbrauer.cli import CONFIG_KEYS, main  # noqa: E402
 from cubicbrauer.ratpoly import RationalPoly  # noqa: E402
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 997, 999983)
@@ -158,3 +162,114 @@ def test_example_answers_or_reports_one_error_line(cubic, a, auto):
     assert got["type"] == variant
     if d_class is not None:
         assert is_rational_square(d_class / got["d"])
+
+
+# -- polynomial text and config files ------------------------------------------
+
+LIMIT_S = 5.0  # each request below must end within this many seconds
+
+
+class Overran(Exception):
+    """A request ran past LIMIT_S; cli.main does not catch it."""
+
+
+def _answer(argv: list[str]) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of one cli.main request that ends within LIMIT_S.
+
+    An exception that escapes cli.main, a SystemExit among them, fails the
+    test, so a traceback or an argparse exit never counts as an answer.
+    """
+
+    def overran(signum, frame):
+        raise Overran(f"{argv} ran past {LIMIT_S} s")
+
+    previous = signal.signal(signal.SIGALRM, overran)
+    signal.setitimer(signal.ITIMER_REAL, LIMIT_S)
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_answer_or_one_error_line(code: int, out: str, err: str) -> None:
+    if code == 0:
+        assert err == "" and out
+    else:
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# integers, fractions, decimals and exponent notation (to a billion digits);
+# short texts near a rational, with signs, digit separators and the Unicode
+# minus; and now and then any text at all
+numerals = st.one_of(
+    st.integers(-(10**6), 10**6).map(str),
+    st.builds("{}/{}".format, st.integers(-99, 99), st.integers(-9, 99)),
+    st.builds("{}.{}".format, st.integers(-99, 99), st.integers(0, 999)),
+    st.builds("{}e{}".format, st.integers(-9, 9), st.integers(-(10**9), 10**9)),
+)
+number_texts = (
+    numerals | st.text("0123456789-+/._ eE\u2212", max_size=8) | st.text(max_size=4)
+)
+poly_texts = st.lists(number_texts, max_size=6).map(",".join) | st.text(max_size=16)
+# a search bound far past the few shifts a cubic can fail, or none at all
+auto_bounds = st.integers(-2, 30) | st.sampled_from((10**6, 10**12))
+
+
+@settings(max_examples=60, deadline=None)
+@given(poly_texts, number_texts | auto_bounds)
+def test_poly_text_answers_or_reports_one_error_line(poly, shift):
+    shift_argv = ["--auto-a", str(shift)] if isinstance(shift, int) else [f"--a={shift}"]
+    code, out, err = _answer(["example", f"--poly={poly}", *shift_argv])
+    _assert_answer_or_one_error_line(code, out, err)
+
+
+config_keys = st.sampled_from((*CONFIG_KEYS, "auto-a", "max_bits", "config")) | st.text(
+    "adnopz_-", max_size=5
+)
+config_values = (
+    number_texts
+    | poly_texts
+    | auto_bounds.map(str)
+    | st.sampled_from(("json", "text", "xml", "1", "2", "3", "4", "-2,-2,1,1"))
+    | boundaries().map(json.dumps)
+)
+config_lines = (
+    st.builds("{}={}".format, config_keys, config_values)
+    | st.builds("  {} = {}  ".format, config_keys, config_values)
+    | st.sampled_from(("", "# a comment", "   ", "=", "poly"))
+    | st.text(max_size=12)
+)
+config_files = st.lists(config_lines, max_size=6).map(lambda lines: "\n".join(lines).encode()) | (
+    st.binary(max_size=24)
+)
+commands = st.sampled_from(
+    (
+        ["example"],
+        ["example", "--auto-a", "3"],
+        ["example", "--poly=-2,-2,1,1"],
+        ["classify"],
+        ["invariants"],
+        ["invariants", "--n", "8"],
+        ["tables"],
+        ["lines"],
+    )
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(config_files, commands, st.booleans())
+def test_config_file_answers_or_reports_one_error_line(content, command, before):
+    """A config file may hold any bytes; the command reads it, answers or reports one error."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "fuzz.conf")
+        with open(path, "wb") as handle:
+            handle.write(content)
+        config = ["--config", path]
+        argv = [*config, *command] if before else [*command, *config]
+        code, out, err = _answer(argv)
+    _assert_answer_or_one_error_line(code, out, err)
