@@ -64,8 +64,8 @@ class BoundaryDescriptor:
     def _of_squarefree(cls, kind: str, sub: str, d: int | None = None) -> BoundaryDescriptor:
         """A descriptor whose d is already its squarefree representative.
 
-        Every check of the constructor runs, but d is not trial-divided
-        again; for a d that ``squarefree_part`` has just returned.
+        For a d that ``squarefree_part`` has just returned: every check of
+        the constructor runs, but d is not trial-divided again.
         """
         self = object.__new__(cls)
         self._set(kind, sub, d, False, normalize=False)

@@ -54,11 +54,7 @@ class LatticeGModule:
     def __eq__(self, other) -> bool:
         if other.__class__ is not LatticeGModule:
             return NotImplemented
-        return (self.rank, self.group, self.matrices) == (
-            other.rank,
-            other.group,
-            other.matrices,
-        )
+        return (self.rank, self.group, self.matrices) == (other.rank, other.group, other.matrices)
 
     def __hash__(self) -> int:
         return hash((self.rank, self.group, self.matrices))

@@ -45,6 +45,7 @@ from .ratpoly import RationalPoly, cubic_discriminant, monic_cubic_integer_roots
 class GaloisType:
     """Galois type of a separable rational cubic, with quadratic class d.
 
+    :func:`cubic_galois_type` gives d as its squarefree representative.
     Immutable: the fields are set once, by the validating constructor.
     """
 
@@ -306,11 +307,11 @@ class SearchOutcome(NamedTuple):
 def _fails_every_shift(f: RationalPoly) -> bool:
     """Whether no shift a puts the six points of F(t)F(t - a) in general position.
 
-    So it is when F has a repeated root (disc F = 0), which H then has for
-    every a, or when F's roots sum to zero (c2 = 0), which makes the triple
-    sum e1 vanish.  Otherwise each condition, and the Eckardt test, fails
-    for finitely many a only, so the search below ends after a few shifts
-    whatever its bound.
+    That holds when F has a repeated root (disc F = 0), which H then has
+    for every a, or when F's roots sum to zero (c2 = 0), which makes the
+    triple sum e1 vanish.  Otherwise each condition, and the Eckardt test,
+    fails for finitely many a only, so the search below ends after a few
+    shifts whatever its bound.
     """
     (c0, c1, c2, c3), _ = _integral(f)
     return c2 == 0 or cubic_discriminant(c0, c1, c2, c3) == 0

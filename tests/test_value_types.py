@@ -34,9 +34,14 @@ def _quotients() -> tuple[QuotientLattice, ...]:
     )
 
 
-# (two equal values built apart, a value that differs from them)
+# (two equal values built apart, then values that differ from them)
 VALUES = {
-    "FinAbGroup": lambda: (FinAbGroup(1, [2, 4]), FinAbGroup(1, (2, 4)), FinAbGroup(1, (4,))),
+    "FinAbGroup": lambda: (
+        FinAbGroup(1, [2, 4]),
+        FinAbGroup(1, (2, 4)),
+        FinAbGroup(1, (4,)),
+        FinAbGroup(0, (2, 4)),
+    ),
     "RationalPoly": lambda: (
         RationalPoly((1, Fraction(1, 2), 0)),
         RationalPoly.parse("1, 1/2"),
@@ -46,12 +51,21 @@ VALUES = {
         BoundaryDescriptor("three_lines", "c2", d=12),
         BoundaryDescriptor("three_lines", "c2", d=3),
         BoundaryDescriptor("three_lines", "c2", d=3, eckardt=True),
+        BoundaryDescriptor("three_lines", "c2", d=-3),
+        BoundaryDescriptor("three_lines", "s3", d=3),
+        BoundaryDescriptor("line_conic", "quadratic", d=3),
     ),
-    "GaloisType": lambda: (GaloisType("c2", 2), GaloisType("c2", 2), GaloisType("s3", 2)),
+    "GaloisType": lambda: (
+        GaloisType("c2", 2),
+        GaloisType("c2", 2),
+        GaloisType("s3", 2),
+        GaloisType("c2", -2),
+    ),
     "LatticeGModule": lambda: (
         LatticeGModule(1, SWAP, (NEG,)),
         LatticeGModule(rank=1, group=SWAP, matrices=(IntMatrix([[-1]]),)),
         LatticeGModule(1, SWAP, (IntMatrix([[1]]),)),
+        LatticeGModule(1, PermGroup(2, [(1, 0)]), (NEG,)),
     ),
     "TablePair": lambda: (
         TablePair(FinAbGroup(0, (2,)), FinAbGroup(0)),
@@ -101,17 +115,18 @@ VALUES = {
 
 @pytest.mark.parametrize("name", sorted(VALUES))
 def test_values_compare_and_hash_by_their_fields(name):
-    a, same, other = VALUES[name]()
+    a, same, *others = VALUES[name]()
     assert type(a).__name__ == name
     assert a == same and not a != same
     assert hash(a) == hash(same)
-    assert a != other and not a == other
-    assert len({a, same, other}) == 2
+    for other in others:
+        assert a != other and not a == other
+    assert len({a, same, *others}) == 1 + len(others)
 
 
 @pytest.mark.parametrize("name", sorted(VALUES))
 def test_fields_refuse_assignment(name):
-    a, _, _ = VALUES[name]()
+    a = VALUES[name]()[0]
     fields = getattr(a, "_fields", None) or type(a).__slots__
     for field in fields:
         before = getattr(a, field)
@@ -124,7 +139,7 @@ def test_fields_refuse_assignment(name):
     "name", ["FinAbGroup", "RationalPoly", "BoundaryDescriptor", "GaloisType"]
 )
 def test_values_survive_copy_and_pickle(name):
-    a, _, _ = VALUES[name]()
+    a = VALUES[name]()[0]
     assert copy.copy(a) == a and copy.deepcopy(a) == a
     assert pickle.loads(pickle.dumps(a)) == a
     assert repr(a).startswith(f"{name}(")
