@@ -84,7 +84,7 @@ VALUES = {
     ),
     "SmithForm": lambda: (
         snf(IntMatrix([[2, 4], [6, 8]])),
-        snf(IntMatrix([[2, 4], [6, 8]])),
+        SmithForm(*snf(IntMatrix([[2, 4], [6, 8]]))),
         snf(IntMatrix([[2, 4], [6, 9]])),
     ),
     "QuotientLattice": _quotients,
