@@ -3,8 +3,9 @@
 One trial-division loop, up to B = ``TRIAL_DIVISION_BOUND``, serves
 :func:`factorint` and :func:`squarefree_part`.  Its cofactor has no prime
 factor up to B, so below B^3 = 10^18 it is p, p^2 or p*q: squarefree
-unless a perfect square.  Deterministic Miller-Rabin decides larger
-cofactors, and prime powers without factoring.  Square-class decisions
+unless a perfect square.  A Miller-Rabin test to twelve fixed bases
+decides larger cofactors, and prime powers without factoring; it proves
+primality only below 3.2 * 10^23.  Square-class decisions
 are ``isqrt`` tests; only a printed representative is factored, once per
 input (a boundary's d, a cubic's Galois-type d).
 """
@@ -18,12 +19,21 @@ from .errors import TooLarge
 
 TRIAL_DIVISION_BOUND = 10**6
 
-# Deterministic Miller-Rabin witnesses for n < 3.3 * 10**24.
+# The primes up to 37: no composite n < 318665857834031151167461 is a strong
+# pseudoprime to all of them (Sorenson and Webster, Math. Comp. 2017), and that
+# n, 399165290221 * 798330580441, is.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_probable_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for the integer sizes used here."""
+    """Miller-Rabin to the bases in ``_MR_WITNESSES``, for n of any size.
+
+    A proof of primality for n < 318665857834031151167461 (about
+    3.2 * 10^23).  Above that it is a strong probable-prime test: a
+    composite that is a strong pseudoprime to all twelve bases passes.
+    ``factorint`` and ``squarefree_part`` call it on trial-division
+    cofactors of any size.
+    """
     if n < 2:
         return False
     # a witness that divides n would give pow(a, d, n) == 0, never 1 or n - 1
@@ -100,8 +110,11 @@ def squarefree_part(q: int | Fraction) -> int:
     representative that is printed.  The cofactor c left by trial division
     up to B = ``TRIAL_DIVISION_BOUND`` is dropped when it is a perfect
     square and kept otherwise, which is exact when c < B^3 (then c is p,
-    p^2 or p*q) or c is prime.  A composite, non-square c >= B^3 raises
-    :class:`TooLarge`.
+    p^2 or p*q) or c is squarefree.  A non-square c >= B^3 is kept when it
+    passes :func:`is_probable_prime`, which proves it prime only below
+    about 3.2 * 10^23; above that a composite strong pseudoprime is kept
+    too, and the result is wrong only if the square of a prime divides it.
+    Any other non-square c >= B^3 raises :class:`TooLarge`.
     """
     q = Fraction(q)
     if q == 0:

@@ -150,10 +150,12 @@ def _cmd_weyl(args) -> int:
         "trio_orbit_size": len(orbit),
         "trio_stabilizer_order": stab.order(),
     }
-    result = {"order": w.order(), "generator_count": len(w.generators), "checks": checks}
+    # orbit-stabilizer: |W| = |trio orbit| * |trio stabilizer|, with no listing of W
+    order = len(orbit) * stab.order()
+    result = {"order": order, "generator_count": len(w.generators), "checks": checks}
     text = (
         f"Weyl group W(E6) on the 27 lines\n"
-        f"  order: {w.order()}\n"
+        f"  order: {order}\n"
         f"  generators: {len(w.generators)} (unimodular: {preserves_form}, "
         f"fix hyperplane class: {fixes_h})\n"
         f"  trio orbit size: {len(orbit)} (transitive: {len(orbit) == 45})\n"

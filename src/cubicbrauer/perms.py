@@ -1,25 +1,21 @@
 """Finite permutation groups.
 
 Permutations on {0, ..., n-1} are image tuples; (p * q)(x) = p(q(x)) is
-realized by :func:`compose`.  :class:`PermGroup` keeps a verified
-stabilizer chain (Schreier-Sims) for membership, lists elements for
-groups up to a configurable bound, and enumerates subgroups of solvable
-groups up to conjugacy by the cyclic extension method.  A group's order
-comes from one of two listings.  A group returned by
-:func:`setwise_stabilizer` carries the number of elements its Dimino
-listing found; any other group multiplies the orbit lengths of its
-stabilizer chain, built on the first call to ``order()``.  The
-enumeration's breadth-first element search checks its own count against
-that order, so on the table sweep's path two independent listings of the
-trio stabilizer check each other and no chain is built.
-Both :func:`setwise_stabilizer` and the enumeration work on byte strings:
-the points the generators move are numbered 0..k-1 (so k <= 256) and an
-element is the bytes of its images.  :func:`setwise_stabilizer` tests
-every Schreier generator of the set's orbit against the element set of
-the group kept so far, grown by Dimino's cosets, so it builds no
-stabilizer chain.  The enumeration works on indices into the sorted
-element list, listed by a single breadth-first search on the byte codes,
-and each element becomes a tuple once.  Every product of two
+realized by :func:`compose`.  :class:`PermGroup` lists its elements up to
+a bound, :func:`setwise_stabilizer` finds set stabilizers, and
+:func:`subgroup_classes` enumerates the subgroups of a solvable group up
+to conjugacy by the cyclic extension method.  All three work on byte
+strings: the points the generators move are numbered 0..k-1 (so
+k <= 256) and an element is the bytes of its images.  A group has one
+listing, Dimino's cosets on these codes (:class:`_Dimino`), and its order
+is the length of that listing.  :func:`setwise_stabilizer` tests every
+Schreier generator of the set's orbit against the listing of the group
+kept so far, and the group it returns carries the count of that listing.
+The enumeration's breadth-first element search checks its own count
+against that order, so two independent listings of the trio stabilizer
+check each other on the table sweep's path.  The enumeration works on
+indices into the sorted element list, and each element becomes a tuple
+once.  Every product of two
 indices is formed when it is read, by one ``bytes.translate`` and one
 dict lookup, so memory stays linear in the order of the group; no table
 of all products is built.  A small generating set of the group (two
@@ -104,34 +100,17 @@ def perm_from_cycles(n: int, cycles: list[list[int]]) -> Perm:
     return tuple(images)
 
 
-def first_moved(p: Perm) -> int | None:
-    for i, j in enumerate(p):
-        if i != j:
-            return i
-    return None
-
-
-class _Level:
-    """One level of a stabilizer chain: its base point, strong generators and orbit."""
-
-    __slots__ = ("base", "gens", "orbit", "orbit_inv")
-
-    def __init__(self, base: int, gens: list[Perm]):
-        self.base = base
-        self.gens = gens
-        self.orbit: dict[int, Perm] = {}  # point -> rep with rep(base) = point
-        self.orbit_inv: dict[int, Perm] = {}  # point -> rep^-1
-
-
 class PermGroup:
     """A finite permutation group given by generators.
 
-    The order, the stabilizer chain and the element list are built lazily
-    and cached; build them from a single thread (any query triggers
-    construction), after which queries only read.  ``order()`` reads the
-    cached order first: :func:`setwise_stabilizer` fills it with the count
-    of its Dimino listing, and a group built from bare generators fills it
-    from its stabilizer chain on the first call.
+    Its elements are listed by Dimino's algorithm on byte codes
+    (:class:`_Dimino`), which encode at most 256 moved points: a group
+    moving more raises TooLarge on ``order()`` and ``elements()``.  Every
+    group of the library has degree 27.  ``order()`` is the length of that
+    listing, or the count that :func:`setwise_stabilizer` carries for the
+    group it returns; ``elements()`` decodes the sorted codes.  Both are
+    cached, and both raise TooLarge once the group has more than ``bound``
+    elements, after listing fewer than 2 * bound of them.
     """
 
     def __init__(self, degree: int, generators: list[Perm] | tuple[Perm, ...]):
@@ -150,126 +129,34 @@ class PermGroup:
         self.degree = degree
         self.generators: tuple[Perm, ...] = tuple(gens)
         self._order: int | None = None
-        self._chain: list[_Level] | None = None
         self._elements: tuple[Perm, ...] | None = None
 
-    # -- stabilizer chain ------------------------------------------------
+    def _listing(self, bound: int) -> tuple[list[bytes], Callable[[bytes], Perm]]:
+        """The byte codes of the elements, listed by Dimino's cosets, and their decoder."""
+        encode, decode, pad = _byte_codec(self)
+        listing = _Dimino(256 - len(pad), bound)
+        for g in self.generators:
+            listing.add(encode(g))
+        return listing.codes, decode
 
-    def _sift(self, p: Perm, start: int) -> tuple[Perm, int]:
-        """Strip p through the chain from `start`; (residue, stuck level)."""
-        levels = self._chain
-        ident = identity_perm(self.degree)
-        lvl = start
-        while p != ident and lvl < len(levels):
-            rep_inv = levels[lvl].orbit_inv.get(p[levels[lvl].base])
-            if rep_inv is None:
-                return p, lvl
-            p = compose(rep_inv, p)
-            lvl += 1
-        return p, lvl
-
-    def _cumulative_gens(self, i: int) -> list[Perm]:
-        """Strong generators of the i-th stabilizer: this level and deeper.
-
-        A generator stored at level m fixes the bases of levels < m, so it
-        belongs to every stabilizer above it in the chain.
-        """
-        return [g for level in self._chain[i:] for g in level.gens]
-
-    def _recompute_orbit(self, i: int) -> None:
-        level = self._chain[i]
-        gens = self._cumulative_gens(i)
-        gen_invs = [inverse(g) for g in gens]
-        base = level.base
-        ident = identity_perm(self.degree)
-        orbit = {base: ident}
-        orbit_inv = {base: ident}
-        queue = [base]
-        for pt in queue:
-            rep, rep_inv = orbit[pt], orbit_inv[pt]
-            for g, g_inv in zip(gens, gen_invs):
-                img = g[pt]
-                if img not in orbit:
-                    orbit[img] = compose(g, rep)
-                    orbit_inv[img] = compose(rep_inv, g_inv)
-                    queue.append(img)
-        level.orbit = orbit
-        level.orbit_inv = orbit_inv
-
-    def _build_chain(self) -> list[_Level]:
-        if self._chain is not None:
-            return self._chain
-        self._chain = []
-        levels = self._chain
-        ident = identity_perm(self.degree)
-        if self.generators:
-            base = first_moved(self.generators[0])
-            levels.append(_Level(base, list(self.generators)))
-        i = 0
-        while 0 <= i < len(levels):
-            self._recompute_orbit(i)
-            level = levels[i]
-            gens = self._cumulative_gens(i)
-            clean = True
-            for pt in sorted(level.orbit):
-                rep = level.orbit[pt]
-                for g in gens:
-                    schreier = compose(level.orbit_inv[g[pt]], compose(g, rep))
-                    if schreier == ident:
-                        continue
-                    residue, lvl = self._sift(schreier, i + 1)
-                    if residue != ident:
-                        if lvl == len(levels):
-                            levels.append(_Level(first_moved(residue), []))
-                        levels[lvl].gens.append(residue)
-                        i = lvl
-                        clean = False
-                        break
-                if not clean:
-                    break
-            if clean:
-                i -= 1
-        return levels
-
-    def order(self) -> int:
+    def order(self, bound: int = ELEMENT_LISTING_BOUND) -> int:
         if self._order is None:
-            n = 1
-            for level in self._build_chain():
-                n *= len(level.orbit)
-            self._order = n
+            self._order = len(self._listing(bound)[0])
+        if self._order > bound:
+            raise TooLarge(f"group of order {self._order} exceeds bound {bound}")
         return self._order
-
-    def __contains__(self, p: Perm) -> bool:
-        p = tuple(p)
-        if len(p) != self.degree:
-            return False
-        self._build_chain()
-        residue, _ = self._sift(p, 0)
-        return residue == identity_perm(self.degree)
 
     def is_trivial(self) -> bool:
         return not self.generators
 
-    # -- element listing --------------------------------------------------
-
     def elements(self, bound: int = ELEMENT_LISTING_BOUND) -> tuple[Perm, ...]:
-        if self.order() > bound:
-            raise TooLarge(f"group of order {self.order()} exceeds bound {bound}")
-        if self._elements is None:
-            ident = identity_perm(self.degree)
-            seen = {ident}
-            queue = [ident]
-            for x in queue:
-                for g in self.generators:
-                    y = compose(g, x)
-                    if y not in seen:
-                        seen.add(y)
-                        queue.append(y)
-            self._elements = tuple(sorted(seen))
+        # a carried order past the bound is refused by order() without a listing
+        if self._elements is None and (self._order or 0) <= bound:
+            codes, decode = self._listing(bound)
+            self._order = len(codes)
+            self._elements = tuple(map(decode, sorted(codes)))
+        self.order(bound)
         return self._elements
-
-    def exponent(self, bound: int = ELEMENT_LISTING_BOUND) -> int:
-        return lcm(*(perm_order(p) for p in self.elements(bound)))
 
 
 # -- byte codes ------------------------------------------------------------
@@ -313,29 +200,74 @@ def _byte_codec(
     return encode, decode, bytes(range(k, 256))
 
 
+class _Dimino:
+    """The byte codes of a group's elements, grown one generator at a time.
+
+    Dimino's algorithm: a generator outside the group H listed so far
+    starts the left cosets x H of the larger group.  Each coset
+    representative x is multiplied by every generator added, and a product
+    y outside the cosets found starts the coset y H, so each element is
+    written once and each coset, not each element, meets the generators.
+    ``codes`` lists the identity first, and ``known`` holds the same codes
+    for membership.  Raises TooLarge once more than ``bound`` elements are
+    listed; a coset has |H| <= bound elements, so fewer than 2 * bound are.
+    """
+
+    __slots__ = ("codes", "known", "pad", "gen_pads", "bound")
+
+    def __init__(self, k: int, bound: int):
+        ident = bytes(range(k))
+        self.codes = [ident]
+        self.known = {ident}
+        self.pad = bytes(range(k, 256))
+        self.gen_pads: list[bytes] = []
+        self.bound = bound
+
+    def add(self, gen: bytes) -> bool:
+        """Add the generator ``gen`` and list the cosets it brings; False if listed already."""
+        codes, known, pad = self.codes, self.known, self.pad
+        if gen in known:
+            return False
+        self.gen_pads.append(gen + pad)
+        sub = list(codes)
+        reps = [codes[0]]
+        for x in reps:
+            for gp in self.gen_pads:
+                y = x.translate(gp)  # generator * x
+                if y not in known:
+                    coset = [u.translate(y + pad) for u in sub]  # y H
+                    known.update(coset)
+                    codes += coset
+                    reps.append(y)
+                    if len(codes) > self.bound:
+                        raise TooLarge(
+                            f"group of order over {self.bound} exceeds the listing bound"
+                        )
+        return True
+
+
 def setwise_stabilizer(g: PermGroup, points: set[int] | frozenset[int]) -> PermGroup:
     """The subgroup { x in G : x(S) = S }, by Schreier's lemma on the set orbit.
 
     The Schreier generators of the orbit of S generate the stabilizer.  They
     are taken in a fixed order (orbit members by their sorted points, then
     the generators of G), and each one outside the group of those kept so
-    far is kept.  That group is held as the set of its elements' byte codes
-    (:func:`_byte_codec`), grown by Dimino's cosets each time a generator is
-    kept, so membership is one set lookup and no stabilizer chain is built,
-    neither for G nor for the group kept so far.  The generators returned
-    form an irredundant prefix chain: none lies in the group of those before
-    it.  The group returned carries its order, the number of elements
-    listed, so ``order()`` builds no chain for it.  Raises TooLarge once the
-    stabilizer has more than ELEMENT_LISTING_BOUND elements, or if G moves
-    more than 256 points.
+    far is kept.  That group is listed on byte codes by :class:`_Dimino`,
+    grown each time a generator is kept, so membership is one set lookup.
+    The generators returned form an irredundant prefix chain: none lies in
+    the group of those before it.  The group returned carries its order,
+    the number of elements listed, so ``order()`` lists nothing again.
+    Raises TooLarge once the stabilizer has more than ELEMENT_LISTING_BOUND
+    elements, or if G moves more than 256 points.
     """
     s0 = frozenset(points)
     if not s0 <= set(range(g.degree)):
         raise ValueError("points outside the domain")
     encode, decode, pad = _byte_codec(g)
-    ident = encode(identity_perm(g.degree))
+    k = 256 - len(pad)
+    listing = _Dimino(k, ELEMENT_LISTING_BOUND)
     gen_pads = [encode(gen) + pad for gen in g.generators]
-    reps: dict[frozenset[int], bytes] = {s0: ident}
+    reps: dict[frozenset[int], bytes] = {s0: listing.codes[0]}
     queue = [s0]
     for t in queue:
         rep = reps[t]
@@ -344,42 +276,19 @@ def setwise_stabilizer(g: PermGroup, points: set[int] | frozenset[int]) -> PermG
             if t2 not in reps:
                 reps[t2] = rep.translate(gen_pad)  # gen * rep
                 queue.append(t2)
-    k = len(ident)
     rep_inv_pads = {
         t: bytes(sorted(range(k), key=rep.__getitem__)) + pad for t, rep in reps.items()
     }
     kept: list[bytes] = []
-    kept_pads: list[bytes] = []
-    elements = [ident]
-    known = {ident}
     for t in sorted(reps, key=sorted):
         rep = reps[t]
         for gen, gen_pad in zip(g.generators, gen_pads):
             image = frozenset(gen[x] for x in t)
             sg = rep.translate(gen_pad).translate(rep_inv_pads[image])
-            if sg in known:
-                continue
-            kept.append(sg)
-            kept_pads.append(sg + pad)
-            # Dimino: left cosets x H of the group H kept before, each coset
-            # representative multiplied by every kept generator
-            sub = list(elements)
-            coset_reps = [ident]
-            for x in coset_reps:
-                for kp in kept_pads:
-                    y = x.translate(kp)  # kept generator * x
-                    if y not in known:
-                        coset = [u.translate(y + pad) for u in sub]  # y H
-                        known.update(coset)
-                        elements += coset
-                        coset_reps.append(y)
-                        if len(elements) > ELEMENT_LISTING_BOUND:
-                            raise TooLarge(
-                                f"stabilizer of order over {ELEMENT_LISTING_BOUND} "
-                                "exceeds the element listing bound"
-                            )
+            if listing.add(sg):
+                kept.append(sg)
     stabilizer = PermGroup(g.degree, [decode(c) for c in kept])
-    stabilizer._order = len(elements)
+    stabilizer._order = len(listing.codes)
     return stabilizer
 
 
@@ -419,9 +328,9 @@ def _element_search(
     x^-1 g^-1 by one more ``translate``, so the search tree yields every
     inverse.  Byte strings sort as the permutations they encode do, so
     sorting the codes sorts the elements, and each element becomes a
-    ``Perm`` once.  The count found is checked against ``group.order()``:
-    the Dimino listing's count for a group from :func:`setwise_stabilizer`,
-    the stabilizer chain's order otherwise.
+    ``Perm`` once.  The count found is checked against ``group.order()``,
+    the count of an independent listing by Dimino's cosets: the one
+    :func:`setwise_stabilizer` made, or the group's own.
     """
     encode, decode, pad = _byte_codec(group)
     gen_codes = [encode(g) for g in group.generators]
@@ -688,16 +597,11 @@ def subgroup_classes(
     prime index, so iterating prime extensions H = <U, x> with x in N_G(U),
     x^p in U, over discovered classes U is exhaustive.
 
-    Raises TooLarge, before any element is listed, if the order of G
-    exceeds ``bound`` or if its generators move more than 256 points (the
-    element search encodes a permutation of the moved points as bytes).
+    Raises TooLarge if the order of G exceeds ``bound``, from a listing
+    that stops once it passes the bound, or if its generators move more
+    than 256 points, which the byte codes refuse before that listing.
     """
-    n = g.order()
-    if n > bound:
-        raise TooLarge(f"group of order {n} exceeds subgroup enumeration bound {bound}")
-    moved = len(_support(g.generators))
-    if moved > 256:
-        raise TooLarge(f"group moves {moved} points, more than the 256 a table encodes")
+    n = g.order(bound)
     tg = _TableGroup(g)
     if not tg.is_solvable():
         raise NotSolvable("subgroup enumeration implemented for solvable groups only")
@@ -775,7 +679,6 @@ __all__ = [
     "SubgroupClass",
     "compose",
     "cycle_lengths",
-    "first_moved",
     "identity_perm",
     "inverse",
     "orbit_count",

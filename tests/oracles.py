@@ -1,10 +1,12 @@
-"""Elimination routes for the cubic invariants that the library computes in closed form.
+"""Second routes for values that the library computes another way.
 
 The Sylvester-matrix resultant and discriminant, their Fraction
 determinant, and the rational roots by the rational root theorem over the
 divisors of the end coefficients.  ``cubicbrauer.ratpoly`` and
 ``cubicbrauer.qexamples`` compute the same values in integers without
-elimination or factoring; the tests compare the two.
+elimination or factoring; the tests compare the two.  And the group that
+permutations generate, by a breadth-first search on image tuples, where
+``cubicbrauer.perms`` lists Dimino's cosets on byte codes.
 """
 
 from __future__ import annotations
@@ -121,3 +123,21 @@ def _divisors(n: int) -> list[int]:
     for p, e in factorint(n).items():
         out = [d * p**k for d in out for k in range(e + 1)]
     return sorted(out)
+
+
+def closure(degree: int, generators) -> frozenset[tuple[int, ...]]:
+    """The permutation group that ``generators`` generate on {0, ..., degree - 1}.
+
+    A breadth-first search from the identity, each element g x formed as an
+    image tuple; valid at any degree.
+    """
+    ident = tuple(range(degree))
+    seen = {ident}
+    queue = [ident]
+    for x in queue:
+        for g in generators:
+            y = tuple(map(g.__getitem__, x))  # g * x
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+    return frozenset(seen)

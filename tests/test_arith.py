@@ -32,6 +32,13 @@ def test_is_probable_prime_matches_sieve():
         assert is_probable_prime(n) == bool(sieve[n]), n
 
 
+def test_twelve_bases_pass_their_least_strong_pseudoprime():
+    """The primality test is a proof only below 318665857834031151167461."""
+    n = 399165290221 * 798330580441
+    assert n == 318665857834031151167461
+    assert is_probable_prime(n)
+
+
 def test_squarefree_part_with_a_witness_prime_cofactor():
     assert squarefree_part(17) == 17
     assert squarefree_part(34) == 34

@@ -49,6 +49,21 @@ def test_weyl_checks(capsys):
     assert result["checks"]["trio_stabilizer_order"] == 1152
 
 
+# sha256 of the stdout of `--format text|json weyl`, recorded when |W(E6)| was
+# the order of a Schreier-Sims chain of W
+WEYL_SHA256 = {
+    "text": "d68fdc32fa875fb5d1943acc8934951cf40369a2b54ce5d91c01195d484b39eb",
+    "json": "e43dcc30f74ce0055096345b60f8fde2807e2600f8eea5ab4a227d501dc4f752",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(WEYL_SHA256))
+def test_weyl_output_is_byte_identical(capsys, fmt):
+    code, out, _ = run(capsys, "--format", fmt, "weyl")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == WEYL_SHA256[fmt]
+
+
 def test_invariants_command(capsys):
     code, out, _ = run(capsys, "--format", "json", "invariants", "--d", "-1", "--n", "4")
     assert code == 0

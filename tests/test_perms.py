@@ -7,9 +7,10 @@ import hashlib
 import random
 import tracemalloc
 from itertools import product
-from math import factorial
+from math import factorial, lcm
 
 import pytest
+from oracles import closure
 
 from cubicbrauer.errors import NotSolvable, NotStabilized, TooLarge
 from cubicbrauer.perms import (
@@ -75,28 +76,60 @@ def test_group_order_examples():
 def test_order_equals_element_count():
     for group in (s3(), s4(), gl23()):
         assert group.order() == len(group.elements())
+        assert set(group.elements()) == closure(group.degree, group.generators)
         assert factorial(group.degree) % group.order() == 0
 
 
 def test_membership():
+    """The listing holds exactly the elements that the generators reach."""
     group = s4()
-    for p in group.elements():
-        assert p in group
-    odd_degree = cyc(5, (0, 4))
-    assert odd_degree not in PermGroup(5, [cyc(5, (0, 1, 2, 3, 4))])
+    assert group.elements() == tuple(sorted(closure(4, group.generators)))
+    five_cycle = PermGroup(5, [cyc(5, (0, 1, 2, 3, 4))])
+    assert cyc(5, (0, 4)) not in five_cycle.elements()
+    assert cyc(5, (0, 4)) not in closure(5, five_cycle.generators)
+
+
+def _exponent(group):
+    return lcm(*map(perm_order, group.elements()))
 
 
 def test_exponent():
-    assert s3().exponent() == 6
-    assert PermGroup(3, []).exponent() == 1
-    assert sl23().order() == 24 and sl23().exponent() == 12
-    assert gl23().order() == 48 and gl23().exponent() == 24  # has order-8 elements
+    assert _exponent(s3()) == 6
+    assert _exponent(PermGroup(3, [])) == 1
+    assert sl23().order() == 24 and _exponent(sl23()) == 12
+    assert gl23().order() == 48 and _exponent(gl23()) == 24  # has order-8 elements
 
 
-def test_exponent_too_large():
-    big = PermGroup(20, [cyc(20, tuple(range(20))), cyc(20, (0, 1))])
-    with pytest.raises(TooLarge):
-        big.elements(bound=100)
+@pytest.mark.parametrize("query", [PermGroup.elements, PermGroup.order])
+def test_listing_stops_past_its_bound(query, monkeypatch):
+    """S_20 is refused after a listing of fewer than 2 * bound elements.
+
+    Each coset of the group listed so far (C_20 here) is added whole, so the
+    listing passes the bound by less than one coset.
+    """
+    from cubicbrauer import perms
+
+    listed = []
+    add = perms._Dimino.add
+
+    def counted(self, gen):
+        try:
+            return add(self, gen)
+        finally:
+            listed.append(len(self.codes))
+
+    monkeypatch.setattr(perms._Dimino, "add", counted)
+    s20 = PermGroup(20, [cyc(20, tuple(range(20))), cyc(20, (0, 1))])
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge):
+            query(s20, bound=100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 100 < listed[-1] <= 120, listed
+    assert peak < 10**6, peak
+    assert s20._order is None and s20._elements is None
 
 
 def test_element_bound_is_checked_on_every_call():
@@ -105,7 +138,7 @@ def test_element_bound_is_checked_on_every_call():
     with pytest.raises(TooLarge):
         s6.elements(bound=10)
     with pytest.raises(TooLarge):
-        s6.exponent(bound=10)
+        s6.order(bound=10)
     assert len(s6.elements(bound=720)) == 720
 
 
@@ -122,16 +155,16 @@ def test_setwise_stabilizer_examples():
 def test_setwise_stabilizer_is_exact():
     group = s4()
     stab = setwise_stabilizer(group, {0, 1})
-    expected = {p for p in group.elements() if {p[0], p[1]} == {0, 1}}
+    expected = {p for p in closure(4, group.generators) if {p[0], p[1]} == {0, 1}}
     assert set(stab.elements()) == expected
 
 
 def _assert_prefix_chain(stab, order):
     """No generator lies in the group of the ones before it."""
     gens = stab.generators
-    assert gens and stab.order() == order
+    assert gens and stab.order() == order == len(closure(stab.degree, gens))
     for i, g in enumerate(gens):
-        assert g not in PermGroup(stab.degree, gens[:i])
+        assert g not in closure(stab.degree, gens[:i])
 
 
 def test_setwise_stabilizer_generators_form_a_prefix_chain():
@@ -154,40 +187,40 @@ def test_trio_and_line_stabilizers_form_prefix_chains(trio_stabilizer):
 def test_setwise_stabilizer_builds_no_stabilizer_chain(monkeypatch):
     """Membership is read from the element set of the group kept so far.
 
-    The stabilizer carries the order its Dimino listing found, so the
-    enumeration's bound check and its element-count check need no chain
-    either; a group built afresh from the same generators finds the same
-    order from its own chain.
+    The stabilizer carries the order its Dimino listing found, so neither
+    it nor W(E6) lists itself again on the table sweep's path: the
+    enumeration's bound check and its element-count check read the carried
+    order, which the brute-force closure of the generators confirms.
     """
     from cubicbrauer.cubiclattice import reference_trio, weyl_group
 
-    w = PermGroup(27, weyl_group().generators)  # no chain built yet
+    def forbidden(self, bound):
+        raise AssertionError("no group lists itself on the table sweep's path")
 
-    def forbidden(self):
-        raise AssertionError("no Schreier-Sims chain on the table sweep's path")
-
-    monkeypatch.setattr(PermGroup, "_build_chain", forbidden)
-    stab = setwise_stabilizer(w, set(reference_trio().indices))
+    monkeypatch.setattr(PermGroup, "_listing", forbidden)
+    stab = setwise_stabilizer(weyl_group(), set(reference_trio().indices))
     assert stab.order() == 1152
     classes = subgroup_classes(stab)
     monkeypatch.undo()
     assert len(classes) == 246
-    assert stab._chain is None
-    assert PermGroup(27, stab.generators).order() == stab.order()
+    assert len(closure(27, stab.generators)) == 1152
 
 
-def test_a_group_from_bare_generators_builds_its_chain(monkeypatch):
+def test_a_bare_group_lists_itself_once(monkeypatch):
     calls = []
-    build = PermGroup._build_chain
+    listing = PermGroup._listing
 
-    def counted(self):
+    def counted(self, bound):
         calls.append(self)
-        return build(self)
+        return listing(self, bound)
 
-    monkeypatch.setattr(PermGroup, "_build_chain", counted)
+    monkeypatch.setattr(PermGroup, "_listing", counted)
     group = PermGroup(4, setwise_stabilizer(s4(), {0, 1}).generators)
     assert group.order() == 4 and calls == [group]
     assert group.order() == 4 and len(calls) == 1  # the order is cached
+    # elements() lists once more, to decode and sort, and caches the elements
+    assert group.elements() == tuple(sorted(closure(4, group.generators)))
+    assert len(group.elements()) == 4 and group.order() == 4 and len(calls) == 2
 
 
 def test_setwise_stabilizer_refuses_past_the_listing_bound(monkeypatch):
@@ -306,7 +339,7 @@ def _reduce_generators(degree, gens):
     """Drop generators already generated by the kept ones (order-preserving)."""
     kept = []
     for g in gens:
-        if g not in PermGroup(degree, kept):
+        if g not in closure(degree, kept):
             kept.append(g)
     return kept
 
@@ -540,7 +573,7 @@ def test_enumeration_rejects_too_large():
 
 
 def test_enumeration_bound_guards_the_cayley_table(monkeypatch):
-    """(Z/2)^13 is solvable, of order 8192: rejected before any element is listed."""
+    """(Z/2)^13 is solvable, of order 8192: its listing stops past the bound of 5000."""
     from cubicbrauer import perms
 
     def forbidden(*args, **kwargs):
@@ -548,7 +581,7 @@ def test_enumeration_bound_guards_the_cayley_table(monkeypatch):
 
     monkeypatch.setattr(perms, "_TableGroup", forbidden)
     group = PermGroup(26, [cyc(26, (2 * i, 2 * i + 1)) for i in range(13)])
-    assert group.order() == 8192
+    assert len(closure(26, group.generators)) == 8192
     with pytest.raises(TooLarge):
         subgroup_classes(group)
 
@@ -562,15 +595,16 @@ def test_a_transposition_on_300_points_enumerates():
 
 
 def test_more_than_256_moved_points_are_refused_before_the_table(monkeypatch):
-    """129 disjoint transpositions move 258 points: rejected before any element search."""
+    """129 disjoint transpositions move 258 points: rejected before any listing."""
     from cubicbrauer import perms
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("no element search beyond 256 moved points")
+        raise AssertionError("no element listing beyond 256 moved points")
 
     monkeypatch.setattr(perms, "_TableGroup", forbidden)
+    monkeypatch.setattr(perms, "_Dimino", forbidden)
     group = PermGroup(300, [cyc(300, *((2 * i, 2 * i + 1) for i in range(129)))])
-    assert group.order() == 2
+    assert len(closure(300, group.generators)) == 2
     with pytest.raises(TooLarge):
         subgroup_classes(group)
 
@@ -634,7 +668,7 @@ def test_enumeration_deterministic():
 def test_stabilizer_element_count_matches_order(trio_stabilizer):
     assert trio_stabilizer.order() == 1152
     assert len(trio_stabilizer.elements()) == 1152
-    assert trio_stabilizer.exponent() == 24
+    assert _exponent(trio_stabilizer) == 24
 
 
 def test_stabilizer_subgroup_counting_identities(trio_stabilizer, stabilizer_classes):
