@@ -6,14 +6,14 @@ a bound, :func:`setwise_stabilizer` finds set stabilizers, and
 :func:`subgroup_classes` enumerates the subgroups of a solvable group up
 to conjugacy by the cyclic extension method.  All three work on byte
 strings: the points the generators move are numbered 0..k-1 (so
-k <= 256) and an element is the bytes of its images.  A group has one
-listing, Dimino's cosets on these codes (:class:`_Dimino`), and its order
-is the length of that listing.  :func:`setwise_stabilizer` tests every
-Schreier generator of the set's orbit against the listing of the group
-kept so far, and the group it returns carries the count of that listing.
-The enumeration's breadth-first element search checks its own count
-against that order, so two independent listings of the trio stabilizer
-check each other on the table sweep's path.  The enumeration works on
+k <= 256) and an element is the bytes of its images.  A group's elements
+and order come from one listing, Dimino's cosets on these codes
+(:class:`_Dimino`).  :func:`setwise_stabilizer` tests every Schreier
+generator of the set's orbit against the listing of the group kept so
+far, and the group it returns carries the count of that listing.  The
+enumeration's breadth-first element search, which also yields inverses,
+checks its own count against that order, so two independent listings of
+the trio stabilizer check each other on the table sweep's path.  The enumeration works on
 indices into the sorted element list, and each element becomes a tuple
 once.  Every product of two
 indices is formed when it is read, by one ``bytes.translate`` and one
@@ -146,12 +146,8 @@ class PermGroup:
             raise TooLarge(f"group of order {self._order} exceeds bound {bound}")
         return self._order
 
-    def is_trivial(self) -> bool:
-        return not self.generators
-
     def elements(self, bound: int = ELEMENT_LISTING_BOUND) -> tuple[Perm, ...]:
-        # a carried order past the bound is refused by order() without a listing
-        if self._elements is None and (self._order or 0) <= bound:
+        if self._elements is None:
             codes, decode = self._listing(bound)
             self._order = len(codes)
             self._elements = tuple(map(decode, sorted(codes)))
