@@ -574,23 +574,13 @@ def check_property_suites() -> CheckResult:
 
     # Shapiro vanishing for regular representations
     groups = {
-        "C2": [[(0, 1)], 2],
+        "C2": [[(1, 0)], 2],
         "C3": [[(1, 2, 0)], 3],
         "C4": [[(1, 2, 3, 0)], 4],
         "S3": [[(1, 0, 2), (1, 2, 0)], 3],
     }
     for name, (gens, degree) in groups.items():
-        elements = set()
-        queue = [tuple(range(degree))]
-        elements.add(queue[0])
-        while queue:
-            x = queue.pop()
-            for g in gens:
-                y = tuple(g[i] for i in x)
-                if y not in elements:
-                    elements.add(y)
-                    queue.append(y)
-        module = _regular_representation(sorted(elements))
+        module = _regular_representation(list(PermGroup(degree, gens).elements()))
         if h1_lattice(module) != FinAbGroup.trivial():
             problems.append(f"H1({name}, Z[{name}]) != 0")
 

@@ -6,16 +6,16 @@ a bound, :func:`setwise_stabilizer` finds set stabilizers, and
 :func:`subgroup_classes` enumerates the subgroups of a solvable group up
 to conjugacy by the cyclic extension method.  All three work on byte
 strings: the points the generators move are numbered 0..k-1 (so
-k <= 256) and an element is the bytes of its images.  A group's elements
-and order come from one listing, Dimino's cosets on these codes
-(:class:`_Dimino`).  :func:`setwise_stabilizer` tests every Schreier
+k <= 256) and an element is the bytes of its images.  A group is listed
+once, by Dimino's cosets on these codes (:class:`_Dimino`), and its
+order, its elements and the enumeration's table all read that cached
+listing.  :func:`setwise_stabilizer` tests every Schreier
 generator of the set's orbit against the listing of the group kept so
-far, and the group it returns carries the count of that listing.  The
-enumeration's breadth-first element search, which also yields inverses,
-checks its own count against that order, so two independent listings of
-the trio stabilizer check each other on the table sweep's path.  The enumeration works on
-indices into the sorted element list, and each element becomes a tuple
-once.  Every product of two
+far, and the group it returns carries that listing, so the trio
+stabilizer is listed once on the table sweep's path.  The enumeration
+checks that the listing is closed under the generators, which makes it
+exactly the group they generate, and works on indices into it, sorted;
+each element becomes a tuple once.  Every product of two
 indices is formed when it is read, by one ``bytes.translate`` and one
 dict lookup, so memory stays linear in the order of the group; no table
 of all products is built.  A small generating set of the group (two
@@ -103,14 +103,15 @@ def perm_from_cycles(n: int, cycles: list[list[int]]) -> Perm:
 class PermGroup:
     """A finite permutation group given by generators.
 
-    Its elements are listed by Dimino's algorithm on byte codes
+    Its elements are listed once, by Dimino's algorithm on byte codes
     (:class:`_Dimino`), which encode at most 256 moved points: a group
     moving more raises TooLarge on ``order()`` and ``elements()``.  Every
-    group of the library has degree 27.  ``order()`` is the length of that
-    listing, or the count that :func:`setwise_stabilizer` carries for the
-    group it returns; ``elements()`` decodes the sorted codes.  Both are
-    cached, and both raise TooLarge once the group has more than ``bound``
-    elements, after listing fewer than 2 * bound of them.
+    group of the library has degree 27.  The listing is cached as the
+    sorted codes and their decoder, or carried from
+    :func:`setwise_stabilizer` for the group it returns.  ``order()`` is
+    its length, ``elements()`` decodes it, and the subgroup enumeration
+    indexes it.  Both methods raise TooLarge once the group has more than
+    ``bound`` elements, after listing fewer than 2 * bound of them.
     """
 
     def __init__(self, degree: int, generators: list[Perm] | tuple[Perm, ...]):
@@ -128,31 +129,31 @@ class PermGroup:
                 gens.append(g)
         self.degree = degree
         self.generators: tuple[Perm, ...] = tuple(gens)
-        self._order: int | None = None
-        self._elements: tuple[Perm, ...] | None = None
+        self._listed: tuple[list[bytes], Callable[[bytes], Perm]] | None = None
 
     def _listing(self, bound: int) -> tuple[list[bytes], Callable[[bytes], Perm]]:
-        """The byte codes of the elements, listed by Dimino's cosets, and their decoder."""
+        """The sorted byte codes of the elements, listed by Dimino's cosets, and their decoder."""
         encode, decode, pad = _byte_codec(self)
         listing = _Dimino(256 - len(pad), bound)
         for g in self.generators:
             listing.add(encode(g))
-        return listing.codes, decode
+        return sorted(listing.codes), decode
+
+    def _codes(self, bound: int) -> tuple[list[bytes], Callable[[bytes], Perm]]:
+        """The cached listing; TooLarge past ``bound`` elements."""
+        if self._listed is None:
+            self._listed = self._listing(bound)
+        n = len(self._listed[0])
+        if n > bound:
+            raise TooLarge(f"group of order {n} exceeds bound {bound}")
+        return self._listed
 
     def order(self, bound: int = ELEMENT_LISTING_BOUND) -> int:
-        if self._order is None:
-            self._order = len(self._listing(bound)[0])
-        if self._order > bound:
-            raise TooLarge(f"group of order {self._order} exceeds bound {bound}")
-        return self._order
+        return len(self._codes(bound)[0])
 
     def elements(self, bound: int = ELEMENT_LISTING_BOUND) -> tuple[Perm, ...]:
-        if self._elements is None:
-            codes, decode = self._listing(bound)
-            self._order = len(codes)
-            self._elements = tuple(map(decode, sorted(codes)))
-        self.order(bound)
-        return self._elements
+        codes, decode = self._codes(bound)
+        return tuple(map(decode, codes))
 
 
 # -- byte codes ------------------------------------------------------------
@@ -251,8 +252,8 @@ def setwise_stabilizer(g: PermGroup, points: set[int] | frozenset[int]) -> PermG
     far is kept.  That group is listed on byte codes by :class:`_Dimino`,
     grown each time a generator is kept, so membership is one set lookup.
     The generators returned form an irredundant prefix chain: none lies in
-    the group of those before it.  The group returned carries its order,
-    the number of elements listed, so ``order()`` lists nothing again.
+    the group of those before it.  The group returned carries that
+    listing, in the codes of G, so it never lists itself again.
     Raises TooLarge once the stabilizer has more than ELEMENT_LISTING_BOUND
     elements, or if G moves more than 256 points.
     """
@@ -284,7 +285,7 @@ def setwise_stabilizer(g: PermGroup, points: set[int] | frozenset[int]) -> PermG
             if listing.add(sg):
                 kept.append(sg)
     stabilizer = PermGroup(g.degree, [decode(c) for c in kept])
-    stabilizer._order = len(listing.codes)
+    stabilizer._listed = (sorted(listing.codes), decode)
     return stabilizer
 
 
@@ -314,81 +315,53 @@ def orbit_count(g: PermGroup, points: set[int] | frozenset[int]) -> int:
 # -- subgroup enumeration (cyclic extension method) -----------------------
 
 
-def _element_search(
-    group: PermGroup,
-) -> tuple[tuple[Perm, ...], list[bytes], dict[bytes, int], list[int]]:
-    """The sorted elements of G, their byte codes, the index of each code and of each inverse.
-
-    A breadth-first search over the generators on the byte codes of
-    :func:`_byte_codec`.  Each element found as y = g x gets its inverse
-    x^-1 g^-1 by one more ``translate``, so the search tree yields every
-    inverse.  Byte strings sort as the permutations they encode do, so
-    sorting the codes sorts the elements, and each element becomes a
-    ``Perm`` once.  The count found is checked against ``group.order()``,
-    the count of an independent listing by Dimino's cosets: the one
-    :func:`setwise_stabilizer` made, or the group's own.
-    """
-    encode, decode, pad = _byte_codec(group)
-    gen_codes = [encode(g) for g in group.generators]
-    gen_pads = [c + pad for c in gen_codes]
-    k = 256 - len(pad)
-    gen_inv_codes = [bytes(sorted(range(k), key=c.__getitem__)) for c in gen_codes]
-    ident = bytes(range(k))
-    found, found_inv = [ident], [ident]
-    seen = {ident}
-    for i, x in enumerate(found):
-        x_inv_pad = found_inv[i] + pad
-        for g, g_inv in zip(gen_pads, gen_inv_codes):
-            y = x.translate(g)
-            if y not in seen:
-                seen.add(y)
-                found.append(y)
-                found_inv.append(g_inv.translate(x_inv_pad))  # (g x)^-1 = x^-1 g^-1
-    n = len(found)
-    if n != group.order():
-        raise AssertionError("element search disagrees with the order of the group")
-    by_perm = sorted(range(n), key=found.__getitem__)
-    codes = [found[old] for old in by_perm]
-    ids = {c: i for i, c in enumerate(codes)}
-    inv = [ids[found_inv[old]] for old in by_perm]
-    return tuple(map(decode, codes)), codes, ids, inv
-
-
 class _TableGroup:
     """A small group materialized for index arithmetic, its products formed on demand.
 
-    Elements are indexed into the sorted element list, and each index i
-    keeps the byte code ``codes[i]`` of its element from
-    :func:`_element_search` and the 256-byte translation table
+    Elements are indexed into the group's sorted listing
+    (:meth:`PermGroup._codes`), and each index i keeps the byte code
+    ``codes[i]`` of its element and the 256-byte translation table
     ``pads[i]`` (the code followed by the bytes of the points it does not
     move).  The index of ``elements[x] * elements[y]`` is then
     ``ids[codes[y].translate(pads[x])]``: one C call and one dict lookup,
     so memory stays linear in |G| and no product is formed before it is
     read (the whole enumeration of the trio stabilizer reads about 109 k
     of its 1.33 M products).  Hot loops bind ``ids``, ``codes`` and
-    ``pads`` as locals.  Inverses come from the element search and orders
-    from powers of the byte codes.  ``gens`` is a small generating set
+    ``pads`` as locals.  Orders and inverses come from powers of the byte
+    codes.  ``gens`` is a small generating set
     (:meth:`_small_generating_set`), which the conjugation maps, the
     orbit walks and the solvability test run on.
+
+    The listing is certified without a second one: it holds the identity,
+    is made of products of the permutation generators, and is closed under
+    left multiplication by each of them, so it is exactly the group they
+    generate.  A listing that fails the closure raises AssertionError.
     """
 
-    def __init__(self, group: PermGroup):
-        self.elements, self.codes, self.ids, self.inv = _element_search(group)
-        self.n = n = len(self.elements)
+    def __init__(self, group: PermGroup, bound: int = ELEMENT_LISTING_BOUND):
+        codes, decode = group._codes(bound)
+        self.codes = codes
+        self.elements = tuple(map(decode, codes))
+        self.n = n = len(codes)
+        self.ids = ids = {c: i for i, c in enumerate(codes)}
         self.index = {p: i for i, p in enumerate(self.elements)}
         self.e = e = self.index[identity_perm(group.degree)]
-        codes, ids, inv = self.codes, self.ids, self.inv
         ident = codes[e]
         pad = bytes(range(len(ident), 256))
         self.pads = pads = [c + pad for c in codes]
-        order_of = []
+        for g in group.generators:
+            x = self.index.get(g)
+            if x is None or set(map(bytes.translate, codes, repeat(pads[x]))) != ids.keys():
+                raise AssertionError("the listing is not closed under the generators")
+        order_of, inv = [], []
         for c, pc in zip(codes, pads):
-            k, y = 1, c
+            k, last, y = 1, c, c  # y = c^k, last = c^(k-1) once k > 1
             while y != ident:
-                y = y.translate(pc)
+                last, y = y, y.translate(pc)
                 k += 1
             order_of.append(k)
-        self.order_of = order_of
+            inv.append(ids[last])  # c^(k-1) = c^-1
+        self.order_of, self.inv = order_of, inv
         self.gens = self._small_generating_set([self.index[g] for g in group.generators])
         # x -> g x g^-1 for each generator g: (x g^-1), then g times that
         self.conj_maps = [
@@ -430,18 +403,11 @@ class _TableGroup:
         return perm_gens
 
     def closure(self, seeds: list[int]) -> frozenset[int]:
-        """<seeds>, searched on the byte codes; each element is looked up once."""
-        ident = self.codes[self.e]
-        seed_pads = [self.pads[s] for s in seeds]
-        known = {ident}
-        queue = [ident]
-        for x in queue:
-            for s in seed_pads:
-                y = x.translate(s)  # s * x
-                if y not in known:
-                    known.add(y)
-                    queue.append(y)
-        return frozenset(map(self.ids.__getitem__, known))
+        """<seeds>, listed on the byte codes by :class:`_Dimino`."""
+        listing = _Dimino(len(self.codes[self.e]), self.n)
+        for s in seeds:
+            listing.add(self.codes[s])
+        return frozenset(map(self.ids.__getitem__, listing.codes))
 
     def extend(self, elems: frozenset[int], gens: list[int]) -> frozenset[int]:
         """<gens>, grown from a subgroup H = elems of it one left coset at a time.
@@ -578,11 +544,6 @@ class SubgroupClass(NamedTuple):
     order: int
     conjugates: int
 
-    @property
-    def element_set(self) -> frozenset[Perm]:
-        """The elements of the subgroup, listed from its generators on demand."""
-        return frozenset(self.group.elements())
-
 
 def subgroup_classes(
     g: PermGroup, bound: int = SUBGROUP_ENUM_BOUND
@@ -598,7 +559,7 @@ def subgroup_classes(
     than 256 points, which the byte codes refuse before that listing.
     """
     n = g.order(bound)
-    tg = _TableGroup(g)
+    tg = _TableGroup(g, bound)
     if not tg.is_solvable():
         raise NotSolvable("subgroup enumeration implemented for solvable groups only")
 

@@ -100,7 +100,7 @@ def test_h1_exponent_annihilator_is_insufficient():
     stab = setwise_stabilizer(weyl_group(), set(trio.indices))
     witness = None
     for cls in subgroup_classes(stab):
-        if cls.order != 4 or any(perm_order(p) == 4 for p in cls.element_set):
+        if cls.order != 4 or any(perm_order(p) == 4 for p in cls.group.elements()):
             continue
         module = quotient_by_trio(trio, cls.group).module
         value = h1_lattice(module)

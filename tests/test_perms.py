@@ -129,7 +129,7 @@ def test_listing_stops_past_its_bound(query, monkeypatch):
         tracemalloc.stop()
     assert 100 < listed[-1] <= 120, listed
     assert peak < 10**6, peak
-    assert s20._order is None and s20._elements is None
+    assert s20._listed is None
 
 
 def test_element_bound_is_checked_on_every_call():
@@ -187,10 +187,10 @@ def test_trio_and_line_stabilizers_form_prefix_chains(trio_stabilizer):
 def test_setwise_stabilizer_builds_no_stabilizer_chain(monkeypatch):
     """Membership is read from the element set of the group kept so far.
 
-    The stabilizer carries the order its Dimino listing found, so neither
-    it nor W(E6) lists itself again on the table sweep's path: the
-    enumeration's bound check and its element-count check read the carried
-    order, which the brute-force closure of the generators confirms.
+    The stabilizer carries its Dimino listing, so neither it nor W(E6)
+    lists itself again on the table sweep's path: the enumeration's bound
+    check and its table both read the carried listing, whose order the
+    brute-force closure of the generators confirms.
     """
     from cubicbrauer.cubiclattice import reference_trio, weyl_group
 
@@ -207,6 +207,7 @@ def test_setwise_stabilizer_builds_no_stabilizer_chain(monkeypatch):
 
 
 def test_a_bare_group_lists_itself_once(monkeypatch):
+    """order(), elements() and the enumeration's table all read one cached listing."""
     calls = []
     listing = PermGroup._listing
 
@@ -217,10 +218,9 @@ def test_a_bare_group_lists_itself_once(monkeypatch):
     monkeypatch.setattr(PermGroup, "_listing", counted)
     group = PermGroup(4, setwise_stabilizer(s4(), {0, 1}).generators)
     assert group.order() == 4 and calls == [group]
-    assert group.order() == 4 and len(calls) == 1  # the order is cached
-    # elements() lists once more, to decode and sort, and caches the elements
     assert group.elements() == tuple(sorted(closure(4, group.generators)))
-    assert len(group.elements()) == 4 and group.order() == 4 and len(calls) == 2
+    assert _TableGroup(group).elements == group.elements()
+    assert group.order() == 4 and calls == [group]
 
 
 def test_setwise_stabilizer_refuses_past_the_listing_bound(monkeypatch):
@@ -429,15 +429,42 @@ def test_table_inverses_orders_and_elements_on_the_trio_stabilizer(trio_stabiliz
     _check_table_inverses_orders_and_elements(trio_stabilizer)
 
 
+def test_table_refuses_a_listing_that_lacks_a_coset():
+    """S4 carrying its listing less one coset x C4, or the listing of A4 alone.
+
+    The coset x C4 holds neither generator, so only the closure catches it;
+    A4 lacks the transposition that generates S4.
+    """
+    c4 = closure(4, [cyc(4, (0, 1, 2, 3))])
+    x = cyc(4, (1, 2))
+    short = set(closure(4, s4().generators)) - {compose(x, h) for h in c4}
+    assert len(short) == 20 and set(s4().generators) <= short
+    a4 = closure(4, [cyc(4, (0, 1, 2)), cyc(4, (0, 1), (2, 3))])
+    for listed in (short, a4):
+        group = s4()
+        group._listed = (sorted(map(bytes, listed)), tuple)
+        with pytest.raises(AssertionError):
+            _TableGroup(group)
+
+
 def _check_extend_matches_closure(group, seed):
-    """extend(H, gens) = <gens> for H generated by each prefix of gens."""
+    """closure(gens) and extend(H, gens) = <gens>, for H generated by each prefix of gens.
+
+    The reference is the brute-force closure of the elements, mapped to indices.
+    """
     tg = _TableGroup(group)
     rng = random.Random(seed)
+
+    def reference(gens):
+        elements = closure(group.degree, [tg.elements[g] for g in gens])
+        return frozenset(map(tg.index.__getitem__, elements))
+
     for _ in range(40):
         gens = [rng.randrange(tg.n) for _ in range(rng.randint(1, 4))]
-        expected = tg.closure(gens)
+        expected = reference(gens)
+        assert tg.closure(gens) == expected
         for k in range(len(gens) + 1):
-            assert tg.extend(tg.closure(gens[:k]), gens) == expected
+            assert tg.extend(reference(gens[:k]), gens) == expected
 
 
 @pytest.mark.parametrize("factory", [s4, gl23, d4])
@@ -497,7 +524,7 @@ def test_orbit_normalizer_matches_bruteforce_on_the_trio_stabilizer(
     tg = _TableGroup(trio_stabilizer)
     inverses = list(map(inverse, tg.elements))
     for cls in stabilizer_classes:
-        rep = frozenset(tg.index[p] for p in cls.element_set)
+        rep = frozenset(tg.index[p] for p in cls.group.elements())
         expected = _normalizer_by_conjugation(tg, inverses, rep, cls.group.generators)
         starts = [rep]
         outside = next((x for x in range(tg.n) if x not in expected), None)
@@ -553,7 +580,7 @@ def test_orbit_walk_does_not_depend_on_the_generators(trio_stabilizer, stabilize
         by_perms.conj_maps.append([tg.index[compose(compose(p, q), p_inv)] for q in tg.elements])
     assert len(by_perms.gens) == 5 and len(tg.gens) == 2
     for cls in stabilizer_classes:
-        start = frozenset(tg.index[p] for p in cls.element_set)
+        start = frozenset(tg.index[p] for p in cls.group.elements())
         orbit, rep, rep_gens, _, norm = tg.conjugacy_orbit_and_normalizer(start)
         orbit2, rep2, rep_gens2, _, norm2 = by_perms.conjugacy_orbit_and_normalizer(start)
         assert set(orbit) == set(orbit2) and len(orbit) == cls.conjugates
@@ -591,7 +618,7 @@ def test_a_transposition_on_300_points_enumerates():
     group = PermGroup(300, [cyc(300, (0, 299))])
     classes = subgroup_classes(group)
     assert [(c.order, c.conjugates) for c in classes] == [(1, 1), (2, 1)]
-    assert classes[1].element_set == {identity_perm(300), cyc(300, (0, 299))}
+    assert frozenset(classes[1].group.elements()) == {identity_perm(300), cyc(300, (0, 299))}
 
 
 def test_more_than_256_moved_points_are_refused_before_the_table(monkeypatch):
@@ -631,13 +658,13 @@ def test_classes_are_genuine_subgroups_and_nonconjugate():
     classes = subgroup_classes(group)
     elements = group.elements()
     for cls in classes:
-        sub = cls.element_set
+        sub = frozenset(cls.group.elements())
         # closed under multiplication
         assert all(compose(p, q) in sub for p in sub for q in sub)
     # pairwise non-conjugate: exhaust all conjugators within each order bucket
     by_order: dict[int, list[frozenset]] = {}
     for cls in classes:
-        by_order.setdefault(cls.order, []).append(cls.element_set)
+        by_order.setdefault(cls.order, []).append(frozenset(cls.group.elements()))
     for bucket in by_order.values():
         for i in range(len(bucket)):
             for j in range(i + 1, len(bucket)):
@@ -657,8 +684,8 @@ def _inv(p):
 
 
 def test_enumeration_deterministic():
-    first = [(c.order, sorted(c.element_set)) for c in subgroup_classes(s4())]
-    second = [(c.order, sorted(c.element_set)) for c in subgroup_classes(s4())]
+    first = [(c.order, c.group.elements()) for c in subgroup_classes(s4())]
+    second = [(c.order, c.group.elements()) for c in subgroup_classes(s4())]
     assert first == second
 
 
@@ -694,7 +721,7 @@ def test_stabilizer_subgroup_counting_identities(trio_stabilizer, stabilizer_cla
     cyclic4 = sum(
         cls.conjugates
         for cls in stabilizer_classes
-        if cls.order == 4 and any(perm_order(p) == 4 for p in cls.element_set)
+        if cls.order == 4 and any(perm_order(p) == 4 for p in cls.group.elements())
     )
     assert cyclic4 == order_census[4] // 2
 
@@ -702,7 +729,7 @@ def test_stabilizer_subgroup_counting_identities(trio_stabilizer, stabilizer_cla
 def test_stabilizer_class_reps_are_subgroups(stabilizer_classes):
     for cls in stabilizer_classes:
         if cls.order <= 64:
-            members = cls.element_set
+            members = frozenset(cls.group.elements())
             assert all(compose(p, q) in members for p in members for q in members)
         assert cls.group.order() == cls.order
 
@@ -711,22 +738,19 @@ def test_stabilizer_small_classes_pairwise_nonconjugate(
     trio_stabilizer, stabilizer_classes
 ):
     elements = trio_stabilizer.elements()
-    small = [c for c in stabilizer_classes if c.order in (2, 3)]
+    small = [frozenset(c.group.elements()) for c in stabilizer_classes if c.order in (2, 3)]
     for i in range(len(small)):
         for j in range(i + 1, len(small)):
-            if small[i].order != small[j].order:
+            if len(small[i]) != len(small[j]):
                 continue
-            gens = [p for p in small[i].element_set if perm_order(p) > 1]
+            gens = [p for p in small[i] if perm_order(p) > 1]
             assert not any(
-                all(
-                    compose(compose(x, g), _inv(x)) in small[j].element_set
-                    for g in gens
-                )
+                all(compose(compose(x, g), _inv(x)) in small[j] for g in gens)
                 for x in elements
             )
 
 
-# sha256 over (order, conjugates, sorted element_set) of every class of the
+# sha256 over (order, conjugates, sorted elements) of every class of the
 # trio stabilizer, recorded from the tuple-arithmetic enumeration
 STABILIZER_CLASSES_SHA256 = "290bfb26e110a3ce0db79d02be52adf0dbc48f446f262f7466efdd4eae90e844"
 
@@ -734,7 +758,8 @@ STABILIZER_CLASSES_SHA256 = "290bfb26e110a3ce0db79d02be52adf0dbc48f446f262f7466e
 def test_stabilizer_classes_golden_digest(stabilizer_classes):
     digest = hashlib.sha256()
     for cls in stabilizer_classes:
-        digest.update(repr((cls.order, cls.conjugates, sorted(cls.element_set))).encode())
+        members = sorted(cls.group.elements())
+        digest.update(repr((cls.order, cls.conjugates, members)).encode())
     assert digest.hexdigest() == STABILIZER_CLASSES_SHA256
 
 

@@ -225,4 +225,4 @@ def test_a_descriptor_keeps_its_checks_without_the_trial_division():
 
 def test_a_subgroup_class_lists_its_elements():
     cls = SubgroupClass(PermGroup(3, [perm_from_cycles(3, [[0, 1, 2]])]), 3, 2)
-    assert cls.element_set == {(0, 1, 2), (1, 2, 0), (2, 0, 1)}
+    assert frozenset(cls.group.elements()) == {(0, 1, 2), (1, 2, 0), (2, 0, 1)}
