@@ -349,8 +349,8 @@ class _TableGroup:
         ident = codes[e]
         pad = bytes(range(len(ident), 256))
         self.pads = pads = [c + pad for c in codes]
-        for g in group.generators:
-            x = self.index.get(g)
+        perm_gens = [self.index.get(g) for g in group.generators]
+        for x in perm_gens:
             if x is None or set(map(bytes.translate, codes, repeat(pads[x]))) != ids.keys():
                 raise AssertionError("the listing is not closed under the generators")
         order_of, inv = [], []
@@ -362,7 +362,7 @@ class _TableGroup:
             order_of.append(k)
             inv.append(ids[last])  # c^(k-1) = c^-1
         self.order_of, self.inv = order_of, inv
-        self.gens = self._small_generating_set([self.index[g] for g in group.generators])
+        self.gens = self._small_generating_set(perm_gens)
         # x -> g x g^-1 for each generator g: (x g^-1), then g times that
         self.conj_maps = [
             [ids[codes[inv[g]].translate(pads[x]).translate(pads[g])] for x in range(n)]

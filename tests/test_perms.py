@@ -604,7 +604,7 @@ def test_enumeration_bound_guards_the_cayley_table(monkeypatch):
     from cubicbrauer import perms
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("no element search above the enumeration bound")
+        raise AssertionError("no table above the enumeration bound")
 
     monkeypatch.setattr(perms, "_TableGroup", forbidden)
     group = PermGroup(26, [cyc(26, (2 * i, 2 * i + 1)) for i in range(13)])
