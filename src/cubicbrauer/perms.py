@@ -13,9 +13,10 @@ listing.  :func:`setwise_stabilizer` tests every Schreier
 generator of the set's orbit against the listing of the group kept so
 far, and the group it returns carries that listing, so the trio
 stabilizer is listed once on the table sweep's path.  The enumeration
-checks that the listing is closed under the generators, which makes it
-exactly the group they generate, and works on indices into it, sorted;
-each element becomes a tuple once.  Every product of two
+checks that a walk from the identity under the generators stays in the
+listing and reaches all of it, which makes it exactly the group they
+generate, and works on indices into it, sorted; each element becomes a
+tuple once.  Every product of two
 indices is formed when it is read, by one ``bytes.translate`` and one
 dict lookup, so memory stays linear in the order of the group; no table
 of all products is built.  A small generating set of the group (two
@@ -109,9 +110,10 @@ class PermGroup:
     group of the library has degree 27.  The listing is cached as the
     sorted codes and their decoder, or carried from
     :func:`setwise_stabilizer` for the group it returns.  ``order()`` is
-    its length, ``elements()`` decodes it, and the subgroup enumeration
-    indexes it.  Both methods raise TooLarge once the group has more than
-    ``bound`` elements, after listing fewer than 2 * bound of them.
+    its length, ``elements()`` decodes it on each call (only the codes are
+    cached), and the subgroup enumeration indexes it.  Both methods raise
+    TooLarge once the group has more than ``bound`` elements, after listing
+    fewer than 2 * bound of them.
     """
 
     def __init__(self, degree: int, generators: list[Perm] | tuple[Perm, ...]):
@@ -332,16 +334,16 @@ class _TableGroup:
     (:meth:`_small_generating_set`), which the conjugation maps, the
     orbit walks and the solvability test run on.
 
-    The listing is certified without a second one: it holds the identity,
-    is made of products of the permutation generators, and is closed under
-    left multiplication by each of them, so it is exactly the group they
-    generate.  A listing that fails the closure raises AssertionError.
+    The listing is certified by a walk from the identity, each step a left
+    multiplication by a permutation generator: every product must be
+    listed and every listed code reached, so the listing is exactly the
+    group the generators generate.  Otherwise AssertionError is raised.
     """
 
-    def __init__(self, group: PermGroup, bound: int = ELEMENT_LISTING_BOUND):
-        codes, decode = group._codes(bound)
+    def __init__(self, group: PermGroup):
+        codes, _ = group._codes(ELEMENT_LISTING_BOUND)
         self.codes = codes
-        self.elements = tuple(map(decode, codes))
+        self.elements = group.elements()
         self.n = n = len(codes)
         self.ids = ids = {c: i for i, c in enumerate(codes)}
         self.index = {p: i for i, p in enumerate(self.elements)}
@@ -350,9 +352,20 @@ class _TableGroup:
         pad = bytes(range(len(ident), 256))
         self.pads = pads = [c + pad for c in codes]
         perm_gens = [self.index.get(g) for g in group.generators]
-        for x in perm_gens:
-            if x is None or set(map(bytes.translate, codes, repeat(pads[x]))) != ids.keys():
-                raise AssertionError("the listing is not closed under the generators")
+        if None in perm_gens:
+            raise AssertionError("a generator is not in the listing")
+        reached, seen = [e], bytearray(n)
+        seen[e] = 1
+        for y in reached:
+            for x in perm_gens:
+                z = ids.get(codes[y].translate(pads[x]))
+                if z is None:
+                    raise AssertionError("the listing is not closed under the generators")
+                if not seen[z]:
+                    seen[z] = 1
+                    reached.append(z)
+        if len(reached) != n:
+            raise AssertionError("the listing holds elements the generators do not reach")
         order_of, inv = [], []
         for c, pc in zip(codes, pads):
             k, last, y = 1, c, c  # y = c^k, last = c^(k-1) once k > 1
@@ -559,7 +572,7 @@ def subgroup_classes(
     than 256 points, which the byte codes refuse before that listing.
     """
     n = g.order(bound)
-    tg = _TableGroup(g, bound)
+    tg = _TableGroup(g)
     if not tg.is_solvable():
         raise NotSolvable("subgroup enumeration implemented for solvable groups only")
 

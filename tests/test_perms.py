@@ -429,19 +429,23 @@ def test_table_inverses_orders_and_elements_on_the_trio_stabilizer(trio_stabiliz
     _check_table_inverses_orders_and_elements(trio_stabilizer)
 
 
-def test_table_refuses_a_listing_that_lacks_a_coset():
-    """S4 carrying its listing less one coset x C4, or the listing of A4 alone.
+def test_table_refuses_a_listing_that_is_not_the_group():
+    """S4 carrying its listing less one coset x C4, or the listing of A4 alone;
+    C4 carrying the listing of S4.
 
     The coset x C4 holds neither generator, so only the closure catches it;
-    A4 lacks the transposition that generates S4.
+    A4 lacks the transposition that generates S4.  S4 is closed under the
+    generator of C4, a union of its right cosets, so only the walk from the
+    identity, which reaches 4 of its 24 codes, catches it.
     """
-    c4 = closure(4, [cyc(4, (0, 1, 2, 3))])
+    rotation = cyc(4, (0, 1, 2, 3))
+    c4 = closure(4, [rotation])
     x = cyc(4, (1, 2))
-    short = set(closure(4, s4().generators)) - {compose(x, h) for h in c4}
+    full = closure(4, s4().generators)
+    short = set(full) - {compose(x, h) for h in c4}
     assert len(short) == 20 and set(s4().generators) <= short
     a4 = closure(4, [cyc(4, (0, 1, 2)), cyc(4, (0, 1), (2, 3))])
-    for listed in (short, a4):
-        group = s4()
+    for group, listed in ((s4(), short), (s4(), a4), (PermGroup(4, [rotation]), full)):
         group._listed = (sorted(map(bytes, listed)), tuple)
         with pytest.raises(AssertionError):
             _TableGroup(group)
