@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from math import gcd
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .brauer import (
     BoundaryDescriptor,
@@ -60,8 +59,7 @@ from .qexamples import searched_example_brauer
 from .ratpoly import RationalPoly
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str
@@ -158,8 +156,7 @@ _IOTA = IntMatrix.from_columns(
 )
 
 
-@dataclass(frozen=True)
-class CaseTwoWitness:
+class CaseTwoWitness(NamedTuple):
     """An explicit subgroup of W(E6) achieving a case-2 pair.
 
     ``generators`` act on Pic Xbar in the basis (l, e1, ..., e6); ``order``

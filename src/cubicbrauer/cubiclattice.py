@@ -273,21 +273,17 @@ class TorsionReport(NamedTuple):
     divisor_class: DivClass
     snf_diagonal: tuple[int, ...]
     torsion_free: bool
-    is_line: bool
 
 
-def torsion_free_line_conic(include_ell_case: bool = False) -> list[TorsionReport]:
+def torsion_free_line_conic() -> list[TorsionReport]:
     """Torsion check for boundaries 'line + residual conic'.
 
-    For each line class [L] (and optionally the non-line class l itself),
-    the quotient of Z^7 by span{[L], [C]} with [C] = H - [L] is torsion-free
-    iff the 7x2 boundary matrix has all unit invariant factors.
+    For each line class [L], the quotient of Z^7 by span{[L], [C]} with
+    [C] = H - [L] is torsion-free iff the 7x2 boundary matrix has all unit
+    invariant factors.
     """
-    candidates: list[tuple[DivClass, bool]] = [(d, True) for d in lines27()]
-    if include_ell_case:
-        candidates.append((_unit(0), False))
     out = []
-    for d, is_line in candidates:
+    for d in lines27():
         conic = tuple(h - x for h, x in zip(HYPERPLANE, d))
         diag = elementary_divisors(IntMatrix.from_columns([d, conic], rows=RANK))
         out.append(
@@ -295,7 +291,6 @@ def torsion_free_line_conic(include_ell_case: bool = False) -> list[TorsionRepor
                 divisor_class=d,
                 snf_diagonal=diag,
                 torsion_free=all(x == 1 for x in diag),
-                is_line=is_line,
             )
         )
     return out

@@ -534,7 +534,9 @@ def cokernel_structure(a: IntMatrix) -> FinAbGroup:
         return FinAbGroup(a.rows, ())
     diag = elementary_divisors(a)
     r = sum(1 for d in diag if d != 0)
-    return FinAbGroup.from_orders([d for d in diag if d > 1], free_rank=a.rows - r)
+    # the Smith diagonal is a divisibility chain, so its entries above 1 are
+    # already the invariant factors
+    return FinAbGroup(a.rows - r, tuple(d for d in diag if d > 1))
 
 
 def solve_columns(a: IntMatrix, b: IntMatrix) -> IntMatrix | None:

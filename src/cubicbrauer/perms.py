@@ -15,11 +15,11 @@ far, and the group it returns carries that listing, so the trio
 stabilizer is listed once on the table sweep's path.  The enumeration
 checks that a walk from the identity under the generators stays in the
 listing and reaches all of it, which makes it exactly the group they
-generate, and works on indices into it, sorted; each element becomes a
-tuple once.  Every product of two
-indices is formed when it is read, by one ``bytes.translate`` and one
-dict lookup, so memory stays linear in the order of the group; no table
-of all products is built.  A small generating set of the group (two
+generate, and works on indices into its sorted codes (the identity is
+index 0); only the generators of the classes found are decoded.  Every
+product of two indices is formed when it is read, by one
+``bytes.translate`` and one dict lookup, so memory stays linear in the
+order of the group; no table of all products is built.  A small generating set of the group (two
 elements for the trio stabilizer, which has five permutation generators)
 is found first, and every walk over conjugates runs on it, since a walk
 costs one step per conjugate and generator.  The walk over
@@ -27,7 +27,10 @@ the conjugates of each class also yields its normalizer,
 from the Schreier elements of that orbit (orbit-stabilizer), grown from
 the class one coset at a time (Dimino's algorithm) until it has the order
 the orbit dictates, so no element of G is tested one by one and no
-subgroup is closed again from the identity.
+subgroup is closed again from the identity.  Solvability needs no test of
+its own: each class is built from the trivial group by normal extensions
+of prime index, so it is solvable, and every solvable subgroup is reached
+(Neubüser 1960), so G is found among the classes iff it is solvable.
 """
 
 from __future__ import annotations
@@ -41,6 +44,8 @@ from .arith import factorint
 from .errors import NotSolvable, NotStabilized, TooLarge
 
 Perm = tuple[int, ...]
+# a group's sorted byte codes, with the encoder and decoder they were made by
+_Listing = tuple[list[bytes], Callable[[Perm], bytes], Callable[[bytes], Perm]]
 
 ELEMENT_LISTING_BOUND = 10**5
 # Subgroup enumeration keeps a few entries per element, not a table of all
@@ -108,7 +113,7 @@ class PermGroup:
     (:class:`_Dimino`), which encode at most 256 moved points: a group
     moving more raises TooLarge on ``order()`` and ``elements()``.  Every
     group of the library has degree 27.  The listing is cached as the
-    sorted codes and their decoder, or carried from
+    sorted codes with their encoder and decoder, or carried from
     :func:`setwise_stabilizer` for the group it returns.  ``order()`` is
     its length, ``elements()`` decodes it on each call (only the codes are
     cached), and the subgroup enumeration indexes it.  Both methods raise
@@ -131,17 +136,17 @@ class PermGroup:
                 gens.append(g)
         self.degree = degree
         self.generators: tuple[Perm, ...] = tuple(gens)
-        self._listed: tuple[list[bytes], Callable[[bytes], Perm]] | None = None
+        self._listed: _Listing | None = None
 
-    def _listing(self, bound: int) -> tuple[list[bytes], Callable[[bytes], Perm]]:
-        """The sorted byte codes of the elements, listed by Dimino's cosets, and their decoder."""
+    def _listing(self, bound: int) -> _Listing:
+        """The sorted byte codes of the elements, listed by Dimino's cosets, and their codec."""
         encode, decode, pad = _byte_codec(self)
         listing = _Dimino(256 - len(pad), bound)
         for g in self.generators:
             listing.add(encode(g))
-        return sorted(listing.codes), decode
+        return sorted(listing.codes), encode, decode
 
-    def _codes(self, bound: int) -> tuple[list[bytes], Callable[[bytes], Perm]]:
+    def _codes(self, bound: int) -> _Listing:
         """The cached listing; TooLarge past ``bound`` elements."""
         if self._listed is None:
             self._listed = self._listing(bound)
@@ -154,7 +159,7 @@ class PermGroup:
         return len(self._codes(bound)[0])
 
     def elements(self, bound: int = ELEMENT_LISTING_BOUND) -> tuple[Perm, ...]:
-        codes, decode = self._codes(bound)
+        codes, _, decode = self._codes(bound)
         return tuple(map(decode, codes))
 
 
@@ -287,7 +292,7 @@ def setwise_stabilizer(g: PermGroup, points: set[int] | frozenset[int]) -> PermG
             if listing.add(sg):
                 kept.append(sg)
     stabilizer = PermGroup(g.degree, [decode(c) for c in kept])
-    stabilizer._listed = (sorted(listing.codes), decode)
+    stabilizer._listed = (sorted(listing.codes), encode, decode)
     return stabilizer
 
 
@@ -324,38 +329,38 @@ class _TableGroup:
     (:meth:`PermGroup._codes`), and each index i keeps the byte code
     ``codes[i]`` of its element and the 256-byte translation table
     ``pads[i]`` (the code followed by the bytes of the points it does not
-    move).  The index of ``elements[x] * elements[y]`` is then
+    move).  The index of the product x y of two indices is then
     ``ids[codes[y].translate(pads[x])]``: one C call and one dict lookup,
     so memory stays linear in |G| and no product is formed before it is
     read (the whole enumeration of the trio stabilizer reads about 109 k
     of its 1.33 M products).  Hot loops bind ``ids``, ``codes`` and
     ``pads`` as locals.  Orders and inverses come from powers of the byte
     codes.  ``gens`` is a small generating set
-    (:meth:`_small_generating_set`), which the conjugation maps, the
-    orbit walks and the solvability test run on.
+    (:meth:`_small_generating_set`), which the conjugation maps and the
+    orbit walks run on.
 
-    The listing is certified by a walk from the identity, each step a left
-    multiplication by a permutation generator: every product must be
-    listed and every listed code reached, so the listing is exactly the
-    group the generators generate.  Otherwise AssertionError is raised.
+    The least code of the sorted listing is the identity, index 0.  A walk
+    from it, each step a left multiplication by a permutation generator
+    (found by its code), must stay in the listing and reach all of it, so
+    the listing is exactly the group the generators generate; otherwise
+    AssertionError is raised.
     """
 
     def __init__(self, group: PermGroup):
-        codes, _ = group._codes(ELEMENT_LISTING_BOUND)
+        codes, encode, _ = group._codes(ELEMENT_LISTING_BOUND)
         self.codes = codes
-        self.elements = group.elements()
         self.n = n = len(codes)
         self.ids = ids = {c: i for i, c in enumerate(codes)}
-        self.index = {p: i for i, p in enumerate(self.elements)}
-        self.e = e = self.index[identity_perm(group.degree)]
-        ident = codes[e]
+        ident = codes[0]
+        if ident != bytes(range(len(ident))):
+            raise AssertionError("the least code of the listing is not the identity")
         pad = bytes(range(len(ident), 256))
         self.pads = pads = [c + pad for c in codes]
-        perm_gens = [self.index.get(g) for g in group.generators]
+        perm_gens = [ids.get(encode(g)) for g in group.generators]
         if None in perm_gens:
             raise AssertionError("a generator is not in the listing")
-        reached, seen = [e], bytearray(n)
-        seen[e] = 1
+        reached, seen = [0], bytearray(n)
+        seen[0] = 1
         for y in reached:
             for x in perm_gens:
                 z = ids.get(codes[y].translate(pads[x]))
@@ -381,10 +386,6 @@ class _TableGroup:
             [ids[codes[inv[g]].translate(pads[x]).translate(pads[g])] for x in range(n)]
             for g in self.gens
         ]
-
-    def mul(self, x: int, y: int) -> int:
-        """The index of elements[x] * elements[y]."""
-        return self.ids[self.codes[y].translate(self.pads[x])]
 
     def left_coset(self, x: int, sub_codes: list[bytes]) -> Iterable[int]:
         """The indices of x U, for U given by the codes of its elements."""
@@ -417,7 +418,7 @@ class _TableGroup:
 
     def closure(self, seeds: list[int]) -> frozenset[int]:
         """<seeds>, listed on the byte codes by :class:`_Dimino`."""
-        listing = _Dimino(len(self.codes[self.e]), self.n)
+        listing = _Dimino(len(self.codes[0]), self.n)
         for s in seeds:
             listing.add(self.codes[s])
         return frozenset(map(self.ids.__getitem__, listing.codes))
@@ -437,7 +438,7 @@ class _TableGroup:
         gen_pads = [pads[g] for g in gens]
         sub = [codes[u] for u in elems]
         known = set(elems)
-        reps = [self.e]
+        reps = [0]  # the identity
         for x in reps:
             code_x = codes[x]
             for pg in gen_pads:
@@ -449,7 +450,7 @@ class _TableGroup:
 
     def greedy_generators(self, subgroup: frozenset[int]) -> list[int]:
         gens: list[int] = []
-        covered = frozenset({self.e})
+        covered = frozenset({0})
         # by decreasing order, then by index (the sort is stable)
         for i in sorted(sorted(subgroup), key=self.order_of.__getitem__, reverse=True):
             if i not in covered:
@@ -458,38 +459,6 @@ class _TableGroup:
                 if len(covered) == len(subgroup):
                     break
         return gens
-
-    def normal_closure_in(self, seeds: list[int], ambient_gens: list[int]) -> frozenset[int]:
-        ids, codes, pads, inv = self.ids, self.codes, self.pads, self.inv
-        # h x h^-1 is (x h^-1), then h times that
-        conj = [(codes[inv[h]], pads[h]) for h in ambient_gens]
-        current = self.closure(seeds)
-        while True:
-            extra = {
-                ids[h_inv.translate(pads[x]).translate(pad_h)]
-                for x in current
-                for h_inv, pad_h in conj
-            } - current
-            if not extra:
-                return current
-            current = self.closure(sorted(current | extra))
-
-    def is_solvable(self) -> bool:
-        mul, inv = self.mul, self.inv
-        h_gens = list(self.gens)
-        h_size = self.n
-        while True:
-            comms = sorted(
-                {mul(mul(inv[a], inv[b]), mul(a, b)) for a in h_gens for b in h_gens}
-                - {self.e}
-            )
-            if not comms:
-                return True
-            derived = self.normal_closure_in(comms, h_gens)
-            if len(derived) == h_size:
-                return False
-            h_gens = self.greedy_generators(derived)
-            h_size = len(derived)
 
     def conjugacy_orbit_and_normalizer(
         self, sub: Iterable[int]
@@ -513,7 +482,7 @@ class _TableGroup:
         Schreier element would be added, so the order check is the exit.
         """
         ids, codes, pads, inv = self.ids, self.codes, self.pads, self.inv
-        trans = {tuple(sorted(sub)): self.e}
+        trans = {tuple(sorted(sub)): 0}
         schreier: list[int] = []
         queue = list(trans)
         gen_pads = [pads[g] for g in self.gens]
@@ -558,26 +527,23 @@ class SubgroupClass(NamedTuple):
     conjugates: int
 
 
-def subgroup_classes(
-    g: PermGroup, bound: int = SUBGROUP_ENUM_BOUND
-) -> list[SubgroupClass]:
+def subgroup_classes(g: PermGroup) -> list[SubgroupClass]:
     """All subgroups of a solvable group up to conjugacy (cyclic extension).
 
-    Every nontrivial subgroup of a solvable group has a normal subgroup of
-    prime index, so iterating prime extensions H = <U, x> with x in N_G(U),
-    x^p in U, over discovered classes U is exhaustive.
+    Every nontrivial solvable group has a normal subgroup of prime index,
+    so iterating prime extensions H = <U, x> with x in N_G(U), x^p in U,
+    over discovered classes U, from the trivial group, reaches every
+    solvable subgroup; and each class reached is solvable, being built by
+    such extensions.  So G is among the classes found iff it is solvable,
+    and NotSolvable is raised after the sweep otherwise.
 
-    Raises TooLarge if the order of G exceeds ``bound``, from a listing
-    that stops once it passes the bound, or if its generators move more
-    than 256 points, which the byte codes refuse before that listing.
+    Raises TooLarge if the order of G exceeds SUBGROUP_ENUM_BOUND, from a
+    listing that stops once it passes the bound, or if its generators move
+    more than 256 points, which the byte codes refuse before that listing.
     """
-    n = g.order(bound)
+    n = g.order(SUBGROUP_ENUM_BOUND)
     tg = _TableGroup(g)
-    if not tg.is_solvable():
-        raise NotSolvable("subgroup enumeration implemented for solvable groups only")
-
     primes = sorted(factorint(n))
-    trivial = frozenset({tg.e})
 
     classes: list[dict] = []
     known: set[tuple[int, ...]] = set()  # every conjugate of every class found
@@ -589,7 +555,7 @@ def subgroup_classes(
             {"rep": rep, "gens": rep_gens, "normalizer": norm, "conjugates": len(orbit)}
         )
 
-    register(trivial)
+    register([0])  # the trivial group
     ids, codes, pads = tg.ids, tg.codes, tg.pads
     work = 0
     while work < len(classes):
@@ -627,10 +593,13 @@ def subgroup_classes(
                     register(new)
                 break  # x yields exactly one minimal prime extension
 
+    if not any(len(cls["rep"]) == n for cls in classes):
+        raise NotSolvable("subgroup enumeration implemented for solvable groups only")
+    decode = g._codes(SUBGROUP_ENUM_BOUND)[2]
     out = []
     for cls in sorted(classes, key=lambda c: (len(c["rep"]), sorted(c["rep"]))):
         rep = cls["rep"]
-        gens = [tg.elements[i] for i in cls["gens"]]
+        gens = [decode(codes[i]) for i in cls["gens"]]
         out.append(
             SubgroupClass(
                 group=PermGroup(g.degree, gens),

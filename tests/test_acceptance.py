@@ -11,8 +11,6 @@ published pair, an unwitnessed extra pair or a wrong witness.
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 import cubicbrauer.acceptance as acceptance
@@ -116,7 +114,7 @@ def test_criterion_2_fails_on_a_witnessed_pair_the_sweep_lacks(monkeypatch):
 
 def _swap_generators(index, generators):
     witnesses = list(CASE_TWO_WITNESSES)
-    witnesses[index] = dataclasses.replace(witnesses[index], generators=generators)
+    witnesses[index] = witnesses[index]._replace(generators=generators)
     return tuple(witnesses)
 
 
@@ -139,12 +137,12 @@ def test_criterion_2_fails_on_a_wrong_witness_generator(monkeypatch):
     ],
 )
 def test_witness_verification_rejects_bad_generators(generator, fault):
-    witness = dataclasses.replace(CASE_TWO_WITNESSES[0], generators=(generator,))
+    witness = CASE_TWO_WITNESSES[0]._replace(generators=(generator,))
     assert any(fault in problem for problem in verify_case_two_witness(witness))
 
 
 def test_witness_verification_checks_the_stated_order():
-    witness = dataclasses.replace(CASE_TWO_WITNESSES[1], order=8)
+    witness = CASE_TWO_WITNESSES[1]._replace(order=8)
     assert verify_case_two_witness(witness) == ["group order 4, stated 8"]
 
 

@@ -588,6 +588,8 @@ def test_the_cli_and_tables_load_neither_dataclasses_nor_inspect():
 
     ``dataclasses`` imports ``inspect`` (and with it ``ast``, ``dis`` and
     ``tokenize``), and each dataclass generates its methods at import time.
+    ``acceptance``, which only ``--seed-check`` runs, keeps its records as
+    ``NamedTuple`` too.
     """
     src = Path(cli.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
@@ -600,6 +602,8 @@ def test_the_cli_and_tables_load_neither_dataclasses_nor_inspect():
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    code = cubicbrauer.cli.main(['tables', '--case', '3'])\n"
         "print(code, loaded())\n"
+        "import cubicbrauer.acceptance\n"
+        "print(loaded())\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script],
@@ -609,4 +613,4 @@ def test_the_cli_and_tables_load_neither_dataclasses_nor_inspect():
         env=env,
         check=True,
     )
-    assert proc.stdout == "[]\n0 []\n"
+    assert proc.stdout == "[]\n0 []\n[]\n"

@@ -257,18 +257,10 @@ def test_all_45_trios_torsion_free():
 def test_torsion_free_line_conic():
     reports = torsion_free_line_conic()
     assert len(reports) == 27
-    assert all(r.torsion_free and r.is_line for r in reports)
+    assert all(r.torsion_free for r in reports)
     by_class = {r.divisor_class: r for r in reports}
     assert by_class[(0, 1, 0, 0, 0, 0, 0)].snf_diagonal == (1, 1)
     assert by_class[(1, -1, -1, 0, 0, 0, 0)].torsion_free
-
-
-def test_torsion_report_ell_case_informational():
-    reports = torsion_free_line_conic(include_ell_case=True)
-    assert len(reports) == 28
-    extra = reports[-1]
-    assert extra.divisor_class == (1, 0, 0, 0, 0, 0, 0)
-    assert not extra.is_line  # self-intersection +1: not a line on the surface
 
 
 def test_weyl_full_listing_matches_order():

@@ -219,7 +219,7 @@ def test_a_bare_group_lists_itself_once(monkeypatch):
     group = PermGroup(4, setwise_stabilizer(s4(), {0, 1}).generators)
     assert group.order() == 4 and calls == [group]
     assert group.elements() == tuple(sorted(closure(4, group.generators)))
-    assert _TableGroup(group).elements == group.elements()
+    assert _TableGroup(group).n == 4
     assert group.order() == 4 and calls == [group]
 
 
@@ -281,20 +281,7 @@ def all_subgroups_bruteforce(group: PermGroup) -> list[frozenset]:
     `compose` alone, independently of the products of the enumeration.
     Meant for groups of order at most a few dozen.
     """
-    ident = identity_perm(group.degree)
-
-    def closure(gens):
-        known = {ident}
-        queue = [ident]
-        for x in queue:
-            for s in gens:
-                y = compose(x, s)
-                if y not in known:
-                    known.add(y)
-                    queue.append(y)
-        return frozenset(known)
-
-    trivial = frozenset({ident})
+    trivial = frozenset({identity_perm(group.degree)})
     found = {trivial: []}  # subgroup -> generators
     queue = [trivial]
     for h in queue:
@@ -302,7 +289,7 @@ def all_subgroups_bruteforce(group: PermGroup) -> list[frozenset]:
             if x in h:
                 continue
             gens = found[h] + [x]
-            bigger = closure(gens)
+            bigger = closure(group.degree, gens)
             if bigger not in found:
                 found[bigger] = gens
                 queue.append(bigger)
@@ -344,16 +331,29 @@ def _reduce_generators(degree, gens):
     return kept
 
 
-def _permutation_generators(tg, group):
-    return [tg.index[p] for p in _reduce_generators(group.degree, list(group.generators))]
+def _indexed(group):
+    """The elements in the table's index order, from `PermGroup.elements`, and their indices."""
+    elements = group.elements()
+    return elements, {p: i for i, p in enumerate(elements)}
 
 
-def _assert_products(tg, pairs):
+def _permutation_generators(group):
+    _, index = _indexed(group)
+    return [index[p] for p in _reduce_generators(group.degree, list(group.generators))]
+
+
+def _product(tg, x, y):
+    """The index of the product x y, formed as the enumeration forms it."""
+    return tg.ids[tg.codes[y].translate(tg.pads[x])]
+
+
+def _assert_products(tg, group, pairs):
     """Each product x * y, and x times a coset of two elements, against `compose`."""
+    elements, index = _indexed(group)
     for x, y in pairs:
-        expected = tg.index[compose(tg.elements[x], tg.elements[y])]
-        assert tg.mul(x, y) == expected, (x, y)
-        coset = list(tg.left_coset(x, [tg.codes[y], tg.codes[tg.e]]))
+        expected = index[compose(elements[x], elements[y])]
+        assert _product(tg, x, y) == expected, (x, y)
+        coset = list(tg.left_coset(x, [tg.codes[y], tg.codes[0]]))
         assert coset == [expected, x], (x, y)
 
 
@@ -366,9 +366,10 @@ def _assert_linear_storage(tg):
 @pytest.mark.parametrize("factory", [s4, gl23, d4])
 def test_cayley_table_matches_compose(factory):
     """Every product formed on demand is the index of the `compose` product."""
-    tg = _TableGroup(factory())
+    group = factory()
+    tg = _TableGroup(group)
     _assert_linear_storage(tg)
-    _assert_products(tg, product(range(tg.n), repeat=2))
+    _assert_products(tg, group, product(range(tg.n), repeat=2))
 
 
 def test_cayley_table_matches_compose_on_the_trio_stabilizer(trio_stabilizer):
@@ -376,11 +377,12 @@ def test_cayley_table_matches_compose_on_the_trio_stabilizer(trio_stabilizer):
     tg = _TableGroup(trio_stabilizer)
     assert tg.n == 1152
     _assert_linear_storage(tg)
-    gens = _permutation_generators(tg, trio_stabilizer) + tg.gens
-    _assert_products(tg, ((g, x) for g in gens for x in range(tg.n)))
-    _assert_products(tg, ((x, g) for g in gens for x in range(tg.n)))
+    gens = _permutation_generators(trio_stabilizer) + tg.gens
+    _assert_products(tg, trio_stabilizer, ((g, x) for g in gens for x in range(tg.n)))
+    _assert_products(tg, trio_stabilizer, ((x, g) for g in gens for x in range(tg.n)))
     rng = random.Random(20250916)
-    _assert_products(tg, ((rng.randrange(tg.n), rng.randrange(tg.n)) for _ in range(20000)))
+    randoms = ((rng.randrange(tg.n), rng.randrange(tg.n)) for _ in range(20000))
+    _assert_products(tg, trio_stabilizer, randoms)
 
 
 def test_table_takes_redundant_generators_as_given():
@@ -391,10 +393,10 @@ def test_table_takes_redundant_generators_as_given():
     assert len(group.generators) == 4  # PermGroup drops only repeats and e
     reduced, full = _TableGroup(s4()), _TableGroup(group)
     assert full.n == reduced.n == 24
-    assert full.elements == reduced.elements and full.codes == reduced.codes
+    assert group.elements() == s4().elements() and full.codes == reduced.codes
     pairs = list(product(range(24), repeat=2))
-    assert [full.mul(x, y) for x, y in pairs] == [reduced.mul(x, y) for x, y in pairs]
-    _assert_products(full, pairs)
+    assert [_product(full, x, y) for x, y in pairs] == [_product(reduced, x, y) for x, y in pairs]
+    _assert_products(full, group, pairs)
     assert full.inv == reduced.inv
     assert full.order_of == reduced.order_of
 
@@ -408,15 +410,16 @@ def test_table_on_a_partial_support():
     ):
         tg = _TableGroup(group)
         _assert_linear_storage(tg)
-        _assert_products(tg, product(range(tg.n), repeat=2))
+        _assert_products(tg, group, product(range(tg.n), repeat=2))
         _check_table_inverses_orders_and_elements(group)
 
 
 def _check_table_inverses_orders_and_elements(group):
     tg = _TableGroup(group)
-    assert tg.elements == group.elements()
-    for x, p in enumerate(tg.elements):
-        assert tg.inv[x] == tg.index[inverse(p)]
+    elements, index = _indexed(group)
+    assert len(elements) == tg.n and elements[0] == identity_perm(group.degree)
+    for x, p in enumerate(elements):
+        assert tg.inv[x] == index[inverse(p)]
         assert tg.order_of[x] == perm_order(p)
 
 
@@ -446,7 +449,7 @@ def test_table_refuses_a_listing_that_is_not_the_group():
     assert len(short) == 20 and set(s4().generators) <= short
     a4 = closure(4, [cyc(4, (0, 1, 2)), cyc(4, (0, 1), (2, 3))])
     for group, listed in ((s4(), short), (s4(), a4), (PermGroup(4, [rotation]), full)):
-        group._listed = (sorted(map(bytes, listed)), tuple)
+        group._listed = (sorted(map(bytes, listed)), bytes, tuple)
         with pytest.raises(AssertionError):
             _TableGroup(group)
 
@@ -457,11 +460,11 @@ def _check_extend_matches_closure(group, seed):
     The reference is the brute-force closure of the elements, mapped to indices.
     """
     tg = _TableGroup(group)
+    elements, index = _indexed(group)
     rng = random.Random(seed)
 
     def reference(gens):
-        elements = closure(group.degree, [tg.elements[g] for g in gens])
-        return frozenset(map(tg.index.__getitem__, elements))
+        return frozenset(map(index.__getitem__, closure(group.degree, [elements[g] for g in gens])))
 
     for _ in range(40):
         gens = [rng.randrange(tg.n) for _ in range(rng.randint(1, 4))]
@@ -480,26 +483,26 @@ def test_extend_matches_closure_on_the_trio_stabilizer(trio_stabilizer):
     _check_extend_matches_closure(trio_stabilizer, 2)
 
 
-def _conjugate(tg, x, sub):
+def _conjugate(elements, index, x, sub):
     """x U x^-1 as indices, by `compose` on the elements."""
-    p = tg.elements[x]
+    p = elements[x]
     p_inv = inverse(p)
-    return frozenset(tg.index[compose(compose(p, tg.elements[u]), p_inv)] for u in sub)
+    return frozenset(index[compose(compose(p, elements[u]), p_inv)] for u in sub)
 
 
-def _normalizer_by_conjugation(tg, inverses, sub, gens=None):
+def _normalizer_by_conjugation(elements, inverses, sub, gens=None):
     """{x : x U x^-1 = U}, by conjugating generators of U (all of U by default) by every x.
 
     x U x^-1 is generated by the conjugates of the generators, and
     conjugation is injective, so x U x^-1 inside U already means equality.
     Uses `compose` on the elements and their ``inverses`` (from `inverse`),
-    not the products of ``tg``.
+    not the products of the table.
     """
-    members = {tg.elements[u] for u in sub}
+    members = {elements[u] for u in sub}
     gens = members if gens is None else gens
     return frozenset(
         x
-        for x, (p, p_inv) in enumerate(zip(tg.elements, inverses))
+        for x, (p, p_inv) in enumerate(zip(elements, inverses))
         if all(compose(compose(p, g), p_inv) in members for g in gens)
     )
 
@@ -509,15 +512,17 @@ def test_orbit_normalizer_matches_bruteforce(factory):
     """The orbit walk from every subgroup, listed without the enumeration."""
     group = factory()
     tg = _TableGroup(group)
-    inverses = list(map(inverse, tg.elements))
+    elements, index = _indexed(group)
+    inverses = list(map(inverse, elements))
     for sub in all_subgroups_bruteforce(group):
-        start = frozenset(tg.index[p] for p in sub)
+        start = frozenset(index[p] for p in sub)
         orbit, rep, gens, norm_gens, norm = tg.conjugacy_orbit_and_normalizer(start)
         assert all(list(t) == sorted(t) for t in orbit)
-        assert set(map(frozenset, orbit)) == {_conjugate(tg, x, start) for x in range(tg.n)}
+        conjugates = {_conjugate(elements, index, x, start) for x in range(tg.n)}
+        assert set(map(frozenset, orbit)) == conjugates
         assert rep == min(map(frozenset, orbit), key=sorted)
         assert tg.closure(gens) == rep and norm_gens[: len(gens)] == gens
-        expected = _normalizer_by_conjugation(tg, inverses, rep)
+        expected = _normalizer_by_conjugation(elements, inverses, rep)
         assert norm == tg.closure(norm_gens) == expected
 
 
@@ -526,14 +531,15 @@ def test_orbit_normalizer_matches_bruteforce_on_the_trio_stabilizer(
 ):
     """Each class rep R, walked from R and from a conjugate x R x^-1 != R."""
     tg = _TableGroup(trio_stabilizer)
-    inverses = list(map(inverse, tg.elements))
+    elements, index = _indexed(trio_stabilizer)
+    inverses = list(map(inverse, elements))
     for cls in stabilizer_classes:
-        rep = frozenset(tg.index[p] for p in cls.group.elements())
-        expected = _normalizer_by_conjugation(tg, inverses, rep, cls.group.generators)
+        rep = frozenset(index[p] for p in cls.group.elements())
+        expected = _normalizer_by_conjugation(elements, inverses, rep, cls.group.generators)
         starts = [rep]
         outside = next((x for x in range(tg.n) if x not in expected), None)
         if outside is not None:
-            starts.append(_conjugate(tg, outside, rep))
+            starts.append(_conjugate(elements, index, outside, rep))
         for start in starts:
             orbit, found, gens, norm_gens, norm = tg.conjugacy_orbit_and_normalizer(start)
             assert found == rep and len(orbit) == cls.conjugates
@@ -544,7 +550,7 @@ def test_orbit_normalizer_matches_bruteforce_on_the_trio_stabilizer(
 def _check_small_generating_set(group, expected=None):
     tg = _TableGroup(group)
     assert len(tg.closure(tg.gens)) == tg.n
-    assert len(tg.gens) <= len(_permutation_generators(tg, group))
+    assert len(tg.gens) <= len(_permutation_generators(group))
     if expected is not None:
         assert len(tg.gens) == expected
     assert len(tg.conj_maps) == len(tg.gens)
@@ -576,25 +582,43 @@ def test_orbit_walk_does_not_depend_on_the_generators(trio_stabilizer, stabilize
     set are each defined without reference to the generators of G.
     """
     tg = _TableGroup(trio_stabilizer)
+    elements, index = _indexed(trio_stabilizer)
     by_perms = copy.copy(tg)
-    by_perms.gens = _permutation_generators(tg, trio_stabilizer)
+    by_perms.gens = _permutation_generators(trio_stabilizer)
     by_perms.conj_maps = []
     for g in by_perms.gens:
-        p, p_inv = tg.elements[g], inverse(tg.elements[g])
-        by_perms.conj_maps.append([tg.index[compose(compose(p, q), p_inv)] for q in tg.elements])
+        p, p_inv = elements[g], inverse(elements[g])
+        by_perms.conj_maps.append([index[compose(compose(p, q), p_inv)] for q in elements])
     assert len(by_perms.gens) == 5 and len(tg.gens) == 2
     for cls in stabilizer_classes:
-        start = frozenset(tg.index[p] for p in cls.group.elements())
+        start = frozenset(index[p] for p in cls.group.elements())
         orbit, rep, rep_gens, _, norm = tg.conjugacy_orbit_and_normalizer(start)
         orbit2, rep2, rep_gens2, _, norm2 = by_perms.conjugacy_orbit_and_normalizer(start)
         assert set(orbit) == set(orbit2) and len(orbit) == cls.conjugates
         assert (rep, rep_gens, norm) == (rep2, rep_gens2, norm2)
 
 
-def test_enumeration_rejects_nonsolvable():
-    a5 = PermGroup(5, [cyc(5, (0, 1, 2)), cyc(5, (0, 1, 2, 3, 4))])
+def _line_stabilizer():
+    from cubicbrauer.cubiclattice import weyl_group
+
+    return setwise_stabilizer(weyl_group(), {0})
+
+
+@pytest.mark.parametrize(
+    "factory, order",
+    [
+        (lambda: PermGroup(5, [cyc(5, (0, 1, 2)), cyc(5, (0, 1, 2, 3, 4))]), 60),  # A5
+        (lambda: PermGroup(6, [cyc(6, (0, 1)), cyc(6, tuple(range(6)))]), 720),  # S6
+        (_line_stabilizer, 1920),  # W(D5), 2^4 : S5
+    ],
+    ids=["a5", "s6", "line_stabilizer"],
+)
+def test_enumeration_rejects_nonsolvable(factory, order):
+    """The sweep from the trivial group reaches every solvable subgroup, and never G."""
+    group = factory()
+    assert group.order() == order
     with pytest.raises(NotSolvable):
-        subgroup_classes(a5)
+        subgroup_classes(group)
 
 
 def test_enumeration_rejects_too_large():
