@@ -395,7 +395,9 @@ def test_table_takes_redundant_generators_as_given():
     assert full.n == reduced.n == 24
     assert group.elements() == s4().elements() and full.codes == reduced.codes
     pairs = list(product(range(24), repeat=2))
-    assert [_product(full, x, y) for x, y in pairs] == [_product(reduced, x, y) for x, y in pairs]
+    assert [_product(full, x, y) for x, y in pairs] == [
+        _product(reduced, x, y) for x, y in pairs
+    ]
     _assert_products(full, group, pairs)
     assert full.inv == reduced.inv
     assert full.order_of == reduced.order_of
@@ -464,7 +466,8 @@ def _check_extend_matches_closure(group, seed):
     rng = random.Random(seed)
 
     def reference(gens):
-        return frozenset(map(index.__getitem__, closure(group.degree, [elements[g] for g in gens])))
+        generated = closure(group.degree, [elements[g] for g in gens])
+        return frozenset(map(index.__getitem__, generated))
 
     for _ in range(40):
         gens = [rng.randrange(tg.n) for _ in range(rng.randint(1, 4))]
