@@ -17,7 +17,7 @@ from .brauer import (
     transcendental_bound,
     twist_invariants,
 )
-from .cohomology import LatticeGModule, h1_cyclic_oracle, h1_lattice, invariants_lattice
+from .cohomology import LatticeGModule, h1_cyclic_oracle, h1_lattice
 from .cubiclattice import (
     HYPERPLANE,
     TritangentTrio,
@@ -81,7 +81,6 @@ __all__ = [
     "h1_cyclic_oracle",
     "h1_lattice",
     "intersection",
-    "invariants_lattice",
     "kernel_basis",
     "lines27",
     "mod_kernel",

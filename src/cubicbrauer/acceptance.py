@@ -228,8 +228,9 @@ def verify_case_two_witness(witness: CaseTwoWitness) -> list[str]:
     Checks that every generator is an isometry of Pic fixing the hyperplane
     class and permuting the 27 lines, that the group has the stated order,
     stabilizes the reference trio with two orbits on it, and gives the
-    stated pair by the |G|-annihilator route (and by the ker(Norm)/im(s - 1)
-    oracle when the group is cyclic).  An empty list means it holds.
+    stated pair by the |G|-annihilator route (and, when the group is cyclic,
+    by the ker(Norm)/im(s - 1) oracle on one element of full order).  An
+    empty list means it holds.
     """
     problems = []
     perms = []
@@ -266,8 +267,13 @@ def verify_case_two_witness(witness: CaseTwoWitness) -> list[str]:
     )
     if found != witness.pair:
         problems.append(f"annihilator route gives ({found.br1}, {found.brx})")
-    if any(perm_order(p) == group.order() for p in group.elements()):
-        oracle = TablePair(h1_cyclic_oracle(quotient), h1_cyclic_oracle(pic_module(group)))
+    full = next((p for p in group.elements() if perm_order(p) == group.order()), None)
+    if full is not None:
+        cyclic = PermGroup(27, [full])
+        oracle = TablePair(
+            h1_cyclic_oracle(quotient_by_trio(trio, cyclic).module),
+            h1_cyclic_oracle(pic_module(cyclic)),
+        )
         if oracle != witness.pair:
             problems.append(f"cyclic oracle gives ({oracle.br1}, {oracle.brx})")
     return problems

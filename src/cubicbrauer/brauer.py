@@ -26,6 +26,7 @@ from .cubiclattice import pic_module, quotient_by_trio, reference_trio, weyl_gro
 from .errors import BadModulus, StabilizationFailed
 from .intlinalg import FinAbGroup
 from .perms import PermGroup, orbit_count, setwise_stabilizer, subgroup_classes
+from .values import Value
 
 
 # -- boundary descriptors --------------------------------------------------
@@ -39,7 +40,7 @@ _CASES = {
 _NEEDS_D = {"quadratic", "nodal_nonsplit", "c2", "s3"}
 
 
-class BoundaryDescriptor:
+class BoundaryDescriptor(Value):
     """Case data for a singular hyperplane section.
 
     kind is one of "line_conic", "irreducible", "three_lines"; sub names
@@ -91,29 +92,6 @@ class BoundaryDescriptor:
         object.__setattr__(self, "sub", sub)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "eckardt", eckardt)
-
-    def __setattr__(self, *a):  # immutability
-        raise AttributeError("BoundaryDescriptor is immutable")
-
-    def __reduce__(self):
-        return (BoundaryDescriptor, self._key())
-
-    def _key(self) -> tuple:
-        return (self.kind, self.sub, self.d, self.eckardt)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not BoundaryDescriptor:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (
-            f"BoundaryDescriptor(kind={self.kind!r}, sub={self.sub!r}, d={self.d!r}, "
-            f"eckardt={self.eckardt!r})"
-        )
 
     # JSON wire format, consumed by the CLI
     def to_json(self) -> dict:

@@ -39,7 +39,6 @@ from .cubiclattice import (
     weyl_group,
 )
 from .errors import CubicBrauerError
-from .intlinalg import FinAbGroup
 from .perms import setwise_stabilizer
 from .qexamples import example_brauer, searched_example_brauer
 from .ratpoly import RationalPoly, parse_rational
@@ -86,10 +85,6 @@ def _emit(args, command: str, inputs: dict, result: dict, anchor: str, text: str
         print(json.dumps(payload, sort_keys=True))
     else:
         print(text)
-
-
-def _group_json(group: FinAbGroup) -> dict:
-    return group.to_json()
 
 
 def _cmd_lines(args) -> int:
@@ -201,7 +196,7 @@ def _cmd_classify(args) -> int:
     result = {
         "boundary": boundary.to_json(),
         "geometric_brauer": geometric.to_json(),
-        "invariants_over_Q": _group_json(bound),
+        "invariants_over_Q": bound.to_json(),
         "is_upper_bound": True,
     }
     text = (
@@ -224,7 +219,7 @@ def _cmd_invariants(args) -> int:
     if args.d is None or args.n is None:
         raise ValueError("invariants requires --d and --n")
     group = twist_invariants(args.d, args.n)
-    result = {"invariants": _group_json(group)}
+    result = {"invariants": group.to_json()}
     _emit(
         args,
         "invariants",
@@ -262,7 +257,7 @@ def _cmd_example(args) -> int:
             "no_triple_sum_zero": True,
         },
         "eckardt": "no",
-        "brauer_quotient": _group_json(group),
+        "brauer_quotient": group.to_json(),
     }
     text = (
         f"F = {poly}\n"

@@ -1,4 +1,4 @@
-"""Group cohomology H^0 and H^1 for lattices.
+"""Group cohomology H^1 for lattices.
 
 For a finite group G = <s_1, ..., s_k> acting on a lattice M,
 
@@ -17,20 +17,18 @@ from __future__ import annotations
 
 from .errors import NotCyclic
 from .intlinalg import FinAbGroup, IntMatrix, cokernel_structure, kernel_basis, solve_columns
-from .perms import Perm, PermGroup, compose, identity_perm, perm_order
+from .perms import PermGroup, perm_order
+from .values import Value
 
 
-class LatticeGModule:
+class LatticeGModule(Value):
     """A lattice Z^rank with a finite group acting by unimodular matrices.
 
     ``matrices[i]`` is the action of ``group.generators[i]``; the assignment
     is assumed (and spot-checked in tests) to extend to a homomorphism.
-    Immutable but for the matrix of every group element, which
-    :meth:`action_of` lists once into the ``_matrix_cache`` slot; equality,
-    hashing and copies ignore that cache.
     """
 
-    __slots__ = ("rank", "group", "matrices", "_matrix_cache")
+    __slots__ = ("rank", "group", "matrices")
 
     def __init__(self, rank: int, group: PermGroup, matrices: tuple[IntMatrix, ...]):
         if len(matrices) != len(group.generators):
@@ -43,51 +41,6 @@ class LatticeGModule:
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "matrices", matrices)
-        object.__setattr__(self, "_matrix_cache", None)
-
-    def __setattr__(self, *a):  # immutability
-        raise AttributeError("LatticeGModule is immutable")
-
-    def __reduce__(self):
-        return (LatticeGModule, (self.rank, self.group, self.matrices))
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not LatticeGModule:
-            return NotImplemented
-        return (self.rank, self.group, self.matrices) == (other.rank, other.group, other.matrices)
-
-    def __hash__(self) -> int:
-        return hash((self.rank, self.group, self.matrices))
-
-    def __repr__(self) -> str:
-        return (
-            f"LatticeGModule(rank={self.rank!r}, group={self.group!r}, "
-            f"matrices={self.matrices!r})"
-        )
-
-    def action_of(self, p: Perm) -> IntMatrix:
-        """Matrix of an arbitrary group element.
-
-        The first call lists the group by a breadth-first search over
-        generator words, keeping each element's matrix; every later call
-        is a lookup.
-        """
-        cache = self._matrix_cache
-        if cache is None:
-            ident = identity_perm(self.group.degree)
-            cache = {ident: IntMatrix.identity(self.rank)}
-            queue = [ident]
-            for x in queue:
-                for g, mat in zip(self.group.generators, self.matrices):
-                    y = compose(g, x)
-                    if y not in cache:
-                        cache[y] = mat @ cache[x]
-                        queue.append(y)
-            object.__setattr__(self, "_matrix_cache", cache)
-        matrix = cache.get(tuple(p))
-        if matrix is None:
-            raise ValueError("permutation is not in the acting group")
-        return matrix
 
     def stacked_differences(self) -> IntMatrix:
         """The matrices (g - 1) for all generators, stacked vertically."""
@@ -95,13 +48,6 @@ class LatticeGModule:
             raise ValueError("no generators: stacked difference matrix is empty")
         ident = IntMatrix.identity(self.rank)
         return IntMatrix.vstack(*[m - ident for m in self.matrices])
-
-
-def invariants_lattice(module: LatticeGModule) -> IntMatrix:
-    """Basis (as columns) of the invariant sublattice M^G; primitive."""
-    if not module.matrices:
-        return IntMatrix.identity(module.rank)
-    return kernel_basis(module.stacked_differences())
 
 
 def h1_lattice(module: LatticeGModule) -> FinAbGroup:
@@ -120,16 +66,17 @@ def h1_lattice(module: LatticeGModule) -> FinAbGroup:
 
 
 def h1_cyclic_oracle(module: LatticeGModule) -> FinAbGroup:
-    """Independent H^1 for cyclic G = <s>: ker(Norm) / image(s - 1)."""
-    order = module.group.order()
-    if order == 1:
+    """Independent H^1 for G = <s> on one generator: ker(Norm) / image(s - 1).
+
+    Raises NotCyclic when the module has more than one generator, even if
+    they generate a cyclic group: rebuild it on one element of full order.
+    """
+    if len(module.matrices) > 1:
+        raise NotCyclic("the module has more than one generator")
+    if not module.matrices:
         return FinAbGroup.trivial()
-    generator = next(
-        (p for p in module.group.elements() if perm_order(p) == order), None
-    )
-    if generator is None:
-        raise NotCyclic("group has no element of full order")
-    a = module.action_of(generator)
+    (a,) = module.matrices
+    order = perm_order(module.group.generators[0])
     ident = IntMatrix.identity(module.rank)
     norm = ident
     power = ident
@@ -152,5 +99,4 @@ __all__ = [
     "LatticeGModule",
     "h1_cyclic_oracle",
     "h1_lattice",
-    "invariants_lattice",
 ]

@@ -26,15 +26,14 @@ from operator import add, index, mul, neg, sub
 from typing import Iterable, NamedTuple, Sequence
 
 from .arith import factorint
+from .values import Value
 
 
-class IntMatrix:
+class IntMatrix(Value):
     """Immutable dense integer matrix, stored as a tuple of row tuples.
 
     The determinant is computed at most once per matrix and kept in the
-    ``_det`` slot.  A copy is the matrix itself; a pickle stores only the
-    rows, so unpickling validates them again and recomputes the
-    determinant on demand.
+    ``_det`` slot, a cache that equality and pickles ignore.
     """
 
     __slots__ = ("data", "_det")
@@ -53,18 +52,6 @@ class IntMatrix:
         m = object.__new__(cls)
         object.__setattr__(m, "data", rows)
         return m
-
-    def __setattr__(self, *a):  # immutability
-        raise AttributeError("IntMatrix is immutable")
-
-    def __reduce__(self):
-        return (IntMatrix, (self.data,))
-
-    def __copy__(self) -> IntMatrix:
-        return self
-
-    def __deepcopy__(self, memo) -> IntMatrix:
-        return self
 
     @property
     def rows(self) -> int:
@@ -112,9 +99,6 @@ class IntMatrix:
 
     def columns(self) -> list[tuple[int, ...]]:
         return [self.column(j) for j in range(self.cols)]
-
-    def transpose(self) -> IntMatrix:
-        return IntMatrix._from_rows(tuple(zip(*self.data)))
 
     def __matmul__(self, other: IntMatrix) -> IntMatrix:
         if self.cols != other.rows:
@@ -220,12 +204,6 @@ class IntMatrix:
         if not form.S.is_identity():
             raise ValueError("matrix is not unimodular")
         return form.V @ form.U
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, IntMatrix) and self.data == other.data
-
-    def __hash__(self) -> int:
-        return hash(self.data)
 
     def __repr__(self) -> str:
         return f"IntMatrix({[list(r) for r in self.data]})"
@@ -417,49 +395,28 @@ def mod_kernel(a: IntMatrix, n: int) -> list[tuple[int, ...]]:
     return out
 
 
-class FinAbGroup:
+class FinAbGroup(Value):
     """Isomorphism type of a finitely generated abelian group.
 
     ``invariant_factors`` is the canonical divisibility chain (no unit
-    factors); equality of values is isomorphism of groups.  Immutable: the
-    fields are set once, by the validating constructor.
+    factors); equality of values is isomorphism of groups.  The rank and
+    the factors are integers in the sense of ``operator.index``, so a
+    float or a string raises ``TypeError``.
     """
 
     __slots__ = ("free_rank", "invariant_factors")
 
     def __init__(self, free_rank: int, invariant_factors: Iterable[int] = ()):
+        free_rank = index(free_rank)
         if free_rank < 0:
             raise ValueError("negative free rank")
-        fac = tuple(int(d) for d in invariant_factors)
+        fac = tuple(map(index, invariant_factors))
         if any(d <= 1 for d in fac):
             raise ValueError("invariant factors must exceed 1")
         if any(fac[i + 1] % fac[i] for i in range(len(fac) - 1)):
             raise ValueError("invariant factors must form a divisibility chain")
         object.__setattr__(self, "free_rank", free_rank)
         object.__setattr__(self, "invariant_factors", fac)
-
-    def __setattr__(self, *a):  # immutability
-        raise AttributeError("FinAbGroup is immutable")
-
-    def __reduce__(self):
-        return (FinAbGroup, (self.free_rank, self.invariant_factors))
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not FinAbGroup:
-            return NotImplemented
-        return (
-            self.free_rank == other.free_rank
-            and self.invariant_factors == other.invariant_factors
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.free_rank, self.invariant_factors))
-
-    def __repr__(self) -> str:
-        return (
-            f"FinAbGroup(free_rank={self.free_rank!r}, "
-            f"invariant_factors={self.invariant_factors!r})"
-        )
 
     @classmethod
     def trivial(cls) -> FinAbGroup:
@@ -470,7 +427,7 @@ class FinAbGroup:
         """Canonicalize an arbitrary direct sum of cyclic groups."""
         primary: dict[int, list[int]] = {}
         for d in orders:
-            d = int(d)
+            d = index(d)
             if d <= 0:
                 raise ValueError("cyclic orders must be positive")
             if d == 1:
@@ -516,7 +473,7 @@ class FinAbGroup:
 
     @classmethod
     def from_json(cls, obj: dict) -> FinAbGroup:
-        return cls(int(obj["free_rank"]), tuple(int(x) for x in obj["factors"]))
+        return cls(obj["free_rank"], obj["factors"])
 
     def __str__(self) -> str:
         parts = []

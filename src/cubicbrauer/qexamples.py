@@ -40,13 +40,13 @@ from .errors import (
 )
 from .intlinalg import FinAbGroup
 from .ratpoly import RationalPoly, cubic_discriminant, monic_cubic_integer_roots
+from .values import Value
 
 
-class GaloisType:
+class GaloisType(Value):
     """Galois type of a separable rational cubic, with quadratic class d.
 
     :func:`cubic_galois_type` gives d as its squarefree representative.
-    Immutable: the fields are set once, by the validating constructor.
     """
 
     __slots__ = ("variant", "d")
@@ -59,23 +59,6 @@ class GaloisType:
             raise ValueError("trivial/c3 types carry no square class")
         object.__setattr__(self, "variant", variant)
         object.__setattr__(self, "d", d)
-
-    def __setattr__(self, *a):  # immutability
-        raise AttributeError("GaloisType is immutable")
-
-    def __reduce__(self):
-        return (GaloisType, (self.variant, self.d))
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not GaloisType:
-            return NotImplemented
-        return self.variant == other.variant and self.d == other.d
-
-    def __hash__(self) -> int:
-        return hash((self.variant, self.d))
-
-    def __repr__(self) -> str:
-        return f"GaloisType(variant={self.variant!r}, d={self.d!r})"
 
 
 def _integral(f: RationalPoly) -> tuple[tuple[int, int, int, int], Fraction]:

@@ -1,7 +1,7 @@
 """Exact univariate polynomials over Q, and closed forms for integral cubics.
 
 Coefficients are ``fractions.Fraction`` in ascending degree; products,
-shifts, divisions and gcds are exact.  The example pipeline works on the
+shifts and divisions are exact.  The example pipeline works on the
 integral scaling c3 t^3 + c2 t^2 + c1 t + c0 of a cubic instead, with no
 Fraction elimination: its discriminant is a closed form, and its rational
 roots are u/c3 for the integer roots u of the monic cubic
@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+
+from .values import Value
 
 
 def parse_rational(text: str) -> Fraction:
@@ -32,7 +34,7 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"zero denominator in {text!r}") from None
 
 
-class RationalPoly:
+class RationalPoly(Value):
     """An immutable polynomial; ``coefficients`` ascend in degree, with no trailing zeros."""
 
     __slots__ = ("coefficients",)
@@ -42,23 +44,6 @@ class RationalPoly:
         while coeffs and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
         object.__setattr__(self, "coefficients", coeffs)
-
-    def __setattr__(self, *a):  # immutability
-        raise AttributeError("RationalPoly is immutable")
-
-    def __reduce__(self):
-        return (RationalPoly, (self.coefficients,))
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not RationalPoly:
-            return NotImplemented
-        return self.coefficients == other.coefficients
-
-    def __hash__(self) -> int:
-        return hash((self.coefficients,))
-
-    def __repr__(self) -> str:
-        return f"RationalPoly(coefficients={self.coefficients!r})"
 
     @classmethod
     def from_coeffs(cls, coeffs) -> RationalPoly:
@@ -164,12 +149,6 @@ class RationalPoly:
         if not r.is_zero():
             raise ValueError("division is not exact")
         return q
-
-    def gcd(self, other: RationalPoly) -> RationalPoly:
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a.divmod(b)[1]
-        return a.monic() if not a.is_zero() else a
 
     def integer_scaled(self) -> tuple[int, ...]:
         """Integer coefficient vector with content cleared (same roots)."""

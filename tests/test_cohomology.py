@@ -1,4 +1,4 @@
-"""H^0 and H^1 for lattice and finite modules, against independent oracles."""
+"""H^1 for lattice and finite modules, against independent oracles."""
 
 from __future__ import annotations
 
@@ -9,12 +9,7 @@ from math import gcd
 import pytest
 
 from cubicbrauer.arith import factorint
-from cubicbrauer.cohomology import (
-    LatticeGModule,
-    h1_cyclic_oracle,
-    h1_lattice,
-    invariants_lattice,
-)
+from cubicbrauer.cohomology import LatticeGModule, h1_cyclic_oracle, h1_lattice
 from cubicbrauer.errors import NotCyclic
 from cubicbrauer.intlinalg import FinAbGroup, IntMatrix, mod_kernel, subgroup_structure_mod
 from cubicbrauer.perms import PermGroup, perm_from_cycles, perm_order
@@ -23,19 +18,6 @@ from cubicbrauer.perms import PermGroup, perm_from_cycles, perm_order
 def cyclic_module(order: int, matrix: IntMatrix) -> LatticeGModule:
     gen = perm_from_cycles(order, [list(range(order))])
     return LatticeGModule(rank=matrix.rows, group=PermGroup(order, [gen]), matrices=(matrix,))
-
-
-def test_invariants_lattice_examples():
-    trivial = LatticeGModule(rank=2, group=PermGroup(2, []), matrices=())
-    assert invariants_lattice(trivial).cols == 2
-
-    minus_one = cyclic_module(2, IntMatrix([[-1]]))
-    assert invariants_lattice(minus_one).cols == 0
-
-    swap = cyclic_module(2, IntMatrix([[0, 1], [1, 0]]))
-    inv = invariants_lattice(swap)
-    assert inv.cols == 1
-    assert inv.column(0) in ((1, 1), (-1, -1))
 
 
 def test_h1_sign_action():
@@ -80,6 +62,11 @@ def test_h1_oracle_requires_cyclic():
     module = LatticeGModule(
         rank=1, group=klein, matrices=(IntMatrix([[-1]]), IntMatrix([[-1]]))
     )
+    with pytest.raises(NotCyclic):
+        h1_cyclic_oracle(module)
+    # C6 = <(0 1 2), (3 4)> is cyclic, but the oracle reads one generator only
+    c6 = PermGroup(5, [perm_from_cycles(5, [[0, 1, 2]]), perm_from_cycles(5, [[3, 4]])])
+    module = LatticeGModule(rank=1, group=c6, matrices=(IntMatrix([[1]]), IntMatrix([[-1]])))
     with pytest.raises(NotCyclic):
         h1_cyclic_oracle(module)
 
@@ -203,16 +190,6 @@ def test_invariants_finite_vs_enumeration(seed):
     assert invariants_mod(n, rank, matrices) == invariants_enumerated(n, rank, matrices)
 
 
-def test_action_of_products():
-    swap = IntMatrix([[0, 1], [1, 0]])
-    gen = perm_from_cycles(3, [[0, 1]])
-    module = LatticeGModule(rank=2, group=PermGroup(3, [gen]), matrices=(swap,))
-    assert module.action_of(gen) == swap
-    assert module.action_of(tuple(range(3))) == IntMatrix.identity(2)
-    with pytest.raises(ValueError):
-        module.action_of(perm_from_cycles(3, [[0, 1, 2]]))
-
-
 def test_lattice_module_validation():
     group = PermGroup(2, [perm_from_cycles(2, [[0, 1]])])
     with pytest.raises(ValueError):
@@ -230,14 +207,13 @@ def test_lattice_module_rejects_a_cached_non_unimodular_determinant():
 
 
 def test_module_matrices_respect_relations():
-    """Random generator words with equal permutations get equal matrices."""
-    from cubicbrauer.cubiclattice import pic_module, reference_trio, weyl_group
+    """Random generator words get the matrix of the permutation they multiply to."""
+    from cubicbrauer.cubiclattice import pic_action, pic_module, reference_trio, weyl_group
     from cubicbrauer.perms import compose, identity_perm, setwise_stabilizer
 
     stab = setwise_stabilizer(weyl_group(), set(reference_trio().indices))
     module = pic_module(stab)
     rng = random.Random(3)
-    seen = {}
     for _ in range(200):
         perm = identity_perm(27)
         matrix = IntMatrix.identity(7)
@@ -245,11 +221,7 @@ def test_module_matrices_respect_relations():
             i = rng.randrange(len(stab.generators))
             perm = compose(stab.generators[i], perm)
             matrix = module.matrices[i] @ matrix
-        if perm in seen:
-            assert seen[perm] == matrix
-        else:
-            seen[perm] = matrix
-        assert module.action_of(perm) == matrix
+        assert pic_action(perm) == matrix
 
 
 def test_elementary_divisors_match_snf_on_the_sweep(sweep_modules):

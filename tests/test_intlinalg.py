@@ -189,6 +189,24 @@ def test_finabgroup_json_roundtrip():
     assert FinAbGroup.from_json(g.to_json()) == g
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: FinAbGroup(0, (2.5,)),
+        lambda: FinAbGroup(1.5),
+        lambda: FinAbGroup(0, ("4",)),
+        lambda: FinAbGroup.from_orders([2.9]),
+        lambda: FinAbGroup.from_json({"free_rank": 0, "factors": [2.5]}),
+        lambda: FinAbGroup.from_json({"free_rank": "1", "factors": []}),
+    ],
+    ids=["float-factor", "float-rank", "str-factor", "float-order", "json-factor", "json-rank"],
+)
+def test_finabgroup_refuses_what_is_not_an_integer(build):
+    """Like IntMatrix entries, ranks and orders are read with operator.index."""
+    with pytest.raises(TypeError):
+        build()
+
+
 def test_subgroup_structure_mod():
     # subgroup of (Z/4)^2 generated by (2, 0) and (0, 1)
     structure = subgroup_structure_mod([(2, 0), (0, 1)], 4, 2)

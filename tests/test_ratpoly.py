@@ -39,12 +39,10 @@ def test_shift():
         assert g.shift(2)(root + 2) == 0
 
 
-def test_divmod_and_gcd():
+def test_divmod():
     f = P([-2, -2, 1, 1])
     q, r = f.divmod(P([1, 1]))
     assert r.is_zero() and q.coefficients == (-2, 0, 1)
-    assert f.gcd(P([1, 1])).coefficients == (1, 1)
-    assert f.gcd(P([1, 0, 1])).coefficients == (1,)  # coprime
 
 
 def test_derivative():
