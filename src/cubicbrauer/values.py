@@ -11,6 +11,8 @@ equality, hashing, pickling and the repr ignore.
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 
 class Value:
     """Immutable value compared, hashed, pickled and printed by its public slots."""
@@ -21,15 +23,15 @@ class Value:
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
-
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._fields])
+        # called as self._key(self); a single field is read bare, which
+        # compares and hashes as well as a 1-tuple and is quicker to build
+        cls._key = attrgetter(*cls._fields)
 
     def __setattr__(self, *a):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __reduce__(self):
-        return (type(self), self._values())
+        return (type(self), tuple([getattr(self, name) for name in self._fields]))
 
     def __copy__(self):
         return self
@@ -40,13 +42,14 @@ class Value:
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        key = self._key
+        return key(self) == key(other)
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        return hash(self._key(self))
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
         return f"{type(self).__name__}({fields})"
 
 

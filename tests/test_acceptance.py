@@ -158,3 +158,26 @@ def test_witness_route_avoids_the_sweep_and_h1_lattice(monkeypatch):
     assert len(CASE_TWO_WITNESSES) == 5
     for witness in CASE_TWO_WITNESSES:
         assert verify_case_two_witness(witness) == []
+
+
+def test_a_cyclic_witness_on_two_generators_meets_the_cyclic_oracle(trio_stabilizer):
+    """The oracle reads one generator, so the check rebuilds <g, g^2> on g."""
+    from cubicbrauer.cohomology import h1_lattice
+    from cubicbrauer.cubiclattice import pic_action, pic_module, quotient_by_trio, reference_trio
+    from cubicbrauer.perms import PermGroup, compose, orbit_count, perm_order
+
+    trio = reference_trio()
+    for g in trio_stabilizer.elements():
+        group = PermGroup(27, [g])
+        if perm_order(g) == 4 and orbit_count(group, set(trio.indices)) == 2:
+            pair = TablePair(
+                h1_lattice(quotient_by_trio(trio, group).module), h1_lattice(pic_module(group))
+            )
+            if pair.br1 == FinAbGroup(0, (2, 4)):
+                break
+    else:
+        pytest.fail("no order-4 class with H^1(Pic Ubar) = Z/2 x Z/4")
+    witness = acceptance.CaseTwoWitness(pair, 4, (pic_action(g), pic_action(compose(g, g))))
+    assert verify_case_two_witness(witness) == []
+    wrong = witness._replace(pair=TablePair(FinAbGroup(0), FinAbGroup(0)))
+    assert "cyclic oracle gives (Z/2 x Z/4, Z/2 x Z/2)" in verify_case_two_witness(wrong)

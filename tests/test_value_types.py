@@ -132,6 +132,7 @@ def test_values_compare_and_hash_by_their_fields(name):
     for other in others:
         assert a != other and not a == other
     assert len({a, same, *others}) == 1 + len(others)
+    assert all(a != VALUES[kind]()[0] for kind in VALUES if kind != name)
 
 
 @pytest.mark.parametrize("name", sorted(VALUES))
@@ -150,9 +151,8 @@ VALUE_TYPES = sorted(c.__name__ for c in Value.__subclasses__())
 
 def _comparable(value: Value) -> tuple:
     """The fields of a value, with a group (compared by identity) read as its generators."""
-    return tuple(
-        (f.degree, f.generators) if isinstance(f, PermGroup) else f for f in value._values()
-    )
+    fields = [getattr(value, name) for name in value._fields]
+    return tuple((f.degree, f.generators) if isinstance(f, PermGroup) else f for f in fields)
 
 
 @pytest.mark.parametrize("name", VALUE_TYPES)
