@@ -5,10 +5,12 @@ realized by :func:`compose`.  :class:`PermGroup` lists its elements up to
 a bound, :func:`setwise_stabilizer` finds set stabilizers, and
 :func:`subgroup_classes` enumerates the subgroups of a solvable group up
 to conjugacy by the cyclic extension method.  All three work on byte
-strings: the points the generators move are numbered 0..k-1 (so
-k <= 256) and an element is the bytes of its images.  A group is listed
-once, by Dimino's cosets on these codes (:class:`_Dimino`), and its
-order, its elements and the enumeration's table all read that cached
+codes: a permutation's code is ``bytes(p)``, the bytes of its images, so
+a group has degree at most 256, and q * p is
+``bytes(p).translate(bytes(q) + pad)`` with pad the bytes n..255.  Codes
+sort as the permutations do, so the identity is the least.  A group is
+listed once, by Dimino's cosets on these codes (:class:`_Dimino`), and
+its order, its elements and the enumeration's table all read that cached
 listing.  :func:`setwise_stabilizer` tests every Schreier
 generator of the set's orbit against the listing of the group kept so
 far, and the group it returns carries that listing, so the trio
@@ -16,8 +18,8 @@ stabilizer is listed once on the table sweep's path.  The enumeration
 checks that a walk from the identity under the generators stays in the
 listing and reaches all of it, which makes it exactly the group they
 generate, and works on indices into its sorted codes (the identity is
-index 0); only the generators of the classes found are decoded.  Every
-product of two indices is formed when it is read, by one
+index 0); only the generators of the classes found are read back as
+tuples.  Every product of two indices is formed when it is read, by one
 ``bytes.translate`` and one dict lookup, so memory stays linear in the
 order of the group; no table of all products is built.  A small generating set of the group (two
 elements for the trio stabilizer, which has five permutation generators)
@@ -38,14 +40,13 @@ from __future__ import annotations
 import random
 from itertools import repeat
 from math import lcm
-from typing import Callable, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .arith import factorint
 from .errors import NotSolvable, NotStabilized, TooLarge
+from .values import Value
 
 Perm = tuple[int, ...]
-# a group's sorted byte codes, with the encoder and decoder they were made by
-_Listing = tuple[list[bytes], Callable[[Perm], bytes], Callable[[bytes], Perm]]
 
 ELEMENT_LISTING_BOUND = 10**5
 # Subgroup enumeration keeps a few entries per element, not a table of all
@@ -106,24 +107,29 @@ def perm_from_cycles(n: int, cycles: list[list[int]]) -> Perm:
     return tuple(images)
 
 
-class PermGroup:
-    """A finite permutation group given by generators.
+class PermGroup(Value):
+    """A finite permutation group given by generators, of degree at most 256.
 
-    Its elements are listed once, by Dimino's algorithm on byte codes
-    (:class:`_Dimino`), which encode at most 256 moved points: a group
-    moving more raises TooLarge on ``order()`` and ``elements()``.  Every
-    group of the library has degree 27.  The listing is cached as the
-    sorted codes with their encoder and decoder, or carried from
-    :func:`setwise_stabilizer` for the group it returns.  ``order()`` is
-    its length, ``elements()`` decodes it on each call (only the codes are
-    cached), and the subgroup enumeration indexes it.  Both methods raise
-    TooLarge once the group has more than ``bound`` elements, after listing
-    fewer than 2 * bound of them.
+    A value: two groups are equal when they have the same degree and the
+    same generator tuple, so two generating sets of one group give unequal
+    values.  The constructor drops repeated generators and the identity,
+    and refuses a degree over 256, the points a byte code encodes, with
+    TooLarge.  The elements are listed once, by Dimino's algorithm on byte
+    codes (:class:`_Dimino`), and the sorted codes are cached in the
+    ``_listed`` slot, or carried from :func:`setwise_stabilizer` for the
+    group it returns.  ``order()`` is their number, ``elements()`` reads
+    them back as tuples on each call, and the subgroup enumeration indexes
+    them.  Both methods raise TooLarge once the group has more than
+    ``bound`` elements, after listing fewer than 2 * bound of them.
     """
 
-    def __init__(self, degree: int, generators: list[Perm] | tuple[Perm, ...]):
+    __slots__ = ("degree", "generators", "_listed")
+
+    def __init__(self, degree: int, generators: Iterable[Iterable[int]]):
         if degree < 1:
             raise ValueError("degree must be positive")
+        if degree > 256:
+            raise TooLarge(f"degree {degree} exceeds the 256 points a byte code encodes")
         gens = []
         seen = set()
         ident = identity_perm(degree)
@@ -134,74 +140,31 @@ class PermGroup:
             if g != ident and g not in seen:
                 seen.add(g)
                 gens.append(g)
-        self.degree = degree
-        self.generators: tuple[Perm, ...] = tuple(gens)
-        self._listed: _Listing | None = None
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "generators", tuple(gens))
+        object.__setattr__(self, "_listed", None)
 
-    def _listing(self, bound: int) -> _Listing:
-        """The sorted byte codes of the elements, listed by Dimino's cosets, and their codec."""
-        encode, decode, pad = _byte_codec(self)
-        listing = _Dimino(256 - len(pad), bound)
+    def _listing(self, bound: int) -> list[bytes]:
+        """The sorted byte codes of the elements, listed by Dimino's cosets."""
+        listing = _Dimino(self.degree, bound)
         for g in self.generators:
-            listing.add(encode(g))
-        return sorted(listing.codes), encode, decode
+            listing.add(bytes(g))
+        return sorted(listing.codes)
 
-    def _codes(self, bound: int) -> _Listing:
+    def _codes(self, bound: int) -> list[bytes]:
         """The cached listing; TooLarge past ``bound`` elements."""
         if self._listed is None:
-            self._listed = self._listing(bound)
-        n = len(self._listed[0])
+            object.__setattr__(self, "_listed", self._listing(bound))
+        n = len(self._listed)
         if n > bound:
             raise TooLarge(f"group of order {n} exceeds bound {bound}")
         return self._listed
 
     def order(self, bound: int = ELEMENT_LISTING_BOUND) -> int:
-        return len(self._codes(bound)[0])
+        return len(self._codes(bound))
 
     def elements(self, bound: int = ELEMENT_LISTING_BOUND) -> tuple[Perm, ...]:
-        codes, _, decode = self._codes(bound)
-        return tuple(map(decode, codes))
-
-
-# -- byte codes ------------------------------------------------------------
-
-
-def _support(generators: tuple[Perm, ...]) -> list[int]:
-    """The points that some generator moves, in increasing order."""
-    return sorted({x for g in generators for x, y in enumerate(g) if x != y})
-
-
-def _byte_codec(
-    group: PermGroup,
-) -> tuple[Callable[[Perm], bytes], Callable[[bytes], Perm], bytes]:
-    """Byte codes for the elements of G: (encode, decode, pad).
-
-    Point support[i] of the generators' support is byte i, so an element is
-    the bytes of its images, and g * x is ``x.translate(g + pad)`` with pad
-    the bytes k..255 for k moved points, one C call (hence k <= 256; more
-    raise TooLarge).  Byte strings sort as the permutations they encode do.
-    """
-    support = _support(group.generators)
-    k = len(support)
-    if k > 256:
-        raise TooLarge(f"group moves {k} points, more than the 256 a byte code encodes")
-    code = {x: i for i, x in enumerate(support)}
-
-    def encode(p: Perm) -> bytes:
-        return bytes([code[p[x]] for x in support])
-
-    if k == group.degree:
-        decode = tuple
-    else:
-        fixed = identity_perm(group.degree)
-
-        def decode(images: bytes) -> Perm:
-            p = list(fixed)
-            for x, c in zip(support, images):
-                p[x] = support[c]
-            return tuple(p)
-
-    return encode, decode, bytes(range(k, 256))
+        return tuple(map(tuple, self._codes(bound)))
 
 
 class _Dimino:
@@ -219,11 +182,11 @@ class _Dimino:
 
     __slots__ = ("codes", "known", "pad", "gen_pads", "bound")
 
-    def __init__(self, k: int, bound: int):
-        ident = bytes(range(k))
+    def __init__(self, degree: int, bound: int):
+        ident = bytes(range(degree))
         self.codes = [ident]
         self.known = {ident}
-        self.pad = bytes(range(k, 256))
+        self.pad = bytes(range(degree, 256))
         self.gen_pads: list[bytes] = []
         self.bound = bound
 
@@ -260,17 +223,16 @@ def setwise_stabilizer(g: PermGroup, points: set[int] | frozenset[int]) -> PermG
     grown each time a generator is kept, so membership is one set lookup.
     The generators returned form an irredundant prefix chain: none lies in
     the group of those before it.  The group returned carries that
-    listing, in the codes of G, so it never lists itself again.
-    Raises TooLarge once the stabilizer has more than ELEMENT_LISTING_BOUND
-    elements, or if G moves more than 256 points.
+    listing, so it never lists itself again.  Raises TooLarge once the
+    stabilizer has more than ELEMENT_LISTING_BOUND elements.
     """
     s0 = frozenset(points)
     if not s0 <= set(range(g.degree)):
         raise ValueError("points outside the domain")
-    encode, decode, pad = _byte_codec(g)
-    k = 256 - len(pad)
-    listing = _Dimino(k, ELEMENT_LISTING_BOUND)
-    gen_pads = [encode(gen) + pad for gen in g.generators]
+    n = g.degree
+    listing = _Dimino(n, ELEMENT_LISTING_BOUND)
+    pad = listing.pad
+    gen_pads = [bytes(gen) + pad for gen in g.generators]
     reps: dict[frozenset[int], bytes] = {s0: listing.codes[0]}
     queue = [s0]
     for t in queue:
@@ -281,7 +243,7 @@ def setwise_stabilizer(g: PermGroup, points: set[int] | frozenset[int]) -> PermG
                 reps[t2] = rep.translate(gen_pad)  # gen * rep
                 queue.append(t2)
     rep_inv_pads = {
-        t: bytes(sorted(range(k), key=rep.__getitem__)) + pad for t, rep in reps.items()
+        t: bytes(sorted(range(n), key=rep.__getitem__)) + pad for t, rep in reps.items()
     }
     kept: list[bytes] = []
     for t in sorted(reps, key=sorted):
@@ -291,8 +253,8 @@ def setwise_stabilizer(g: PermGroup, points: set[int] | frozenset[int]) -> PermG
             sg = rep.translate(gen_pad).translate(rep_inv_pads[image])
             if listing.add(sg):
                 kept.append(sg)
-    stabilizer = PermGroup(g.degree, [decode(c) for c in kept])
-    stabilizer._listed = (sorted(listing.codes), encode, decode)
+    stabilizer = PermGroup(n, kept)
+    object.__setattr__(stabilizer, "_listed", sorted(listing.codes))
     return stabilizer
 
 
@@ -328,8 +290,8 @@ class _TableGroup:
     Elements are indexed into the group's sorted listing
     (:meth:`PermGroup._codes`), and each index i keeps the byte code
     ``codes[i]`` of its element and the 256-byte translation table
-    ``pads[i]`` (the code followed by the bytes of the points it does not
-    move).  The index of the product x y of two indices is then
+    ``pads[i]`` (the code followed by the bytes n..255, for degree n).  The
+    index of the product x y of two indices is then
     ``ids[codes[y].translate(pads[x])]``: one C call and one dict lookup,
     so memory stays linear in |G| and no product is formed before it is
     read (the whole enumeration of the trio stabilizer reads about 109 k
@@ -347,8 +309,7 @@ class _TableGroup:
     """
 
     def __init__(self, group: PermGroup):
-        codes, encode, _ = group._codes(ELEMENT_LISTING_BOUND)
-        self.codes = codes
+        self.codes = codes = group._codes(ELEMENT_LISTING_BOUND)
         self.n = n = len(codes)
         self.ids = ids = {c: i for i, c in enumerate(codes)}
         ident = codes[0]
@@ -356,7 +317,7 @@ class _TableGroup:
             raise AssertionError("the least code of the listing is not the identity")
         pad = bytes(range(len(ident), 256))
         self.pads = pads = [c + pad for c in codes]
-        perm_gens = [ids.get(encode(g)) for g in group.generators]
+        perm_gens = [ids.get(bytes(g)) for g in group.generators]
         if None in perm_gens:
             raise AssertionError("a generator is not in the listing")
         reached, seen = [0], bytearray(n)
@@ -538,8 +499,7 @@ def subgroup_classes(g: PermGroup) -> list[SubgroupClass]:
     and NotSolvable is raised after the sweep otherwise.
 
     Raises TooLarge if the order of G exceeds SUBGROUP_ENUM_BOUND, from a
-    listing that stops once it passes the bound, or if its generators move
-    more than 256 points, which the byte codes refuse before that listing.
+    listing that stops once it passes the bound.
     """
     n = g.order(SUBGROUP_ENUM_BOUND)
     tg = _TableGroup(g)
@@ -595,11 +555,10 @@ def subgroup_classes(g: PermGroup) -> list[SubgroupClass]:
 
     if not any(len(cls["rep"]) == n for cls in classes):
         raise NotSolvable("subgroup enumeration implemented for solvable groups only")
-    decode = g._codes(SUBGROUP_ENUM_BOUND)[2]
     out = []
     for cls in sorted(classes, key=lambda c: (len(c["rep"]), sorted(c["rep"]))):
         rep = cls["rep"]
-        gens = [decode(codes[i]) for i in cls["gens"]]
+        gens = [tuple(codes[i]) for i in cls["gens"]]
         out.append(
             SubgroupClass(
                 group=PermGroup(g.degree, gens),

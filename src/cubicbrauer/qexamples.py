@@ -304,7 +304,10 @@ def find_admissible_a(f: RationalPoly, bound: int = 20) -> SearchOutcome:
     """Smallest integer a in 1..bound passing general position and Eckardt.
 
     The search stops at the first rejected shift once no shift can pass.
+    A bound below 1 searches nothing and raises ValueError.
     """
+    if bound < 1:
+        raise ValueError(f"the search bound must be at least 1, not {bound}")
     rejected: list[tuple[Fraction, str]] = []
     for candidate in range(1, bound + 1):
         a = Fraction(candidate)

@@ -251,6 +251,15 @@ def test_example_no_admissible_shift_exit(capsys):
     assert err == "error: no admissible a found up to 1\n"
 
 
+@pytest.mark.parametrize("bound", ["0", "-3"])
+def test_example_refuses_a_search_bound_below_1(capsys, bound):
+    """Once answered as a search that found nothing, even for a linear "cubic"."""
+    for poly in ("1,2", "-2,-2,1,1"):
+        code, out, err = run(capsys, "example", "--poly", poly, "--auto-a", bound)
+        assert (code, out) == (1, "")
+        assert err == f"error: the search bound must be at least 1, not {bound}\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -7,7 +7,7 @@ import hashlib
 import random
 import tracemalloc
 from itertools import product
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 
 import pytest
 from oracles import closure
@@ -234,12 +234,6 @@ def test_setwise_stabilizer_refuses_past_the_listing_bound(monkeypatch):
     assert setwise_stabilizer(s6, {0, 1}).order() == 48  # S2 x S4
 
 
-def test_setwise_stabilizer_refuses_more_than_256_moved_points():
-    group = PermGroup(300, [cyc(300, *((2 * i, 2 * i + 1) for i in range(129)))])
-    with pytest.raises(TooLarge):
-        setwise_stabilizer(group, {0, 1})
-
-
 def test_orbit_count():
     trivial = PermGroup(3, [])
     assert orbit_count(trivial, {0, 1, 2}) == 3
@@ -404,12 +398,8 @@ def test_table_takes_redundant_generators_as_given():
 
 
 def test_table_on_a_partial_support():
-    """S3 on points 2, 5, 7 of nine, a transposition on 300 points, the trivial group."""
-    for group in (
-        PermGroup(9, [cyc(9, (2, 5)), cyc(9, (2, 5, 7))]),
-        PermGroup(300, [cyc(300, (17, 290))]),
-        PermGroup(5, []),
-    ):
+    """S3 on points 2, 5, 7 of nine, and the trivial group."""
+    for group in (PermGroup(9, [cyc(9, (2, 5)), cyc(9, (2, 5, 7))]), PermGroup(5, [])):
         tg = _TableGroup(group)
         _assert_linear_storage(tg)
         _assert_products(tg, group, product(range(tg.n), repeat=2))
@@ -451,7 +441,7 @@ def test_table_refuses_a_listing_that_is_not_the_group():
     assert len(short) == 20 and set(s4().generators) <= short
     a4 = closure(4, [cyc(4, (0, 1, 2)), cyc(4, (0, 1), (2, 3))])
     for group, listed in ((s4(), short), (s4(), a4), (PermGroup(4, [rotation]), full)):
-        group._listed = (sorted(map(bytes, listed)), bytes, tuple)
+        object.__setattr__(group, "_listed", sorted(map(bytes, listed)))
         with pytest.raises(AssertionError):
             _TableGroup(group)
 
@@ -644,27 +634,20 @@ def test_enumeration_bound_guards_the_cayley_table(monkeypatch):
         subgroup_classes(group)
 
 
-def test_a_transposition_on_300_points_enumerates():
-    """Only the two moved points are encoded, far below the 256 a byte code takes."""
-    group = PermGroup(300, [cyc(300, (0, 299))])
-    classes = subgroup_classes(group)
-    assert [(c.order, c.conjugates) for c in classes] == [(1, 1), (2, 1)]
-    assert frozenset(classes[1].group.elements()) == {identity_perm(300), cyc(300, (0, 299))}
-
-
-def test_more_than_256_moved_points_are_refused_before_the_table(monkeypatch):
-    """129 disjoint transpositions move 258 points: rejected before any listing."""
+def test_a_degree_over_256_is_refused_before_any_listing(monkeypatch):
+    """A byte code holds 256 points: a group of order 2 on 300 points is not built."""
     from cubicbrauer import perms
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("no element listing beyond 256 moved points")
+        raise AssertionError("no element listing beyond degree 256")
 
+    assert PermGroup(256, [cyc(256, (0, 255))]).order() == 2
     monkeypatch.setattr(perms, "_TableGroup", forbidden)
     monkeypatch.setattr(perms, "_Dimino", forbidden)
-    group = PermGroup(300, [cyc(300, *((2 * i, 2 * i + 1) for i in range(129)))])
-    assert len(closure(300, group.generators)) == 2
-    with pytest.raises(TooLarge):
-        subgroup_classes(group)
+    gens = [cyc(300, (0, 299))]
+    assert len(closure(300, gens)) == 2
+    with pytest.raises(TooLarge, match="degree 300"):
+        PermGroup(300, gens)
 
 
 def test_enumeration_memory_stays_linear_in_the_group_order(trio_stabilizer):
@@ -755,6 +738,35 @@ def test_stabilizer_subgroup_counting_identities(trio_stabilizer, stabilizer_cla
         if cls.order == 4 and any(perm_order(p) == 4 for p in cls.group.elements())
     )
     assert cyclic4 == order_census[4] // 2
+
+
+def _cyclic_class_census(classes):
+    """(number of cyclic classes, sum of conjugates * phi(order) over them).
+
+    Each element generates exactly one cyclic subgroup, and a cyclic group
+    of order m has phi(m) generators, so the sum is |G|.  A class counts as
+    cyclic when its group has at most one generator; each such group is
+    checked to be cyclic from its elements' orders.
+    """
+    cyclic = [cls for cls in classes if len(cls.group.generators) <= 1]
+    for cls in classes:
+        has_generator = any(perm_order(p) == cls.order for p in cls.group.elements())
+        assert has_generator == (len(cls.group.generators) <= 1), cls
+    total = sum(
+        cls.conjugates * sum(gcd(k, cls.order) == 1 for k in range(cls.order))
+        for cls in cyclic
+    )
+    return len(cyclic), total
+
+
+@pytest.mark.parametrize("factory", [s4, gl23, d4])
+def test_cyclic_classes_account_for_every_element(factory):
+    group = factory()
+    assert _cyclic_class_census(subgroup_classes(group))[1] == group.order()
+
+
+def test_cyclic_classes_account_for_every_element_of_the_trio_stabilizer(stabilizer_classes):
+    assert _cyclic_class_census(stabilizer_classes) == (25, 1152)
 
 
 def test_stabilizer_class_reps_are_subgroups(stabilizer_classes):

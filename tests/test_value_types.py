@@ -73,9 +73,17 @@ VALUES = {
     ),
     "LatticeGModule": lambda: (
         LatticeGModule(1, SWAP, (NEG,)),
-        LatticeGModule(rank=1, group=SWAP, matrices=(IntMatrix([[-1]]),)),
+        LatticeGModule(rank=1, group=PermGroup(2, [(1, 0)]), matrices=(IntMatrix([[-1]]),)),
         LatticeGModule(1, SWAP, (IntMatrix([[1]]),)),
-        LatticeGModule(1, PermGroup(2, [(1, 0)]), (NEG,)),
+        LatticeGModule(1, PermGroup(3, [(1, 0, 2)]), (NEG,)),
+    ),
+    # two generating sets of S3: one group, two unequal values
+    "PermGroup": lambda: (
+        PermGroup(3, [(1, 0, 2), (1, 2, 0)]),
+        PermGroup(3, ([1, 0, 2], (0, 1, 2), (1, 0, 2), (1, 2, 0))),
+        PermGroup(4, [(1, 0, 2, 3), (1, 2, 0, 3)]),
+        PermGroup(3, [(1, 2, 0), (1, 0, 2)]),
+        PermGroup(3, [(1, 0, 2), (0, 2, 1)]),
     ),
     "TablePair": lambda: (
         TablePair(FinAbGroup(0, (2,)), FinAbGroup(0)),
@@ -149,19 +157,29 @@ def test_fields_refuse_assignment(name):
 VALUE_TYPES = sorted(c.__name__ for c in Value.__subclasses__())
 
 
-def _comparable(value: Value) -> tuple:
-    """The fields of a value, with a group (compared by identity) read as its generators."""
-    fields = [getattr(value, name) for name in value._fields]
-    return tuple((f.degree, f.generators) if isinstance(f, PermGroup) else f for f in fields)
-
-
 @pytest.mark.parametrize("name", VALUE_TYPES)
 def test_values_survive_copy_and_pickle(name):
     a = VALUES[name]()[0]
     assert copy.copy(a) is a and copy.deepcopy(a) is a
     clone = pickle.loads(pickle.dumps(a))
-    assert type(clone) is type(a) and _comparable(clone) == _comparable(a)
+    assert type(clone) is type(a) and clone == a
     assert repr(a).startswith(f"{name}(")
+
+
+def test_a_listed_group_pickles_without_its_listing():
+    group = PermGroup(3, [(1, 0, 2), (1, 2, 0)])
+    assert group.order() == 6
+    clone = pickle.loads(pickle.dumps(group))
+    assert clone == group and clone._listed is None
+    assert clone.elements() == group.elements()
+
+
+def test_a_module_on_a_listed_group_round_trips_equal():
+    group = PermGroup(2, [(1, 0)])
+    module = LatticeGModule(1, group, (NEG,))
+    assert pickle.loads(pickle.dumps(module)) == module
+    assert group.order() == 2
+    assert pickle.loads(pickle.dumps(module)) == module
 
 
 def test_value_semantics_live_in_one_module():
