@@ -44,6 +44,7 @@ from .qexamples import example_brauer, searched_example_brauer
 from .ratpoly import RationalPoly, parse_rational
 
 CONFIG_KEYS = ("format", "case", "d", "n", "poly", "a", "auto_a", "boundary")
+FORMATS = ("text", "json")
 
 
 def _load_config(path: str) -> dict[str, str]:
@@ -68,6 +69,9 @@ def _merge_config(args: argparse.Namespace) -> None:
         return
     config = _load_config(args.config)
     casts = {"case": int, "d": int, "n": int, "auto_a": int}
+    fmt = config.get("format", FORMATS[0])
+    if fmt not in FORMATS:
+        raise ValueError(f"config format {fmt!r} is not one of {', '.join(FORMATS)}")
     for key, raw in config.items():
         if getattr(args, key, None) is None:
             args.__setattr__(key, casts.get(key, str)(raw))
@@ -307,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--format",
-        choices=("text", "json"),
+        choices=FORMATS,
         default=argparse.SUPPRESS,
         help="output format",
     )
@@ -319,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", default=None, help="key=value file pre-setting any flag")
     parser.add_argument(
-        "--format", choices=("text", "json"), default=None, help="output format"
+        "--format", choices=FORMATS, default=None, help="output format"
     )
     parser.add_argument("--seed-check", action="store_true", help=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command")

@@ -10,23 +10,29 @@ concurrent, the transcendental Brauer group of the complement is the
 invariant group of the twisted boundary module, so the whole pipeline
 reduces to the cubic's Galois type.
 
-Every invariant here is computed in integers on the integral scaling
-F = c3 t^3 + c2 t^2 + c1 t + c0 of f = lambda F, each in closed form:
-disc(f) = lambda^4 disc(F); the rational roots by bisection
-(``ratpoly.monic_cubic_integer_roots``); Res(f, f(t - a)) =
-lambda^6 (-a^3 c3^2 ((c3^2 a^2 - D0)^2 a^2 - disc F)) with
-D0 = c2^2 - 3 c1 c3; the t^5 coefficient f3 (2 f2 - 3 a f3) of H; and
-the product of H's triple root sums.  ``tests/test_qexamples.py``
-checks each against its elimination route: the Sylvester resultant and
-discriminant and the rational-root-theorem listing of
-``tests/oracles.py``, and the 20x20 exterior-power operator.
+Every invariant here is in closed form, in integers on the integral
+scaling F = c3 t^3 + c2 t^2 + c1 t + c0 of f = lambda F: disc(f) =
+lambda^4 disc F; the rational roots by bisection
+(``ratpoly.monic_cubic_integer_roots``); H's t^5 coefficient
+f3 (2 f2 - 3 a f3); and two values of one cubic.  Over the roots r_i of F,
+prod_{i<j} (s^2 - (r_i - r_j)^2) = R(s^2) for R(x) = x (x - D0/c3^2)^2 -
+disc F/c3^4, with D0 = c2^2 - 3 c1 c3.  For a = n/d, the roots' sum e1
+gives e1 + k a = T_k/(c3 d) with T_k = k c3 n - c2 d, and
+q(t) = (t^2 - D0 d^2)^2 t^2 - disc F c3^2 d^6 clears R's denominators:
+
+    Res(F, F(t - a)) = -n^3 q(c3 n) / d^9,
+    prod of H's 20 triple root sums = T0 T1^3 T2^3 T3 q(T1) q(T2) / (c3 d)^20.
+
+``tests/test_qexamples.py`` checks each closed form against its
+elimination route: the Sylvester resultant and discriminant and the
+rational-root-theorem listing of ``tests/oracles.py``, and the 20x20
+exterior-power operator.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from math import comb
 from typing import Literal, NamedTuple
 
 from .arith import is_perfect_square, squarefree_part
@@ -111,99 +117,53 @@ class GeneralPositionReport(NamedTuple):
         return self.distinct_roots and self.degree5_nonzero and self.no_triple_sum_zero
 
     def failures(self) -> list[str]:
-        out = []
-        if not self.distinct_roots:
-            out.append("repeated root among the six points")
-        if not self.degree5_nonzero:
-            out.append("degree-5 coefficient of F(t)F(t-a) vanishes")
-        if not self.no_triple_sum_zero:
-            out.append("three of the six roots sum to zero")
-        return out
+        return [why for ok, why in (
+            (self.distinct_roots, "repeated root among the six points"),
+            (self.degree5_nonzero, "degree-5 coefficient of F(t)F(t-a) vanishes"),
+            (self.no_triple_sum_zero, "three of the six roots sum to zero"),
+        ) if not ok]
 
 
-def _triple_sum_product(c: tuple[int, int, int, int], a: Fraction) -> Fraction:
-    """The product of the 20 sums of three distinct roots of H = F(t)F(t-a).
+def _difference_form(c: tuple[int, int, int, int], disc: int, d: int, t: int) -> int:
+    """q(t), so that prod_{i<j} (s^2 - (r_i - r_j)^2) = q(t) / (c3 d)^6 at s = t / (c3 d).
 
-    With r1, r2, r3 the roots of F and e1 their sum, the triple sums are
-    e1 and e1 + 3a once, e1 + a and e1 + 2a three times each, and
-    2r_i + r_j + a and 2r_i + r_j + 2a for the six ordered pairs i != j:
-
-        e1 (e1 + a)^3 (e1 + 2a)^3 (e1 + 3a) Q(a) Q(2a),
-        Q(c) = prod_{i != j} (2r_i + r_j + c).
-
-    These sums are the eigenvalues of the derivation induced by H's
-    companion matrix on the third exterior power of Q^6, so the product is
-    that operator's determinant.  Q(c) = sum_k E_k c^(6-k), where E_k are
-    the elementary symmetric functions of the six u_ij = 2r_i + r_j, found
-    by Newton's identities from their power sums
-
-        S_k = sum_m C(k, m) 2^m p_m p_(k-m) - 3^k p_k,
-
-    p_m being the power sums of r1, r2, r3 (p_0 = 3), themselves found by
-    Newton's identities from F's coefficients.  Everything is an integer:
-    for F = c3 t^3 + c2 t^2 + c1 t + c0 in lowest integer terms and
-    a = n/d, the D r_i with D = c3 d are the roots of a monic integer
-    cubic and D a = c3 n, so the product is computed for them and divided
-    by D^20 once.
+    The squared root differences of F sum to 2 D0/c3^2, their pairwise
+    products sum to the square of half that (the differences sum to zero),
+    and they multiply to disc/c3^4: that product is R(s^2).
     """
-    c0, c1, c2, c3 = c
-    d = a.denominator
-    scale = c3 * d
-    shift = c3 * a.numerator  # D a
-    # elementary symmetric functions of the D r_i, then their power sums
-    e = (1, -c2 * d, c1 * c3 * d * d, -c0 * c3 * c3 * d**3)
-    p = [3]
-    for k in range(1, 7):
-        pk = (-1) ** (k - 1) * k * e[k] if k <= 3 else 0
-        p.append(pk + sum((-1) ** (i - 1) * e[i] * p[k - i] for i in range(1, min(k, 4))))
-    # power sums of the D u_ij, then their elementary symmetric functions
-    s = [
-        sum(comb(k, m) * 2**m * p[m] * p[k - m] for m in range(k + 1)) - 3**k * p[k]
-        for k in range(7)
-    ]
-    big_e = [1]
-    for k in range(1, 7):
-        big_e.append(sum((-1) ** (i - 1) * big_e[k - i] * s[i] for i in range(1, k + 1)) // k)
-
-    def q(c: int) -> int:
-        acc = 0
-        for coefficient in big_e:
-            acc = acc * c + coefficient
-        return acc
-
-    e1 = e[1]
-    product = (
-        e1 * (e1 + shift) ** 3 * (e1 + 2 * shift) ** 3 * (e1 + 3 * shift)
-        * q(shift) * q(2 * shift)
-    )
-    return Fraction(product, scale**20)
+    _, c1, c2, c3 = c
+    u = t * t - (c2 * c2 - 3 * c1 * c3) * d * d
+    return u * u * t * t - disc * c3 * c3 * d**6
 
 
 def _shift_resultant(c: tuple[int, int, int, int], disc: int, a: Fraction) -> Fraction:
-    """Res(F(t), F(t - a)) for F = c3 t^3 + c2 t^2 + c1 t + c0 of discriminant disc.
+    """Res(F(t), F(t - a)) = c3^6 prod_{i,j} (r_i - r_j - a) = -a^3 c3^6 R(a^2).
 
-    It is c3^6 prod_{i,j} (r_i - r_j - a).  The three factors i = j give
-    -a^3; the pair (i, j), (j, i) gives a^2 - (r_i - r_j)^2.  The squared
-    differences sum to 2 D0 / c3^2 with D0 = c2^2 - 3 c1 c3, their pairwise
-    products sum to the square of half that (the differences sum to zero),
-    and they multiply to disc(F) / c3^4, so
-
-        Res = -a^3 c3^2 ((c3^2 a^2 - D0)^2 a^2 - disc F),
-
-    here with a = n/d cleared of its denominator d.
+    The factors i = j give -a^3; each pair (i, j), (j, i) gives a^2 - (r_i - r_j)^2.
     """
-    c0, c1, c2, c3 = c
     n, d = a.numerator, a.denominator
-    d0 = c2 * c2 - 3 * c1 * c3
-    inner = (c3 * c3 * n * n - d0 * d * d) ** 2 * n * n - disc * d**6
-    return Fraction(-(n**3) * c3 * c3 * inner, d**9)
+    return Fraction(-(n**3) * _difference_form(c, disc, d, c[3] * n), d**9)
+
+
+def _triple_sum_product(c: tuple[int, int, int, int], disc: int, a: Fraction) -> Fraction:
+    """The product of the 20 sums of three distinct roots of H = F(t)F(t - a).
+
+    They are e1 and e1 + 3a once, e1 + a and e1 + 2a three times each, and
+    2r_i + r_j + b for b in (a, 2a) and the six ordered pairs i != j.  With k
+    the third index, 2r_i + r_j + b = (e1 + b) + (r_i - r_k), so the six for one
+    b multiply to R((e1 + b)^2).  The 20 sums are the eigenvalues of the
+    derivation induced by H's companion matrix on the third exterior power of Q^6.
+    """
+    n, d = a.numerator, a.denominator
+    t0, t1, t2, t3 = (k * c[3] * n - c[2] * d for k in range(4))
+    q1, q2 = (_difference_form(c, disc, d, t) for t in (t1, t2))
+    return Fraction(t0 * t1**3 * t2**3 * t3 * q1 * q2, (c[3] * d) ** 20)
 
 
 def general_position(f: RationalPoly, a) -> GeneralPositionReport:
-    """Evaluate the three general-position conditions for H = F(t)F(t-a).
+    """The three general-position conditions for H = F(t)F(t-a), with f = lambda F.
 
-    With f = lambda F, Res(f, f(t - a)) = lambda^6 Res(F, F(t - a)), and
-    H's t^5 coefficient is f3 (2 f2 - 3 a f3).
+    Res(f, f(t - a)) = lambda^6 Res(F, F(t - a)).
     """
     a = Fraction(a)
     c, scale = _integral(f)
@@ -213,7 +173,7 @@ def general_position(f: RationalPoly, a) -> GeneralPositionReport:
     res = scale**6 * _shift_resultant(c, disc, a)
     f2, f3 = f.coeff(2), f.coeff(3)
     degree5 = f3 * (2 * f2 - 3 * a * f3)
-    det = _triple_sum_product(c, a)
+    det = _triple_sum_product(c, disc, a)
     return GeneralPositionReport(
         distinct_roots=disc != 0 and res != 0,
         degree5_nonzero=degree5 != 0,

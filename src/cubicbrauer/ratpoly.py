@@ -46,18 +46,20 @@ class RationalPoly(Value):
         object.__setattr__(self, "coefficients", coeffs)
 
     @classmethod
-    def from_coeffs(cls, coeffs) -> RationalPoly:
-        return cls(tuple(Fraction(c) for c in coeffs))
-
-    @classmethod
     def zero(cls) -> RationalPoly:
         return cls(())
 
     @classmethod
     def parse(cls, text: str) -> RationalPoly:
-        """Comma-separated rationals, ascending degree; '-2,-2,1,1' is t^3+t^2-2t-2."""
+        """Comma-separated rationals, ascending degree; '-2,-2,1,1' is t^3+t^2-2t-2.
+
+        An empty field raises ValueError: skipping it would shift every later degree.
+        """
         parts = [p.strip() for p in text.replace("−", "-").split(",")]
-        return cls.from_coeffs(parse_rational(p) for p in parts if p)
+        for k, part in enumerate(parts):
+            if not part:
+                raise ValueError(f"empty coefficient field {k + 1} (of t^{k}) in {text!r}")
+        return cls(parse_rational(p) for p in parts)
 
     def is_zero(self) -> bool:
         return not self.coefficients
@@ -80,13 +82,6 @@ class RationalPoly(Value):
     def __add__(self, other: RationalPoly) -> RationalPoly:
         n = max(len(self.coefficients), len(other.coefficients))
         return RationalPoly(tuple(self.coeff(i) + other.coeff(i) for i in range(n)))
-
-    def __sub__(self, other: RationalPoly) -> RationalPoly:
-        n = max(len(self.coefficients), len(other.coefficients))
-        return RationalPoly(tuple(self.coeff(i) - other.coeff(i) for i in range(n)))
-
-    def __neg__(self) -> RationalPoly:
-        return RationalPoly(tuple(-c for c in self.coefficients))
 
     def __mul__(self, other: RationalPoly) -> RationalPoly:
         if self.is_zero() or other.is_zero():
@@ -178,8 +173,7 @@ class RationalPoly(Value):
             else:
                 term = f"{body}t^{k}"
             terms.append(("- " if c < 0 else "+ " if terms else "") + term)
-        head = terms[0] if not terms[0].startswith(("+", "-")) else terms[0]
-        return " ".join([head] + terms[1:]) if len(terms) > 1 else head
+        return " ".join(terms)
 
 
 def cubic_discriminant(c0: int, c1: int, c2: int, c3: int) -> int:

@@ -212,6 +212,14 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     assert "unknown config key" in err
 
 
+def test_config_refuses_a_format_outside_the_choices(tmp_path, capsys):
+    config = tmp_path / "settings.conf"
+    config.write_text("format=yaml\n", encoding="utf-8")
+    code, out, err = run(capsys, "--config", str(config), "invariants", "--d", "-1", "--n", "4")
+    assert (code, out) == (1, "")
+    assert err == "error: config format 'yaml' is not one of text, json\n"
+
+
 def test_text_output_default(capsys):
     code, out, _ = run(capsys, "invariants", "--d", "-3", "--n", "3")
     assert code == 0
@@ -272,6 +280,13 @@ def test_example_zero_denominator_exit(capsys, argv):
     assert code == 1
     assert out == ""
     assert err == "error: zero denominator in '1/0'\n"
+
+
+def test_example_refuses_an_empty_coefficient_field(capsys):
+    """'1,,1,1,1' has five fields; dropping the empty one would answer for t^3 + t^2 + t + 1."""
+    code, out, err = run(capsys, "example", "--poly", "1,,1,1,1", "--auto-a", "20")
+    assert (code, out) == (1, "")
+    assert err == "error: empty coefficient field 2 (of t^1) in '1,,1,1,1'\n"
 
 
 @pytest.mark.parametrize(

@@ -133,14 +133,14 @@ def example_cubics(draw):
     if draw(st.booleans()):
         r = draw(rationals)
         b, c = draw(st.integers(-HEIGHT, HEIGHT)), draw(st.integers(-HEIGHT, HEIGHT))
-        f = RationalPoly.from_coeffs([-r, 1]) * RationalPoly.from_coeffs([c, b, 1])
+        f = RationalPoly([-r, 1]) * RationalPoly([c, b, 1])
         roots = [r]
         s = b * b - 4 * c
         if s >= 0 and isqrt(s) ** 2 == s:
             roots += [Fraction(-b + isqrt(s), 2), Fraction(-b - isqrt(s), 2)]
         return f.scaled(draw(rationals.filter(bool))), roots
     coeffs = [draw(rationals) for _ in range(3)] + [draw(rationals.filter(bool))]
-    return RationalPoly.from_coeffs(coeffs), None
+    return RationalPoly(coeffs), None
 
 
 @settings(max_examples=40, deadline=None)

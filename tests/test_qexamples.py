@@ -134,9 +134,9 @@ def _derivation_determinant(h: RationalPoly) -> Fraction:
 
 
 def _from_roots(*roots) -> RationalPoly:
-    f = RationalPoly.from_coeffs([1])
+    f = RationalPoly([1])
     for r in roots:
-        f = f * RationalPoly.from_coeffs([-Fraction(r), 1])
+        f = f * RationalPoly([-Fraction(r), 1])
     return f
 
 
@@ -158,15 +158,15 @@ def _seeded_cubics(rng, count):
             bound = round(height ** (1 / 3))
             b = rng.randint(-bound, bound)
             c = rng.randint(b * b // 4 + 1, b * b // 4 + bound * bound)
-            f = _from_roots(rng.randint(-bound, bound)) * RationalPoly.from_coeffs([c, b, 1])
+            f = _from_roots(rng.randint(-bound, bound)) * RationalPoly([c, b, 1])
         elif kind == "c3":
             m = rng.randint(-100, 100)
-            shanks = RationalPoly.from_coeffs([-1, -(m + 3), -m, 1])
+            shanks = RationalPoly([-1, -(m + 3), -m, 1])
             u = Fraction(rng.randint(1, 9) * rng.choice((-1, 1)), rng.randint(1, 5))
             f = shanks.shift(rng.randint(-20, 20))
-            f = RationalPoly.from_coeffs(c * u ** (3 - i) for i, c in enumerate(f.coefficients))
+            f = RationalPoly(c * u ** (3 - i) for i, c in enumerate(f.coefficients))
         else:
-            f = RationalPoly.from_coeffs([rng.randint(-height, height) for _ in range(3)] + [1])
+            f = RationalPoly([rng.randint(-height, height) for _ in range(3)] + [1])
         f = f.scaled(Fraction(rng.randint(1, 12) * rng.choice((-1, 1)), rng.randint(1, 12)))
         a = Fraction(rng.randint(1, 40) * rng.choice((-1, 1)), rng.randint(1, 7))
         yield kind, f, a
@@ -184,6 +184,17 @@ def test_derivation_determinant_matches_the_exterior_power_operator():
         assert det == _derivation_determinant(f * f.shift(a)), (f, a)
         seen[kind] += 1
     assert min(seen.values()) >= 45, seen
+    # large heights: c0 = (10^9 + 7)(10^9 + 9), and coefficients of about 20 digits
+    for f, a in (
+        (P("1000000016000000063,1,0,1"), Fraction(7, 3)),
+        (
+            P("98765432109876543210/12345678901234567,-31415926535897932384/2718281828459045,"
+              "11111111111111111113/3,-7/5"),
+            Fraction(-11, 6),
+        ),
+    ):
+        det = general_position(f, a).derivation_determinant
+        assert det == _derivation_determinant(f * f.shift(a)), (f, a)
 
 
 @pytest.mark.parametrize("family", ["e1+0a", "e1+1a", "e1+2a", "e1+3a", "2ri+rj+a", "2ri+rj+2a"])
@@ -359,9 +370,9 @@ def test_eckardt_matches_exact_determinant_on_split_cubics():
             concurrent_r3 = -(a + r1) * (a + r2) / Fraction(a + r1 + r2)
             for r3 in (concurrent_r3, concurrent_r3 + 1):
                 roots = (Fraction(r1), Fraction(r2), r3)
-                f = RationalPoly.from_coeffs([1])
+                f = RationalPoly([1])
                 for r in roots:
-                    f = f * RationalPoly.from_coeffs([-r, 1])
+                    f = f * RationalPoly([-r, 1])
                 verdict = _verdict_or_none(f, a)
                 if verdict is None:
                     continue
@@ -380,7 +391,7 @@ def test_eckardt_matches_numeric_determinant_on_irrational_roots():
             for a in (1, 2, -1):
                 # c1 = a c2 - a^2 puts (F, a) on the concurrency locus; c1 + 1 does not
                 for c1 in (a * c2 - a * a, a * c2 - a * a + 1):
-                    f = RationalPoly.from_coeffs([c0, c1, c2, 1])
+                    f = RationalPoly([c0, c1, c2, 1])
                     if len(rational_roots(f)) == 3:
                         continue
                     verdict = _verdict_or_none(f, a)
