@@ -1,13 +1,17 @@
 """Small exact integer utilities: factorization, square classes, primality.
 
 One trial-division loop, up to B = ``TRIAL_DIVISION_BOUND``, serves
-:func:`factorint` and :func:`squarefree_part`.  Its cofactor has no prime
-factor up to B, so below B^3 = 10^18 it is p, p^2 or p*q: squarefree
-unless a perfect square.  A Miller-Rabin test to twelve fixed bases
-decides larger cofactors, and prime powers without factoring; it proves
-primality only below 3.2 * 10^23.  Square-class decisions
-are ``isqrt`` tests; only a printed representative is factored, once per
-input (a boundary's d, a cubic's Galois-type d).
+:func:`factorint` and :func:`squarefree_part`; it stops early once the
+divisor f has f^k above the cofactor left.  Every prime below f is then
+divided out, so the cofactor has fewer than k prime factors.
+:func:`factorint` stops at k = 2, where the cofactor is 1 or p.
+:func:`squarefree_part` stops at k = 3, where it is 1, p, p^2 or p*q:
+squarefree unless a perfect square.  That holds as well for a cofactor
+below B^3 = 10^18 that trial division up to B left.  A Miller-Rabin test
+to twelve fixed bases decides larger cofactors, and prime powers without
+factoring; it proves primality only below 3.2 * 10^23.  Square-class
+decisions are ``isqrt`` tests; only a printed representative is factored,
+once per input (a boundary's d, a cubic's Galois-type d).
 """
 
 from __future__ import annotations
@@ -57,11 +61,12 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
-def _trial_divide(n: int) -> tuple[dict[int, int], int]:
+def _trial_divide(n: int, k: int) -> tuple[dict[int, int], int]:
     """Prime factors of |n| up to ``TRIAL_DIVISION_BOUND``, and the cofactor left.
 
-    The loop stops early once the divisor passes the square root of what is
-    left, which then is 1 or a prime.
+    The loop stops early once the divisor f has f^k above what is left.  Every
+    prime below f is divided out by then, so the cofactor is a product of
+    fewer than k primes: 1 or p for k = 2, and 1, p, p^2 or p*q for k = 3.
     """
     n = abs(n)
     small: dict[int, int] = {}
@@ -69,12 +74,14 @@ def _trial_divide(n: int) -> tuple[dict[int, int], int]:
         while n % p == 0:
             small[p] = small.get(p, 0) + 1
             n //= p
-    f = 5
-    while f * f <= n and f <= TRIAL_DIVISION_BOUND:
+    f, stop = 5, min(_integer_root(n, k), TRIAL_DIVISION_BOUND)
+    while f <= stop:  # f^k <= n; the root is taken again only after a division
         for p in (f, f + 2):
-            while n % p == 0:
-                small[p] = small.get(p, 0) + 1
-                n //= p
+            if n % p == 0:
+                while n % p == 0:
+                    small[p] = small.get(p, 0) + 1
+                    n //= p
+                stop = min(_integer_root(n, k), TRIAL_DIVISION_BOUND)
         f += 6
     return small, n
 
@@ -89,7 +96,7 @@ def factorint(n: int) -> dict[int, int]:
     """
     if n == 0:
         raise ValueError("cannot factor 0")
-    out, rest = _trial_divide(n)
+    out, rest = _trial_divide(n, 2)
     if rest > 1:
         if not is_probable_prime(rest):
             raise TooLarge(
@@ -107,19 +114,20 @@ def squarefree_part(q: int | Fraction) -> int:
     """The squarefree integer in the square class of a nonzero rational.
 
     This is the one square-class routine that factors; call it only for a
-    representative that is printed.  The cofactor c left by trial division
-    up to B = ``TRIAL_DIVISION_BOUND`` is dropped when it is a perfect
-    square and kept otherwise, which is exact when c < B^3 (then c is p,
-    p^2 or p*q) or c is squarefree.  A non-square c >= B^3 is kept when it
-    passes :func:`is_probable_prime`, which proves it prime only below
-    about 3.2 * 10^23; above that a composite strong pseudoprime is kept
-    too, and the result is wrong only if the square of a prime divides it.
-    Any other non-square c >= B^3 raises :class:`TooLarge`.
+    representative that is printed.  Trial division stops at the divisor f
+    with f^3 above the cofactor c left, or past B = ``TRIAL_DIVISION_BOUND``.
+    The cofactor is dropped when it is a perfect square and kept otherwise,
+    which is exact when c < f^3 or c < B^3 (then c is p, p^2 or p*q) or c
+    is squarefree.  A non-square c >= B^3 is kept when it passes
+    :func:`is_probable_prime`, which proves it prime only below about
+    3.2 * 10^23; above that a composite strong pseudoprime is kept too, and
+    the result is wrong only if the square of a prime divides it.  Any other
+    non-square c >= B^3 raises :class:`TooLarge`.
     """
     q = Fraction(q)
     if q == 0:
         raise ValueError("0 has no square class")
-    small, rest = _trial_divide(q.numerator * q.denominator)
+    small, rest = _trial_divide(q.numerator * q.denominator, 3)
     part = -1 if q < 0 else 1
     for p, e in small.items():
         if e % 2:

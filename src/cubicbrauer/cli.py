@@ -44,6 +44,7 @@ from .qexamples import example_brauer, searched_example_brauer
 from .ratpoly import RationalPoly, parse_rational
 
 CONFIG_KEYS = ("format", "case", "d", "n", "poly", "a", "auto_a", "boundary")
+_INT_CONFIG_KEYS = ("case", "d", "n", "auto_a")
 FORMATS = ("text", "json")
 
 
@@ -68,13 +69,20 @@ def _merge_config(args: argparse.Namespace) -> None:
     if not args.config:
         return
     config = _load_config(args.config)
-    casts = {"case": int, "d": int, "n": int, "auto_a": int}
     fmt = config.get("format", FORMATS[0])
     if fmt not in FORMATS:
         raise ValueError(f"config format {fmt!r} is not one of {', '.join(FORMATS)}")
-    for key, raw in config.items():
-        if getattr(args, key, None) is None:
-            args.__setattr__(key, casts.get(key, str)(raw))
+    for key, value in config.items():
+        if getattr(args, key, None) is not None:
+            continue
+        if key in _INT_CONFIG_KEYS:
+            try:
+                value = int(value)
+            except ValueError:
+                raise ValueError(
+                    f"config key {key!r} in {args.config}: {value!r} is not an integer"
+                ) from None
+        setattr(args, key, value)
 
 
 def _emit(args, command: str, inputs: dict, result: dict, anchor: str, text: str) -> None:

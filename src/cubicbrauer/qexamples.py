@@ -82,9 +82,11 @@ def cubic_galois_type(f: RationalPoly) -> GaloisType:
     are u/c3 for the integer roots u of g(u) = u^3 + c2 u^2 + c1 c3 u +
     c0 c3^2 = c3^2 F(u/c3).  With one such root, synthetic division gives
     g = (u' - u)(u'^2 + qb u' + qc), and f's quadratic cofactor has the
-    discriminant lambda^2 (qb^2 - 4 qc).
+    discriminant lambda^2 (qb^2 - 4 qc).  The rational squares lambda^4 and
+    lambda^2 leave the square class alone, so the integers disc(F) and
+    qb^2 - 4 qc are what ``squarefree_part`` factors.
     """
-    (c0, c1, c2, c3), scale = _integral(f)
+    (c0, c1, c2, c3), _ = _integral(f)
     disc = cubic_discriminant(c0, c1, c2, c3)
     if disc == 0:
         raise NotSeparable("cubic has a repeated root")
@@ -94,11 +96,11 @@ def cubic_galois_type(f: RationalPoly) -> GaloisType:
     if len(roots) == 1:
         qb = c2 + roots[0]
         qc = c1 * c3 + qb * roots[0]
-        return GaloisType("c2", squarefree_part(scale * scale * (qb * qb - 4 * qc)))
+        return GaloisType("c2", squarefree_part(qb * qb - 4 * qc))
     # no rational root: irreducible cubic
     if is_perfect_square(disc):
         return GaloisType("c3")
-    return GaloisType("s3", squarefree_part(scale**4 * disc))
+    return GaloisType("s3", squarefree_part(disc))
 
 
 # -- general position --------------------------------------------------------

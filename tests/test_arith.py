@@ -79,6 +79,7 @@ def test_factorint_keeps_a_prime_cofactor():
     assert factorint(999983 * 999979) == {999979: 1, 999983: 1}
     assert factorint(2 * 1000003) == {2: 1, 1000003: 1}  # below the bound squared
     assert factorint(12 * MERSENNE_61) == {2: 2, 3: 1, MERSENNE_61: 1}
+    assert factorint(20011 * 10000019) == {20011: 1, 10000019: 1}  # 20011 lies above the cube root
 
 
 def test_factorint_refuses_a_composite_cofactor_above_the_bound():
@@ -96,6 +97,29 @@ def test_squarefree_part_drops_the_square_of_a_prime_above_the_bound():
 def test_squarefree_part_keeps_a_product_of_two_primes_above_the_bound():
     """Below 10^18 a cofactor free of primes up to 10^6 is p, p^2 or p*q."""
     assert squarefree_part(-(5**2) * 10000019 * 10000079) == -100000980001501
+
+
+def test_squarefree_part_trial_divides_to_the_cube_root_of_what_is_left():
+    assert squarefree_part(20011**2 * 30011) == 30011  # 20011 is below the cube root
+    # the cofactor's primes lie between its cube root and the bound
+    assert squarefree_part(3 * 999983**2) == 3
+    assert squarefree_part(999983 * 1000003) == 999983 * 1000003
+
+
+def test_squarefree_part_keeps_a_cofactor_below_the_cube_of_the_divisor_whole(monkeypatch):
+    """The cube root of 20011 * 10000019 is below 5900 and no prime up to it
+    divides it, so it is p, p^2 or p*q: trial division stops short of 20011."""
+    cofactors = []
+    trial_divide = arith._trial_divide
+
+    def recorded(n, k):
+        small, rest = trial_divide(n, k)
+        cofactors.append(rest)
+        return small, rest
+
+    monkeypatch.setattr(arith, "_trial_divide", recorded)
+    assert squarefree_part(20011 * 10000019) == 20011 * 10000019
+    assert cofactors == [20011 * 10000019]
 
 
 def test_squarefree_part_refuses_a_composite_cofactor_from_the_bound_cubed():

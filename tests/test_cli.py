@@ -220,6 +220,24 @@ def test_config_refuses_a_format_outside_the_choices(tmp_path, capsys):
     assert err == "error: config format 'yaml' is not one of text, json\n"
 
 
+@pytest.mark.parametrize(
+    "line, argv",
+    [
+        ("case=x", ("tables",)),
+        ("auto_a=0x10", ("example", "--poly", "-2,-2,1,1")),
+    ],
+)
+def test_config_names_the_key_and_file_of_a_value_that_is_not_an_integer(
+    tmp_path, capsys, line, argv
+):
+    config = tmp_path / "settings.conf"
+    config.write_text(line + "\n", encoding="utf-8")
+    code, out, err = run(capsys, "--config", str(config), *argv)
+    assert (code, out) == (1, "")
+    key, _, value = line.partition("=")
+    assert err == f"error: config key {key!r} in {config}: {value!r} is not an integer\n"
+
+
 def test_text_output_default(capsys):
     code, out, _ = run(capsys, "invariants", "--d", "-3", "--n", "3")
     assert code == 0
@@ -465,9 +483,9 @@ def test_example_trial_divides_the_printed_d_once(capsys, monkeypatch, poly, gal
     divided = []
     trial_divide = arith._trial_divide
 
-    def counted(n):
+    def counted(n, k):
         divided.append(n)
-        return trial_divide(n)
+        return trial_divide(n, k)
 
     monkeypatch.setattr(arith, "_trial_divide", counted)
     code, out, err = run(capsys, "--format", "json", "example", "--poly", poly, "--auto-a", "20")

@@ -26,7 +26,8 @@ from cubicbrauer.brauer import twist_invariants  # noqa: E402
 from cubicbrauer.cli import CONFIG_KEYS, main  # noqa: E402
 from cubicbrauer.ratpoly import RationalPoly  # noqa: E402
 
-SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 997, 999983)
+# primes up to the trial-division bound 10^6, some above the cube root of a cofactor
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 997, 20011, 65537, 524287, 999983)
 # primes above the trial-division bound 10^6; any two multiply to below 10^18
 LARGE_PRIMES = (1000003, 1000033, 1000037, 9999991, 10000019, 10000079, 999999937)
 
@@ -45,7 +46,7 @@ def square_classes(draw):
     return sign * prod(small | large), m
 
 
-@settings(max_examples=12, deadline=None)  # a cofactor above 10^12 costs a full trial division
+@settings(max_examples=60, deadline=None)  # trial division runs to the cofactor's cube root
 @given(square_classes())
 def test_squarefree_part_of_a_class_times_a_square(case):
     s, m = case
