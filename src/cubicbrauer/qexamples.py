@@ -82,11 +82,13 @@ def cubic_galois_type(f: RationalPoly) -> GaloisType:
     are u/c3 for the integer roots u of g(u) = u^3 + c2 u^2 + c1 c3 u +
     c0 c3^2 = c3^2 F(u/c3).  With one such root, synthetic division gives
     g = (u' - u)(u'^2 + qb u' + qc), and f's quadratic cofactor has the
-    discriminant lambda^2 (qb^2 - 4 qc).  The rational squares lambda^4 and
-    lambda^2 leave the square class alone, so the integers disc(F) and
-    qb^2 - 4 qc are what ``squarefree_part`` factors.
+    discriminant lambda^2 (qb^2 - 4 qc).  Dividing out the square of
+    lambda's numerator leaves the square class alone, and can only take
+    primes away from what ``squarefree_part`` factors; lambda's denominator
+    is kept, since it can cancel a square factor of disc(F) or qb^2 - 4 qc.
     """
-    (c0, c1, c2, c3), _ = _integral(f)
+    (c0, c1, c2, c3), scale = _integral(f)
+    den = scale.denominator
     disc = cubic_discriminant(c0, c1, c2, c3)
     if disc == 0:
         raise NotSeparable("cubic has a repeated root")
@@ -96,11 +98,11 @@ def cubic_galois_type(f: RationalPoly) -> GaloisType:
     if len(roots) == 1:
         qb = c2 + roots[0]
         qc = c1 * c3 + qb * roots[0]
-        return GaloisType("c2", squarefree_part(qb * qb - 4 * qc))
+        return GaloisType("c2", squarefree_part(Fraction(qb * qb - 4 * qc, den * den)))
     # no rational root: irreducible cubic
     if is_perfect_square(disc):
         return GaloisType("c3")
-    return GaloisType("s3", squarefree_part(disc))
+    return GaloisType("s3", squarefree_part(Fraction(disc, den**4)))
 
 
 # -- general position --------------------------------------------------------

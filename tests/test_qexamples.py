@@ -47,14 +47,23 @@ def test_galois_types():
 
 
 def test_galois_type_invariance_under_scaling_and_shift():
-    """The scale's square is never factored: for the two large classes, a
-    cofactor of 1000033^2 times a prime above 10^6 would be TooLarge."""
+    """The square of the scale's numerator is never factored: for the second
+    and third cubics, a cofactor of 1000033^2 times a prime above 10^6 would
+    be TooLarge.  Its denominator is kept: the last two are F / 1000003 with
+    1000003^2 dividing qb^2 - 4 qc or 1000003^4 dividing disc(F), and
+    without it the cofactor 1000003^2 * 1000033, or 1000003^4 times a prime
+    above 10^6, would be TooLarge.  A large denominator prime that cancels
+    nothing is factored, so no scale here has one."""
     for f, expected in (
         (P("-2,0,0,1"), GaloisType("s3", -3)),
         (P("1000003,1000003,1,1"), GaloisType("c2", -1000003)),  # (t + 1)(t^2 + 1000003)
         (P("1,1000,1,1"), GaloisType("s3", -3998982031)),
+        # t (t^2 + p t - 250008 p^2) / p, p = 1000003: qb^2 - 4 qc = 1000033 p^2
+        (P("0,-250008750024,1,1/1000003"), GaloisType("c2", 1000033)),
+        # (t^3 + p^2 t + 2 p^2) / p: disc(F) = -p^4 (4 p^2 + 108)
+        (P("2000006,1000003,0,1/1000003"), GaloisType("s3", -250001500009)),
     ):
-        for c in (1, 2, Fraction(-1, 3), 1000033, Fraction(1, 1000033)):
+        for c in (1, 2, Fraction(-1, 3), 1000033, Fraction(-1000033, 7)):
             assert cubic_galois_type(f.scaled(c)) == expected
         for r in (1, Fraction(2, 5), -3):
             assert cubic_galois_type(f.shift(r)) == expected
