@@ -267,6 +267,14 @@ def _stabilized(values: tuple[FinAbGroup, FinAbGroup], label: str) -> FinAbGroup
     return lo
 
 
+@cache
+def _full_twist_bound() -> FinAbGroup:
+    """(Q/Z(-1))^{Gamma_Q}, the same for every boundary: computed, and checked stable, once."""
+    part2 = _stabilized((qmodz_invariants(4), qmodz_invariants(8)), "Q/Z(-1) at 2")
+    part3 = _stabilized((qmodz_invariants(3), qmodz_invariants(9)), "Q/Z(-1) at 3")
+    return part2.direct_sum(part3)
+
+
 def transcendental_bound(boundary: BoundaryDescriptor) -> FinAbGroup:
     """(Br Ubar)^{Gamma_Q}: the upper bound for Br(U)/Br_1(U) over Q.
 
@@ -277,9 +285,7 @@ def transcendental_bound(boundary: BoundaryDescriptor) -> FinAbGroup:
     if geometric.kind == "zero":
         return FinAbGroup.trivial()
     if geometric.kind == "full_twist":
-        part2 = _stabilized((qmodz_invariants(4), qmodz_invariants(8)), "Q/Z(-1) at 2")
-        part3 = _stabilized((qmodz_invariants(3), qmodz_invariants(9)), "Q/Z(-1) at 3")
-        return part2.direct_sum(part3)
+        return _full_twist_bound()
     d = geometric.d
     part2 = _stabilized((twist_invariants(d, 4), twist_invariants(d, 8)), f"M_{d} at 2")
     part3 = _stabilized((twist_invariants(d, 3), twist_invariants(d, 9)), f"M_{d} at 3")

@@ -21,6 +21,7 @@ import argparse
 import json
 import sys
 from functools import cache
+from typing import Callable
 
 from .brauer import (
     BoundaryDescriptor,
@@ -48,8 +49,14 @@ _INT_CONFIG_KEYS = ("case", "d", "n", "auto_a")
 FORMATS = ("text", "json")
 
 
-def _load_config(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
+def _load_config(path: str) -> dict[str, str | int]:
+    """The config file's values, each checked as it is read.
+
+    An integer key is read as an integer and ``format`` is checked against
+    :data:`FORMATS` here, whether or not the command line sets the key or
+    the command reads it, so a bad file fails the same way for every command.
+    """
+    values: dict[str, str | int] = {}
     with open(path, encoding="utf-8") as handle:
         for raw in handle:
             line = raw.strip()
@@ -61,33 +68,33 @@ def _load_config(path: str) -> dict[str, str]:
             key = key.strip().replace("-", "_")
             if key not in CONFIG_KEYS:
                 raise ValueError(f"unknown config key {key!r}")
-            values[key] = value.strip()
+            value = value.strip()
+            if key == "format" and value not in FORMATS:
+                raise ValueError(f"config format {value!r} is not one of {', '.join(FORMATS)}")
+            if key in _INT_CONFIG_KEYS:
+                try:
+                    value = int(value)
+                except ValueError:
+                    raise ValueError(
+                        f"config key {key!r} in {path}: {value!r} is not an integer"
+                    ) from None
+            values[key] = value
     return values
 
 
 def _merge_config(args: argparse.Namespace) -> None:
     if not args.config:
         return
-    config = _load_config(args.config)
-    fmt = config.get("format", FORMATS[0])
-    if fmt not in FORMATS:
-        raise ValueError(f"config format {fmt!r} is not one of {', '.join(FORMATS)}")
-    for key, value in config.items():
-        if getattr(args, key, None) is not None:
-            continue
-        if key in _INT_CONFIG_KEYS:
-            try:
-                value = int(value)
-            except ValueError:
-                raise ValueError(
-                    f"config key {key!r} in {args.config}: {value!r} is not an integer"
-                ) from None
-        setattr(args, key, value)
+    for key, value in _load_config(args.config).items():
+        if getattr(args, key, None) is None:
+            setattr(args, key, value)
 
 
-def _emit(args, command: str, inputs: dict, result: dict, anchor: str, text: str) -> None:
-    fmt = args.format or "text"
-    if fmt == "json":
+def _emit(
+    args, command: str, inputs: dict, result: dict, anchor: str, text: Callable[[], str]
+) -> None:
+    """Print the JSON payload, or the text that ``text()`` renders; only one is built."""
+    if args.format == "json":
         payload = {
             "command": command,
             "inputs": inputs,
@@ -96,20 +103,25 @@ def _emit(args, command: str, inputs: dict, result: dict, anchor: str, text: str
         }
         print(json.dumps(payload, sort_keys=True))
     else:
-        print(text)
+        print(text())
 
 
 def _cmd_lines(args) -> int:
     classes = [list(d) for d in lines27()]
-    text_lines = ["27 line classes in the basis (l, e1..e6):"]
-    text_lines += [f"  {i:2d}: {cls}" for i, cls in enumerate(classes)]
+
+    def text() -> str:
+        return "\n".join(
+            ["27 line classes in the basis (l, e1..e6):"]
+            + [f"  {i:2d}: {cls}" for i, cls in enumerate(classes)]
+        )
+
     _emit(
         args,
         "lines",
         {},
         {"count": len(classes), "classes": classes},
         "the 27 lines on a smooth cubic surface",
-        "\n".join(text_lines),
+        text,
     )
     return 0
 
@@ -120,15 +132,20 @@ def _cmd_trios(args) -> int:
         {"indices": list(t.indices), "classes": [list(c) for c in t.classes]}
         for t in trios
     ]
-    text_lines = ["45 tritangent trios (line indices):"]
-    text_lines += [f"  {i:2d}: {entry['indices']}" for i, entry in enumerate(payload)]
+
+    def text() -> str:
+        return "\n".join(
+            ["45 tritangent trios (line indices):"]
+            + [f"  {i:2d}: {entry['indices']}" for i, entry in enumerate(payload)]
+        )
+
     _emit(
         args,
         "trios",
         {},
         {"count": len(trios), "trios": payload},
         "the 45 tritangent trios",
-        "\n".join(text_lines),
+        text,
     )
     return 0
 
@@ -160,14 +177,17 @@ def _cmd_weyl(args) -> int:
     # orbit-stabilizer: |W| = |trio orbit| * |trio stabilizer|, with no listing of W
     order = len(orbit) * stab.order()
     result = {"order": order, "generator_count": len(w.generators), "checks": checks}
-    text = (
-        f"Weyl group W(E6) on the 27 lines\n"
-        f"  order: {order}\n"
-        f"  generators: {len(w.generators)} (unimodular: {preserves_form}, "
-        f"fix hyperplane class: {fixes_h})\n"
-        f"  trio orbit size: {len(orbit)} (transitive: {len(orbit) == 45})\n"
-        f"  trio stabilizer order: {stab.order()}"
-    )
+
+    def text() -> str:
+        return (
+            f"Weyl group W(E6) on the 27 lines\n"
+            f"  order: {order}\n"
+            f"  generators: {len(w.generators)} (unimodular: {preserves_form}, "
+            f"fix hyperplane class: {fixes_h})\n"
+            f"  trio orbit size: {len(orbit)} (transitive: {len(orbit) == 45})\n"
+            f"  trio stabilizer order: {stab.order()}"
+        )
+
     _emit(args, "weyl", {}, result, "Weyl group symmetry of the Picard lattice", text)
     return 0
 
@@ -183,18 +203,21 @@ def _cmd_tables(args) -> int:
         "pairs": [p.to_json() for p in pairs],
         "subgroup_classes_scanned": scanned,
     }
-    text_lines = [
-        f"possibilities for (Br_1(U)/Br(k), Br(X)/Br(k)), boundary case {case}:"
-    ]
-    text_lines += [f"  Br1 = {str(p.br1):<18} BrX = {p.brx}" for p in pairs]
-    text_lines.append(f"({len(pairs)} pairs from {scanned} subgroup classes)")
+
+    def text() -> str:
+        return "\n".join(
+            [f"possibilities for (Br_1(U)/Br(k), Br(X)/Br(k)), boundary case {case}:"]
+            + [f"  Br1 = {str(p.br1):<18} BrX = {p.brx}" for p in pairs]
+            + [f"({len(pairs)} pairs from {scanned} subgroup classes)"]
+        )
+
     _emit(
         args,
         "tables",
         {"case": case},
         result,
         f"algebraic Brauer tables for a three-line boundary, case {case}",
-        "\n".join(text_lines),
+        text,
     )
     return 0
 
@@ -205,21 +228,25 @@ def _cmd_classify(args) -> int:
     boundary = BoundaryDescriptor.from_json(args.boundary)
     geometric = geometric_brauer(boundary)
     bound = transcendental_bound(boundary)
+    wire = boundary.to_json()
     result = {
-        "boundary": boundary.to_json(),
+        "boundary": wire,
         "geometric_brauer": geometric.to_json(),
         "invariants_over_Q": bound.to_json(),
         "is_upper_bound": True,
     }
-    text = (
-        f"boundary: {json.dumps(boundary.to_json(), sort_keys=True)}\n"
-        f"  geometric Brauer group: {json.dumps(geometric.to_json(), sort_keys=True)}\n"
-        f"  Galois invariants over Q (upper bound for Br U / Br_1 U): {bound}"
-    )
+
+    def text() -> str:
+        return (
+            f"boundary: {json.dumps(wire, sort_keys=True)}\n"
+            f"  geometric Brauer group: {json.dumps(geometric.to_json(), sort_keys=True)}\n"
+            f"  Galois invariants over Q (upper bound for Br U / Br_1 U): {bound}"
+        )
+
     _emit(
         args,
         "classify",
-        {"boundary": boundary.to_json()},
+        {"boundary": wire},
         result,
         "geometric Brauer group by boundary type, with invariants over Q",
         text,
@@ -238,7 +265,7 @@ def _cmd_invariants(args) -> int:
         {"d": args.d, "n": args.n},
         result,
         "invariants of the twisted quadratic module at a prime power",
-        f"invariants of M_{args.d}/{args.n}(-1) over Q: {group}",
+        lambda: f"invariants of M_{args.d}/{args.n}(-1) over Q: {group}",
     )
     return 0
 
@@ -271,13 +298,16 @@ def _cmd_example(args) -> int:
         "eckardt": "no",
         "brauer_quotient": group.to_json(),
     }
-    text = (
-        f"F = {poly}\n"
-        f"  galois type: {galois.variant}"
-        + (f" (d = {galois.d})" if galois.d is not None else "")
-        + f"\n  a = {a} (general position: ok, lines not concurrent)\n"
-        f"  Br(U)/Br_1(U) = {group}"
-    )
+
+    def text() -> str:
+        return (
+            f"F = {poly}\n"
+            f"  galois type: {galois.variant}"
+            + (f" (d = {galois.d})" if galois.d is not None else "")
+            + f"\n  a = {a} (general position: ok, lines not concurrent)\n"
+            f"  Br(U)/Br_1(U) = {group}"
+        )
+
     _emit(
         args,
         "example",

@@ -18,14 +18,19 @@ it.
 an integer in the sense of ``operator.index``, so a float, a ``Fraction``
 or a string raises ``TypeError``.  Arithmetic on matrices builds its
 results from rows that are already tuples of ints and skips that pass.
+
+``FinAbGroup.from_orders`` puts a sum of cyclic groups in canonical form
+by replacing pairs of orders with their gcd and lcm, since Z/a + Z/b is
+Z/gcd(a, b) + Z/lcm(a, b); no order is factored, so the module needs no
+trial division and an order of any size answers.
 """
 
 from __future__ import annotations
 
+from math import gcd
 from operator import add, index, mul, neg, sub
 from typing import Iterable, NamedTuple, Sequence
 
-from .arith import factorint
 from .values import Value
 
 
@@ -424,27 +429,28 @@ class FinAbGroup(Value):
 
     @classmethod
     def from_orders(cls, orders: Iterable[int], free_rank: int = 0) -> FinAbGroup:
-        """Canonicalize an arbitrary direct sum of cyclic groups."""
-        primary: dict[int, list[int]] = {}
-        for d in orders:
-            d = index(d)
-            if d <= 0:
+        """Canonicalize an arbitrary direct sum of cyclic groups, with no factoring.
+
+        Z/a + Z/b is Z/gcd(a, b) + Z/lcm(a, b).  Each order enters the chain
+        d1 | ... | dk from the top: dk becomes lcm(dk, x) and gcd(dk, x) is
+        carried down to d(k-1), and so on.  Each step keeps the group and
+        the chain, so the result is the unique chain of invariant factors.
+        """
+        chain: list[int] = []  # descending: each entry divides the one before
+        for x in orders:
+            x = index(x)
+            if x <= 0:
                 raise ValueError("cyclic orders must be positive")
-            if d == 1:
-                continue
-            for p, e in factorint(d).items():
-                primary.setdefault(p, []).append(e)
-        depth = max((len(v) for v in primary.values()), default=0)
-        factors = []
-        for k in range(depth):
-            f = 1
-            for p, exps in primary.items():
-                exps_sorted = sorted(exps, reverse=True)
-                if k < len(exps_sorted):
-                    f *= p ** exps_sorted[k]
-            factors.append(f)
-        factors.reverse()  # ascending divisibility chain
-        return cls(free_rank, tuple(factors))
+            for i, top in enumerate(chain):
+                if x == 1:
+                    break
+                g = gcd(top, x)
+                chain[i] = top // g * x
+                x = g
+            if x > 1:
+                chain.append(x)
+        chain.reverse()  # ascending divisibility chain
+        return cls(free_rank, chain)
 
     def direct_sum(self, other: FinAbGroup) -> FinAbGroup:
         return FinAbGroup.from_orders(

@@ -11,7 +11,8 @@ invariant group of the twisted boundary module, so the whole pipeline
 reduces to the cubic's Galois type.
 
 Every invariant here is in closed form, in integers on the integral
-scaling F = c3 t^3 + c2 t^2 + c1 t + c0 of f = lambda F: disc(f) =
+scaling F = c3 t^3 + c2 t^2 + c1 t + c0 of f = lambda F, which is built
+once per polynomial and cached on it: disc(f) =
 lambda^4 disc F; the rational roots by bisection
 (``ratpoly.monic_cubic_integer_roots``); H's t^5 coefficient
 f3 (2 f2 - 3 a f3); and two values of one cubic.  Over the roots r_i of F,
@@ -67,12 +68,23 @@ class GaloisType(Value):
         object.__setattr__(self, "d", d)
 
 
-def _integral(f: RationalPoly) -> tuple[tuple[int, int, int, int], Fraction]:
-    """(c0, c1, c2, c3), the integral scaling F of a cubic f, and lambda with f = lambda F."""
+def _integral(f: RationalPoly) -> tuple[tuple[int, int, int, int], Fraction, int]:
+    """(c0, c1, c2, c3), the integral scaling F of a cubic f; lambda with f = lambda F; disc F.
+
+    Built once per polynomial and kept in its ``_integral`` cache slot, so
+    the Galois type, every shift's general position and Eckardt test, and
+    the search's stop all read the same one.
+    """
+    try:
+        return f._integral
+    except AttributeError:
+        pass
     if f.is_zero() or f.degree != 3:
         raise WrongDegree("expected a cubic polynomial")
     c = f.integer_scaled()
-    return c, f.leading / c[3]
+    form = c, f.leading / c[3], cubic_discriminant(*c)
+    object.__setattr__(f, "_integral", form)
+    return form
 
 
 def cubic_galois_type(f: RationalPoly) -> GaloisType:
@@ -87,9 +99,8 @@ def cubic_galois_type(f: RationalPoly) -> GaloisType:
     primes away from what ``squarefree_part`` factors; lambda's denominator
     is kept, since it can cancel a square factor of disc(F) or qb^2 - 4 qc.
     """
-    (c0, c1, c2, c3), scale = _integral(f)
+    (c0, c1, c2, c3), scale, disc = _integral(f)
     den = scale.denominator
-    disc = cubic_discriminant(c0, c1, c2, c3)
     if disc == 0:
         raise NotSeparable("cubic has a repeated root")
     roots = monic_cubic_integer_roots(c2, c1 * c3, c0 * c3 * c3)
@@ -170,10 +181,9 @@ def general_position(f: RationalPoly, a) -> GeneralPositionReport:
     Res(f, f(t - a)) = lambda^6 Res(F, F(t - a)).
     """
     a = Fraction(a)
-    c, scale = _integral(f)
+    c, scale, disc = _integral(f)
     if a == 0:
         raise ValueError("the shift a must be nonzero")
-    disc = cubic_discriminant(*c)
     res = scale**6 * _shift_resultant(c, disc, a)
     f2, f3 = f.coeff(2), f.coeff(3)
     degree5 = f3 * (2 * f2 - 3 * a * f3)
@@ -207,13 +217,17 @@ def eckardt_concurrent(f: RationalPoly, a) -> EckardtVerdict:
 
     where e1 = -c2/c3 and e2 = c1/c3 are the elementary symmetric
     functions of the roots.  General position makes F separable, and a is
-    nonzero, so the lines meet in a point iff c3 a^2 - c2 a + c1 = 0.
+    nonzero, so the lines meet in a point iff c3 a^2 - c2 a + c1 = 0.  For
+    a = n/d that is c3 n^2 - c2 n d + c1 d^2 = 0, one test in integers; on
+    f = lambda F the scale lambda cancels.
     """
     a = Fraction(a)
     report = general_position(f, a)
     if not report.ok:
         raise GeneralPositionFailed(report)
-    if f.coeff(3) * a * a - f.coeff(2) * a + f.coeff(1) == 0:
+    (_, c1, c2, c3), _, _ = _integral(f)
+    n, d = a.numerator, a.denominator
+    if c3 * n * n - c2 * n * d + c1 * d * d == 0:
         return EckardtVerdict.YES
     return EckardtVerdict.NO
 
@@ -234,7 +248,9 @@ def example_brauer(f: RationalPoly, a) -> tuple[GaloisType, FinAbGroup]:
     """The Galois type of F, and Br(U)/Br_1(U) for the blowup surface attached to (F, a).
 
     For this construction the Galois-invariant bound is attained, so the
-    descriptor's transcendental bound is reported as an equality.  The
+    descriptor's transcendental bound is reported as an equality.  That is
+    the source paper's result for three-line boundaries over Q (arXiv
+    2509.16042); nothing here computes a witness for it.  The
     Galois type is returned too, so a caller that reports it does not
     compute it again.  Raises GeneralPositionFailed or EckardtPoint when
     (F, a) gives no such surface; the Galois type is computed first, so
@@ -260,8 +276,8 @@ def _fails_every_shift(f: RationalPoly) -> bool:
     fails for finitely many a only, so the search below ends after a few
     shifts whatever its bound.
     """
-    (c0, c1, c2, c3), _ = _integral(f)
-    return c2 == 0 or cubic_discriminant(c0, c1, c2, c3) == 0
+    (_, _, c2, _), _, disc = _integral(f)
+    return c2 == 0 or disc == 0
 
 
 def find_admissible_a(f: RationalPoly, bound: int = 20) -> SearchOutcome:

@@ -6,9 +6,13 @@ integral scaling c3 t^3 + c2 t^2 + c1 t + c0 of a cubic instead, with no
 Fraction elimination: its discriminant is a closed form, and its rational
 roots are u/c3 for the integer roots u of the monic cubic
 u^3 + c2 u^2 + c1 c3 u + c0 c3^2, found by exact bisection between its
-critical points, with no factoring.  The Sylvester-matrix resultant and
-discriminant and the rational-root-theorem listing are the second route,
-in ``tests/oracles.py``; ``tests/test_ratpoly.py`` compares the two.
+critical points, with no factoring.  ``qexamples`` builds that scaling
+once per polynomial and keeps it, with the scale and the discriminant, in
+the ``_integral`` slot of the ``RationalPoly``: a cache, like
+``IntMatrix._det``, that equality, hashing, pickles and the repr ignore.
+The Sylvester-matrix resultant and discriminant and the rational-root-
+theorem listing are the second route, in ``tests/oracles.py``;
+``tests/test_ratpoly.py`` compares the two.
 """
 
 from __future__ import annotations
@@ -35,9 +39,13 @@ def parse_rational(text: str) -> Fraction:
 
 
 class RationalPoly(Value):
-    """An immutable polynomial; ``coefficients`` ascend in degree, with no trailing zeros."""
+    """An immutable polynomial; ``coefficients`` ascend in degree, with no trailing zeros.
 
-    __slots__ = ("coefficients",)
+    ``_integral`` is a cache slot that ``qexamples`` fills with a cubic's
+    integral form, so every stage of one example reads the same one.
+    """
+
+    __slots__ = ("coefficients", "_integral")
 
     def __init__(self, coefficients):
         coeffs = tuple(Fraction(c) for c in coefficients)

@@ -4,7 +4,10 @@ The Sylvester-matrix resultant and discriminant, their Fraction
 determinant, and the rational roots by the rational root theorem over the
 divisors of the end coefficients.  ``cubicbrauer.ratpoly`` and
 ``cubicbrauer.qexamples`` compute the same values in integers without
-elimination or factoring; the tests compare the two.  And the group that
+elimination or factoring; the tests compare the two.  The Eckardt test on
+f's own coefficients, where ``qexamples`` tests its integral form.  The
+invariant factors of a sum of cyclic groups from primary parts, where
+``FinAbGroup.from_orders`` takes gcds and lcms.  And the group that
 permutations generate, by a breadth-first search on image tuples, where
 ``cubicbrauer.perms`` lists Dimino's cosets on byte codes.
 """
@@ -114,6 +117,36 @@ def galois_type(f: RationalPoly, roots=None) -> tuple[str, Fraction | None]:
         return "c2", discriminant(f // RationalPoly((-roots[0], Fraction(1))))
     disc = discriminant(f)
     return ("c3", None) if is_rational_square(disc) else ("s3", disc)
+
+
+def lines_concurrent(f: RationalPoly, a) -> bool:
+    """Whether f3 a^2 - f2 a + f1 = 0: the Eckardt condition on f's coefficients, in Fractions."""
+    a = Fraction(a)
+    return f.coeff(3) * a * a - f.coeff(2) * a + f.coeff(1) == 0
+
+
+def invariant_factors_by_factoring(orders, factor=factorint) -> tuple[int, ...]:
+    """The invariant factors of the sum of the Z/d over ``orders``, from primary parts.
+
+    Each order is split by ``factor`` into prime powers; the k-th largest
+    power of every prime multiply to the k-th largest invariant factor.
+    """
+    primary: dict[int, list[int]] = {}
+    for d in orders:
+        if d <= 0:
+            raise ValueError("cyclic orders must be positive")
+        for p, e in (factor(d).items() if d > 1 else ()):
+            primary.setdefault(p, []).append(e)
+    depth = max((len(v) for v in primary.values()), default=0)
+    factors = []
+    for k in range(depth):
+        f = 1
+        for p, exps in primary.items():
+            exps_sorted = sorted(exps, reverse=True)
+            if k < len(exps_sorted):
+                f *= p ** exps_sorted[k]
+        factors.append(f)
+    return tuple(reversed(factors))  # ascending divisibility chain
 
 
 def _divisors(n: int) -> list[int]:

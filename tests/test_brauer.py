@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from cubicbrauer import arith
+from cubicbrauer import arith, brauer
 from cubicbrauer.acceptance import residue_kernel_check, twist_invariants_by_listing
 from cubicbrauer.brauer import (
     BoundaryDescriptor,
@@ -19,7 +19,7 @@ from cubicbrauer.brauer import (
     transcendental_bound,
     twist_invariants,
 )
-from cubicbrauer.errors import BadModulus
+from cubicbrauer.errors import BadModulus, StabilizationFailed
 from cubicbrauer.intlinalg import FinAbGroup
 
 
@@ -191,6 +191,29 @@ def test_transcendental_bound_values():
     assert transcendental_bound(BoundaryDescriptor("line_conic", "two_rational")) == G(2)
     assert transcendental_bound(BoundaryDescriptor("irreducible", "nodal_nonsplit", d=2)) == G(2)
     assert transcendental_bound(BoundaryDescriptor("three_lines", "c3", eckardt=True)) == G()
+
+
+@pytest.fixture
+def fresh_full_twist_bound():
+    """The cached full-twist bound, computed again in the test and after it."""
+    brauer._full_twist_bound.cache_clear()
+    yield
+    brauer._full_twist_bound.cache_clear()
+
+
+@pytest.mark.parametrize("sub", ["trivial", "c3"])
+def test_the_full_twist_bound_is_checked_stable_once(monkeypatch, fresh_full_twist_bound, sub):
+    """A level at 8 unlike the one at 4 still fails, though the bound is computed once."""
+    boundary = BoundaryDescriptor("three_lines", sub)
+    calls = []
+    qmodz = brauer.qmodz_invariants
+    monkeypatch.setattr(brauer, "qmodz_invariants", lambda n: calls.append(n) or qmodz(n))
+    assert transcendental_bound(boundary) == transcendental_bound(boundary) == G(2)
+    assert sorted(calls) == [3, 4, 8, 9]
+    brauer._full_twist_bound.cache_clear()
+    monkeypatch.setattr(brauer, "qmodz_invariants", lambda n: G(n) if n == 8 else qmodz(n))
+    with pytest.raises(StabilizationFailed, match=r"Q/Z\(-1\) at 2"):
+        transcendental_bound(boundary)
 
 
 def test_realized_bounds_among_subgroups_of_z6():

@@ -238,6 +238,21 @@ def test_config_names_the_key_and_file_of_a_value_that_is_not_an_integer(
     assert err == f"error: config key {key!r} in {config}: {value!r} is not an integer\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("invariants", "--d", "-1", "--n", "4"),  # the command line sets n
+        ("tables", "--case", "3"),  # the command never reads n
+    ],
+)
+def test_config_values_are_checked_when_the_file_is_read(tmp_path, capsys, argv):
+    config = tmp_path / "settings.conf"
+    config.write_text("n=x\n", encoding="utf-8")
+    code, out, err = run(capsys, "--config", str(config), *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: config key 'n' in {config}: 'x' is not an integer\n"
+
+
 def test_text_output_default(capsys):
     code, out, _ = run(capsys, "invariants", "--d", "-3", "--n", "3")
     assert code == 0
@@ -451,6 +466,55 @@ def test_example_computes_the_galois_type_once(capsys, monkeypatch):
     code, out, _ = run(capsys, "--format", "json", *argv)
     assert code == 0 and len(calls) == 2
     assert hashlib.sha256(out.encode()).hexdigest() == EXAMPLE_JSON_SHA256
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("example", "--poly", "-2,-2,1,1", "--auto-a", "20"),
+        ("example", "--poly", "1000003,-1,1,1", "--a", "2"),
+        ("classify", "--boundary", '{"type":"three_lines","galois":{"s3":-3},"eckardt":false}'),
+        ("classify", "--boundary", '{"type":"irreducible","kind":"nodal_split"}'),
+        ("invariants", "--d", "-1", "--n", "4"),
+    ],
+)
+def test_json_output_renders_no_text(capsys, monkeypatch, argv):
+    """Only --format text calls the renderers that its text alone reads."""
+    from cubicbrauer.intlinalg import FinAbGroup
+    from cubicbrauer.ratpoly import RationalPoly
+
+    code, expected, _ = run(capsys, "--format", "json", *argv)
+    assert code == 0
+
+    def refuse(self):
+        raise AssertionError("text rendered for JSON output")
+
+    dumps, dumped = json.dumps, []
+    monkeypatch.setattr(RationalPoly, "__str__", refuse)
+    monkeypatch.setattr(FinAbGroup, "__str__", refuse)
+    monkeypatch.setattr(json, "dumps", lambda *a, **k: dumped.append(a) or dumps(*a, **k))
+    code, out, err = run(capsys, "--format", "json", *argv)
+    assert (code, out, err) == (0, expected, "")
+    assert len(dumped) == 1  # the payload
+    with pytest.raises(AssertionError, match="text rendered"):
+        main(list(argv))
+
+
+def test_example_builds_the_integral_form_once(capsys, monkeypatch):
+    from cubicbrauer.ratpoly import RationalPoly
+
+    calls = []
+    integer_scaled = RationalPoly.integer_scaled
+
+    def counted(self):
+        calls.append(self)
+        return integer_scaled(self)
+
+    monkeypatch.setattr(RationalPoly, "integer_scaled", counted)
+    # a = 1 fails general position and 2 is concurrent: three shifts and the Galois type
+    code, out, _ = run(capsys, "example", "--poly", "-2,-2,1,1", "--auto-a", "20")
+    assert code == 0 and "a = 3 " in out
+    assert len(calls) == 1
 
 
 def test_auto_a_tests_each_shift_once(capsys, monkeypatch):

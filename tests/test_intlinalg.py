@@ -7,10 +7,12 @@ import pickle
 import random
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd
+from math import gcd, prod
 
 import pytest
+from oracles import invariant_factors_by_factoring
 
+from cubicbrauer import arith
 from cubicbrauer.intlinalg import (
     FinAbGroup,
     IntMatrix,
@@ -182,6 +184,52 @@ def test_finabgroup_canonical_form():
         FinAbGroup(0, (2, 3))  # not a divisibility chain
     with pytest.raises(ValueError):
         FinAbGroup(0, (1,))
+
+
+# primes below the trial-division bound 10^6 and above it, with some of their powers
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 997, 999983)
+LARGE_PRIMES = (1000003, 1000033, 10000019, 999999937)
+
+
+def _factor_over(n: int, primes) -> dict[int, int]:
+    """n's factorization, for an n built from the given primes."""
+    out = {}
+    for p in primes:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+    assert n == 1
+    return out
+
+
+def test_from_orders_matches_the_primary_decomposition():
+    """gcd/lcm replacement against factoring each order into prime powers (tests/oracles.py)."""
+    primes = SMALL_PRIMES + LARGE_PRIMES
+    rng = random.Random(24)
+    for _ in range(600):
+        orders = []
+        for _ in range(rng.randint(0, 6)):
+            picked = rng.choices(primes, k=rng.randint(0, 3))
+            orders.append(
+                rng.choice((1, 2, 4, 8, 3, 9)) * prod(p ** rng.randint(1, 2) for p in picked)
+            )
+        rng.shuffle(orders)
+        expected = invariant_factors_by_factoring(orders, lambda n: _factor_over(n, primes))
+        assert FinAbGroup.from_orders(orders).invariant_factors == expected, orders
+
+
+def test_from_orders_factors_nothing(monkeypatch):
+    """An order with two prime factors above 10^6 answers; factorint cannot split it."""
+    def refuse(*args):
+        raise AssertionError("from_orders trial-divided")
+
+    monkeypatch.setattr(arith, "_trial_divide", refuse)
+    n = 1000003 * 1000033
+    assert FinAbGroup.from_orders([n]) == FinAbGroup(0, (1000036000099,))
+    assert str(FinAbGroup.from_orders([n])) == "Z/1000036000099"
+    assert FinAbGroup.from_orders([1000003, 1000033 * 4, 2]) == FinAbGroup(0, (2, 4 * n))
+    with pytest.raises(ValueError, match="positive"):
+        FinAbGroup.from_orders([4, 0])
 
 
 def test_finabgroup_json_roundtrip():

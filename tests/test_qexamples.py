@@ -7,7 +7,14 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from oracles import discriminant, fraction_det, galois_type, rational_roots, resultant
+from oracles import (
+    discriminant,
+    fraction_det,
+    galois_type,
+    lines_concurrent,
+    rational_roots,
+    resultant,
+)
 
 from cubicbrauer.arith import is_rational_square
 from cubicbrauer.errors import (
@@ -416,6 +423,26 @@ def test_eckardt_matches_numeric_determinant_on_irrational_roots():
                     assert (abs(det) < 1e-40) == (verdict is EckardtVerdict.YES), (c0, c1, c2, a)
                     seen[verdict] += 1
     assert min(seen.values()) >= 5, seen
+
+
+def test_integer_eckardt_test_matches_the_coefficient_test():
+    """c3 n^2 - c2 n d + c1 d^2 = 0 on the integral form against f3 a^2 - f2 a + f1 = 0.
+
+    Each seeded pair (f, a) is also moved onto the concurrency locus by
+    setting f1 = f2 a - f3 a^2, so both verdicts occur.
+    """
+    rng = random.Random(2424)
+    seen = {EckardtVerdict.YES: 0, EckardtVerdict.NO: 0}
+    for _, f, a in _seeded_cubics(rng, 1200):
+        c = list(f.coefficients)
+        c[1] = c[2] * a - c[3] * a * a
+        for g in (f, RationalPoly(c)):
+            verdict = _verdict_or_none(g, a)
+            if verdict is None:
+                continue
+            assert (verdict is EckardtVerdict.YES) == lines_concurrent(g, a), (g, a)
+            seen[verdict] += 1
+    assert sum(seen.values()) >= 2000 and min(seen.values()) >= 900, seen
 
 
 def test_eckardt_requires_general_position():
