@@ -12,12 +12,11 @@ reduces to the cubic's Galois type.
 
 Every invariant here is in closed form, in integers on the integral
 scaling F = c3 t^3 + c2 t^2 + c1 t + c0 of f = lambda F, which is built
-once per polynomial and cached on it: disc(f) =
-lambda^4 disc F; the rational roots by bisection
-(``ratpoly.monic_cubic_integer_roots``); H's t^5 coefficient
-f3 (2 f2 - 3 a f3); and two values of one cubic.  Over the roots r_i of F,
-prod_{i<j} (s^2 - (r_i - r_j)^2) = R(s^2) for R(x) = x (x - D0/c3^2)^2 -
-disc F/c3^4, with D0 = c2^2 - 3 c1 c3.  For a = n/d, the roots' sum e1
+once per polynomial and cached on it: disc(f) = lambda^4 disc F; the
+rational roots by bisection (``ratpoly.monic_cubic_integer_roots``); H's
+t^5 coefficient f3 (2 f2 - 3 a f3); and two values of one cubic.  Over
+the roots r_i of F, prod_{i<j} (s^2 - (r_i - r_j)^2) = R(s^2) for
+R(x) = x (x - D0/c3^2)^2 - disc F/c3^4, with D0 = c2^2 - 3 c1 c3.  For a = n/d, the roots' sum e1
 gives e1 + k a = T_k/(c3 d) with T_k = k c3 n - c2 d, and
 q(t) = (t^2 - D0 d^2)^2 t^2 - disc F c3^2 d^6 clears R's denominators:
 
@@ -151,17 +150,17 @@ def _difference_form(c: tuple[int, int, int, int], disc: int, d: int, t: int) ->
     return u * u * t * t - disc * c3 * c3 * d**6
 
 
-def _shift_resultant(c: tuple[int, int, int, int], disc: int, a: Fraction) -> Fraction:
-    """Res(F(t), F(t - a)) = c3^6 prod_{i,j} (r_i - r_j - a) = -a^3 c3^6 R(a^2).
+def _shift_resultant(c: tuple[int, int, int, int], disc: int, n: int, d: int) -> int:
+    """d^9 Res(F(t), F(t - a)) at a = n/d, where Res = c3^6 prod_{i,j} (r_i - r_j - a).
 
-    The factors i = j give -a^3; each pair (i, j), (j, i) gives a^2 - (r_i - r_j)^2.
+    That product is -a^3 c3^6 R(a^2): the factors i = j give -a^3, and each
+    pair (i, j), (j, i) gives a^2 - (r_i - r_j)^2.
     """
-    n, d = a.numerator, a.denominator
-    return Fraction(-(n**3) * _difference_form(c, disc, d, c[3] * n), d**9)
+    return -(n**3) * _difference_form(c, disc, d, c[3] * n)
 
 
-def _triple_sum_product(c: tuple[int, int, int, int], disc: int, a: Fraction) -> Fraction:
-    """The product of the 20 sums of three distinct roots of H = F(t)F(t - a).
+def _triple_sum_product(c: tuple[int, int, int, int], disc: int, n: int, d: int) -> int:
+    """(c3 d)^20 times the product of the 20 sums of three distinct roots of H, at a = n/d.
 
     They are e1 and e1 + 3a once, e1 + a and e1 + 2a three times each, and
     2r_i + r_j + b for b in (a, 2a) and the six ordered pairs i != j.  With k
@@ -169,25 +168,28 @@ def _triple_sum_product(c: tuple[int, int, int, int], disc: int, a: Fraction) ->
     b multiply to R((e1 + b)^2).  The 20 sums are the eigenvalues of the
     derivation induced by H's companion matrix on the third exterior power of Q^6.
     """
-    n, d = a.numerator, a.denominator
     t0, t1, t2, t3 = (k * c[3] * n - c[2] * d for k in range(4))
     q1, q2 = (_difference_form(c, disc, d, t) for t in (t1, t2))
-    return Fraction(t0 * t1**3 * t2**3 * t3 * q1 * q2, (c[3] * d) ** 20)
+    return t0 * t1**3 * t2**3 * t3 * q1 * q2
 
 
 def general_position(f: RationalPoly, a) -> GeneralPositionReport:
     """The three general-position conditions for H = F(t)F(t-a), with f = lambda F.
 
-    Res(f, f(t - a)) = lambda^6 Res(F, F(t - a)).
+    Each reported value is one Fraction of integers on the integral form,
+    at a = n/d: Res(f, f(t - a)) = lambda^6 Res(F, F(t - a)), and H's t^5
+    coefficient f3 (2 f2 - 3 a f3) is lambda^2 c3 (2 c2 d - 3 n c3) / d.
     """
     a = Fraction(a)
     c, scale, disc = _integral(f)
     if a == 0:
         raise ValueError("the shift a must be nonzero")
-    res = scale**6 * _shift_resultant(c, disc, a)
-    f2, f3 = f.coeff(2), f.coeff(3)
-    degree5 = f3 * (2 * f2 - 3 * a * f3)
-    det = _triple_sum_product(c, disc, a)
+    n, d = a.numerator, a.denominator
+    lam, mu = scale.numerator, scale.denominator
+    _, _, c2, c3 = c
+    res = Fraction(lam**6 * _shift_resultant(c, disc, n, d), mu**6 * d**9)
+    degree5 = Fraction(lam * lam * c3 * (2 * c2 * d - 3 * n * c3), mu * mu * d)
+    det = Fraction(_triple_sum_product(c, disc, n, d), (c3 * d) ** 20)
     return GeneralPositionReport(
         distinct_roots=disc != 0 and res != 0,
         degree5_nonzero=degree5 != 0,

@@ -48,7 +48,7 @@ class RationalPoly(Value):
     __slots__ = ("coefficients", "_integral")
 
     def __init__(self, coefficients):
-        coeffs = tuple(Fraction(c) for c in coefficients)
+        coeffs = tuple(c if type(c) is Fraction else Fraction(c) for c in coefficients)
         while coeffs and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
         object.__setattr__(self, "coefficients", coeffs)
@@ -158,7 +158,7 @@ class RationalPoly(Value):
         if self.is_zero():
             return ()
         denom = lcm(*(c.denominator for c in self.coefficients))
-        ints = [int(c * denom) for c in self.coefficients]
+        ints = [c.numerator * (denom // c.denominator) for c in self.coefficients]
         g = 0
         for x in ints:
             g = gcd(g, x)
