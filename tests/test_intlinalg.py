@@ -213,13 +213,13 @@ def test_from_orders_matches_the_primary_decomposition():
             orders.append(
                 rng.choice((1, 2, 4, 8, 3, 9)) * prod(p ** rng.randint(1, 2) for p in picked)
             )
-        rng.shuffle(orders)
         expected = invariant_factors_by_factoring(orders, lambda n: _factor_over(n, primes))
         assert FinAbGroup.from_orders(orders).invariant_factors == expected, orders
 
 
 def test_from_orders_factors_nothing(monkeypatch):
     """An order with two prime factors above 10^6 answers; factorint cannot split it."""
+
     def refuse(*args):
         raise AssertionError("from_orders trial-divided")
 
