@@ -27,7 +27,6 @@ from .cubiclattice import (
     pic_module,
     quotient_by_trio,
     reference_trio,
-    torsion_free_line_conic,
     tritangent_trios,
     weyl_group,
 )
@@ -92,7 +91,6 @@ __all__ = [
     "reference_trio",
     "setwise_stabilizer",
     "snf",
-    "torsion_free_line_conic",
     "transcendental_bound",
     "tritangent_trios",
     "twist_invariants",

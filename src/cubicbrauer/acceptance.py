@@ -32,22 +32,21 @@ from .cubiclattice import (
     HYPERPLANE,
     RANK,
     _unit,
+    boundary_quotient,
     intersection,
     lines27,
     matrix_to_line_permutation,
     pic_module,
     quotient_by_trio,
     reference_trio,
-    torsion_free_line_conic,
     tritangent_trios,
     weyl_group,
 )
-from .errors import CubicBrauerError, InconsistentPermutation, NotStabilized
+from .errors import CubicBrauerError, InconsistentPermutation, NotStabilized, TorsionFound
 from .intlinalg import (
     FinAbGroup,
     IntMatrix,
     cokernel_structure,
-    elementary_divisors,
     kernel_basis,
     mod_kernel,
     snf,
@@ -260,7 +259,7 @@ def verify_case_two_witness(witness: CaseTwoWitness) -> list[str]:
         return problems + ["does not stabilize the reference trio"]
     if orbits != 2:
         problems.append(f"{orbits} orbits on the reference trio")
-    quotient = quotient_by_trio(trio, group).module
+    quotient = quotient_by_trio(trio, group)
     found = TablePair(
         _h1_by_annihilator(quotient.matrices, quotient.rank, group.order()),
         _h1_by_annihilator(witness.generators, RANK, group.order()),
@@ -271,7 +270,7 @@ def verify_case_two_witness(witness: CaseTwoWitness) -> list[str]:
     if full is not None:
         cyclic = PermGroup(27, [full])
         oracle = TablePair(
-            h1_cyclic_oracle(quotient_by_trio(trio, cyclic).module),
+            h1_cyclic_oracle(quotient_by_trio(trio, cyclic)),
             h1_cyclic_oracle(pic_module(cyclic)),
         )
         if oracle != witness.pair:
@@ -382,13 +381,14 @@ def check_algebraic_tables() -> CheckResult:
 
 def check_torsion_freeness() -> CheckResult:
     t0 = time.perf_counter()
-    reports = torsion_free_line_conic()
-    bad = [r for r in reports if not r.torsion_free]
-    ok = len(reports) == 27 and not bad
-    for trio in tritangent_trios():
-        if elementary_divisors(trio.boundary_matrix()) != (1, 1, 1):
-            ok = False
-            bad.append(trio)
+    line_conics = [(d, tuple(h - x for h, x in zip(HYPERPLANE, d))) for d in lines27()]
+    bad = []
+    for components in line_conics + [trio.classes for trio in tritangent_trios()]:
+        try:
+            boundary_quotient(components)
+        except TorsionFound:
+            bad.append(components)
+    ok = not bad
     detail = "27 line+conic and 45 trio quotients all torsion-free"
     return CheckResult(
         "3 torsion-freeness",
@@ -472,7 +472,7 @@ def check_oracle_equivalence() -> CheckResult:
     count = 0
     for g in _cyclic_subgroup_generators(stab):
         cyclic = PermGroup(27, [g]) if perm_order(g) > 1 else PermGroup(27, [])
-        modules = [pic_module(cyclic), quotient_by_trio(trio, cyclic).module]
+        modules = [pic_module(cyclic), quotient_by_trio(trio, cyclic)]
         for module in modules:
             count += 1
             a = h1_lattice(module)
@@ -596,7 +596,7 @@ def check_property_suites() -> CheckResult:
     stab = setwise_stabilizer(weyl_group(), set(trio.indices))
     witness = next(g for g in stab.generators if perm_order(g) > 1)
     cyclic = PermGroup(27, [witness])
-    module = quotient_by_trio(trio, cyclic).module
+    module = quotient_by_trio(trio, cyclic)
     reference_value = h1_lattice(module)
     for _ in range(100):
         t = _random_unimodular(rng, 4)

@@ -130,9 +130,10 @@ class BoundaryDescriptor(Value):
 
 
 def _json_integer(value, field: str) -> int:
-    """A square class read from JSON: an integer, integral float or decimal string."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
+    """A square class read from JSON: an integer or a decimal-integer string.
+
+    A float is refused, integral or not: it may already have been rounded.
+    """
     if isinstance(value, (int, str)) and not isinstance(value, bool):
         try:
             return int(value)
@@ -335,7 +336,7 @@ def _sweep_entry(index: int) -> SweepEntry:
 
     sub, orbits = _stabilizer_classes()[index]
     brx = h1_lattice(pic_module(sub))
-    br1 = h1_lattice(quotient_by_trio(reference_trio(), sub).module)
+    br1 = h1_lattice(quotient_by_trio(reference_trio(), sub))
     return SweepEntry(orbits=orbits, pair=TablePair(br1, brx))
 
 

@@ -7,7 +7,9 @@ H = 3l - e1 - ... - e6; the 27 lines are the classes D with D.D = -1 and
 D.H = 1; a tritangent trio is three lines with pairwise product 1 summing
 to H, and there are 45 of them.  The symmetry group of all this data is
 the Weyl group W(E6) of order 51840, realized here as permutations of the
-27 lines.
+27 lines.  For a boundary with components D_1..D_k, Pic(Ubar) is
+Z^7 / <D_1..D_k>; `boundary_quotient` gives its projection and section
+from one Smith form, and refuses a quotient that is not free.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import NamedTuple, Sequence
 
 from .cohomology import LatticeGModule
 from .errors import InconsistentPermutation, NotStabilized, TorsionFound
-from .intlinalg import IntMatrix, elementary_divisors, snf
+from .intlinalg import IntMatrix, snf
 from .perms import Perm, PermGroup
 
 RANK = 7
@@ -77,9 +79,6 @@ class TritangentTrio(NamedTuple):
     def indices(self) -> tuple[int, int, int]:
         idx = line_index()
         return tuple(idx[c] for c in self.classes)  # type: ignore[return-value]
-
-    def boundary_matrix(self) -> IntMatrix:
-        return IntMatrix.from_columns(self.classes, rows=RANK)
 
 
 @cache
@@ -208,51 +207,43 @@ def pic_module(group: PermGroup) -> LatticeGModule:
     )
 
 
-class QuotientLattice(NamedTuple):
-    """Pic(Ubar) = Pic(Xbar) / <boundary trio> with the induced action."""
-
-    trio: TritangentTrio
-    projection: IntMatrix  # 4x7, Z^7 ->> Z^4
-    section: IntMatrix  # 7x4, right inverse of the projection
-    module: LatticeGModule
-
-    def project_class(self, d: Sequence[int]) -> tuple[int, ...]:
-        return self.projection.apply(d)
-
-
 @cache
-def _trio_quotient_maps(trio: TritangentTrio) -> tuple[IntMatrix, IntMatrix]:
-    """(projection, section) of Z^7 ->> Z^7 / <trio>, from one Smith form."""
-    form = snf(trio.boundary_matrix())
-    if form.diagonal() != (1, 1, 1):
+def boundary_quotient(components: tuple[DivClass, ...]) -> tuple[IntMatrix, IntMatrix]:
+    """(projection, section) of Z^7 ->> Z^7 / <components>, from one Smith form.
+
+    With U A V = S for the 7 x k matrix A of the components, the projection
+    is the last 7 - k rows of U and the section the matching columns of
+    U^-1, a right inverse of it.  Raises TorsionFound unless every invariant
+    factor is 1, which also refuses linearly dependent components.
+    """
+    k = len(components)
+    form = snf(IntMatrix.from_columns(components, rows=RANK))
+    if form.diagonal() != (1,) * k:
         raise TorsionFound(f"boundary quotient has torsion: diagonal {form.diagonal()}")
     u_inv = form.U.inverse_unimodular()
-    projection = IntMatrix(form.U.data[3:])  # last 4 rows of U
-    section = IntMatrix.from_columns([u_inv.column(j) for j in range(3, RANK)], rows=RANK)
+    projection = IntMatrix(form.U.data[k:])
+    section = IntMatrix.from_columns([u_inv.column(j) for j in range(k, RANK)], rows=RANK)
     return projection, section
 
 
 @lru_cache(maxsize=None)
-def _induced_action(trio: TritangentTrio, g: Perm) -> IntMatrix:
-    """projection @ pic_action(g) @ section, once g is seen to stabilize the trio.
+def _induced_action(components: tuple[DivClass, ...], g: Perm) -> IntMatrix:
+    """projection @ pic_action(g) @ section, once g is seen to stabilize the components.
 
     A failed check raises, so it is never cached.
     """
     m = pic_action(g)
-    if {m.apply(c) for c in trio.classes} != set(trio.classes):
-        raise NotStabilized("group does not stabilize the trio")
-    projection, section = _trio_quotient_maps(trio)
+    if {m.apply(c) for c in components} != set(components):
+        raise NotStabilized("group does not stabilize the boundary")
+    projection, section = boundary_quotient(components)
     return projection @ m @ section
 
 
-def quotient_by_trio(trio: TritangentTrio, group: PermGroup) -> QuotientLattice:
-    """Rank-4 quotient of Pic by a trio, with the induced subgroup action.
+def quotient_by_trio(trio: TritangentTrio, group: PermGroup) -> LatticeGModule:
+    """Pic(Ubar) = Pic(Xbar) / <trio>: the rank-4 module of the subgroup.
 
-    The projection and section depend on the trio alone and are computed
-    once per trio, and each generator's induced matrix once per (trio,
-    generator).  Raises TorsionFound if the Smith form of the boundary
-    matrix has a non-unit invariant factor (it never does for a tritangent
-    trio).
+    The projection and section come from `boundary_quotient`, once per
+    trio, and each generator's induced matrix once per (trio, generator).
     """
     idx = line_index()
     a, b, c = trio.classes
@@ -263,46 +254,16 @@ def quotient_by_trio(trio: TritangentTrio, group: PermGroup) -> QuotientLattice:
         and intersection(a, b) == intersection(a, c) == intersection(b, c) == 1
     ):
         raise ValueError("not a tritangent trio")
-    projection, section = _trio_quotient_maps(trio)
-    induced = tuple(_induced_action(trio, g) for g in group.generators)
-    module = LatticeGModule(rank=4, group=group, matrices=induced)
-    return QuotientLattice(trio=trio, projection=projection, section=section, module=module)
-
-
-class TorsionReport(NamedTuple):
-    divisor_class: DivClass
-    snf_diagonal: tuple[int, ...]
-    torsion_free: bool
-
-
-def torsion_free_line_conic() -> list[TorsionReport]:
-    """Torsion check for boundaries 'line + residual conic'.
-
-    For each line class [L], the quotient of Z^7 by span{[L], [C]} with
-    [C] = H - [L] is torsion-free iff the 7x2 boundary matrix has all unit
-    invariant factors.
-    """
-    out = []
-    for d in lines27():
-        conic = tuple(h - x for h, x in zip(HYPERPLANE, d))
-        diag = elementary_divisors(IntMatrix.from_columns([d, conic], rows=RANK))
-        out.append(
-            TorsionReport(
-                divisor_class=d,
-                snf_diagonal=diag,
-                torsion_free=all(x == 1 for x in diag),
-            )
-        )
-    return out
+    induced = tuple(_induced_action(trio.classes, g) for g in group.generators)
+    return LatticeGModule(rank=RANK - 3, group=group, matrices=induced)
 
 
 __all__ = [
     "DivClass",
     "HYPERPLANE",
-    "QuotientLattice",
     "RANK",
-    "TorsionReport",
     "TritangentTrio",
+    "boundary_quotient",
     "intersection",
     "line_index",
     "lines27",
@@ -311,7 +272,6 @@ __all__ = [
     "pic_module",
     "quotient_by_trio",
     "reference_trio",
-    "torsion_free_line_conic",
     "tritangent_trios",
     "weyl_generator_matrices",
     "weyl_group",

@@ -29,7 +29,7 @@ class NotCyclic(CubicBrauerError):
 
 
 class TorsionFound(CubicBrauerError):
-    """A boundary quotient that must be torsion-free has torsion."""
+    """A boundary quotient Z^7 / <components> is not free of rank 7 - k."""
 
 
 class InconsistentPermutation(CubicBrauerError):

@@ -25,5 +25,5 @@ def sweep_modules(stabilizer_classes):
     return [
         (cls.order, module)
         for cls in stabilizer_classes
-        for module in (pic_module(cls.group), quotient_by_trio(trio, cls.group).module)
+        for module in (pic_module(cls.group), quotient_by_trio(trio, cls.group))
     ]

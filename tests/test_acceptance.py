@@ -171,7 +171,7 @@ def test_a_cyclic_witness_on_two_generators_meets_the_cyclic_oracle(trio_stabili
         group = PermGroup(27, [g])
         if perm_order(g) == 4 and orbit_count(group, set(trio.indices)) == 2:
             pair = TablePair(
-                h1_lattice(quotient_by_trio(trio, group).module), h1_lattice(pic_module(group))
+                h1_lattice(quotient_by_trio(trio, group)), h1_lattice(pic_module(group))
             )
             if pair.br1 == FinAbGroup(0, (2, 4)):
                 break

@@ -2,29 +2,32 @@
 
 from __future__ import annotations
 
+import ast
 import copy
 import random
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 
+from cubicbrauer import cubiclattice
 from cubicbrauer.cubiclattice import (
     HYPERPLANE,
     RANK,
     TritangentTrio,
+    boundary_quotient,
     intersection,
     lines27,
     matrix_to_line_permutation,
     pic_action,
     quotient_by_trio,
     reference_trio,
-    torsion_free_line_conic,
     tritangent_trios,
     weyl_generator_matrices,
     weyl_group,
 )
-from cubicbrauer.errors import InconsistentPermutation, NotStabilized
-from cubicbrauer.intlinalg import IntMatrix, snf
+from cubicbrauer.errors import InconsistentPermutation, NotStabilized, TorsionFound
+from cubicbrauer.intlinalg import IntMatrix, elementary_divisors, snf
 from cubicbrauer.perms import PermGroup, compose, setwise_stabilizer
 
 
@@ -157,31 +160,60 @@ def test_pic_action_rejects_non_automorphism():
         pic_action(tuple(bogus))
 
 
+def _boundary_matrix(components) -> IntMatrix:
+    return IntMatrix.from_columns(components, rows=RANK)
+
+
+def _line_conic(line) -> tuple:
+    return (line, tuple(h - x for h, x in zip(HYPERPLANE, line)))
+
+
+def _check_free_quotient(components) -> None:
+    """The maps kill the components, split, and have rank 7 - k."""
+    k = len(components)
+    projection, section = boundary_quotient(components)
+    assert projection.rows == section.cols == RANK - k
+    assert projection @ _boundary_matrix(components) == IntMatrix.zeros(RANK - k, k)
+    assert projection @ section == IntMatrix.identity(RANK - k)
+
+
 def test_quotient_by_trio():
     trio = reference_trio()
-    assert snf(trio.boundary_matrix()).diagonal() == (1, 1, 1)
-    trivial = PermGroup(27, [])
-    quotient = quotient_by_trio(trio, trivial)
-    assert quotient.module.rank == 4
-    assert quotient.projection.rows == 4 and quotient.projection.cols == 7
+    assert snf(_boundary_matrix(trio.classes)).diagonal() == (1, 1, 1)
+    assert quotient_by_trio(trio, PermGroup(27, [])).rank == 4
+    projection, section = boundary_quotient(trio.classes)
+    assert projection.rows == 4 and projection.cols == 7
     # section is a right inverse of the projection
-    assert (quotient.projection @ quotient.section).is_identity()
+    assert (projection @ section).is_identity()
     # trio classes project to zero
     for cls in trio.classes:
-        assert quotient.project_class(cls) == (0, 0, 0, 0)
+        assert projection.apply(cls) == (0, 0, 0, 0)
 
 
 def test_quotient_maps_of_all_45_trios():
-    trivial = PermGroup(27, [])
     for trio in tritangent_trios():
-        quotient = quotient_by_trio(trio, trivial)
-        assert quotient.projection @ trio.boundary_matrix() == IntMatrix.zeros(4, 3)
-        assert quotient.projection @ quotient.section == IntMatrix.identity(4)
+        _check_free_quotient(trio.classes)
+
+
+def test_the_irreducible_boundary_quotient_is_free_of_rank_6():
+    _check_free_quotient((HYPERPLANE,))
+
+
+@pytest.mark.parametrize(
+    "components",
+    [
+        ((0, 2, 0, 0, 0, 0, 0),),
+        ((0, 1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0, 0)),
+        (reference_trio().classes[0], *reference_trio().classes[:2]),
+    ],
+    ids=["twice e1", "e1 repeated", "a line repeated in a trio"],
+)
+def test_boundary_quotient_refuses_torsion_and_dependent_components(components):
+    with pytest.raises(TorsionFound):
+        boundary_quotient(components)
 
 
 def test_quotient_maps_are_computed_once_per_trio(monkeypatch, stabilizer_classes):
-    from cubicbrauer import cubiclattice
-
     calls = []
 
     def counting_snf(matrix):
@@ -189,12 +221,36 @@ def test_quotient_maps_are_computed_once_per_trio(monkeypatch, stabilizer_classe
         return snf(matrix)
 
     monkeypatch.setattr(cubiclattice, "snf", counting_snf)
-    cubiclattice._trio_quotient_maps.cache_clear()
+    cubiclattice.boundary_quotient.cache_clear()
+    cubiclattice._induced_action.cache_clear()
     trio = reference_trio()
     for cls in stabilizer_classes:
         quotient_by_trio(trio, cls.group)
     assert len(stabilizer_classes) == 246
     assert len(calls) == 1
+
+
+def test_one_smith_form_route_in_the_lattice_module():
+    """``snf`` is called only in ``boundary_quotient``; no elementary divisors."""
+    tree = ast.parse(Path(cubiclattice.__file__).read_text())
+
+    def snf_calls(node) -> int:
+        return sum(
+            isinstance(n, ast.Call)
+            and "snf" in (getattr(n.func, "id", None), getattr(n.func, "attr", None))
+            for n in ast.walk(node)
+        )
+
+    quotient = next(
+        n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "boundary_quotient"
+    )
+    assert snf_calls(tree) == snf_calls(quotient) == 1
+    names = {
+        getattr(n, "id", None) or getattr(n, "attr", None) or getattr(n, "name", None)
+        for n in ast.walk(tree)
+        if isinstance(n, (ast.Name, ast.Attribute, ast.alias))
+    }
+    assert "elementary_divisors" not in names
 
 
 def test_quotient_requires_stabilizing_group():
@@ -210,11 +266,12 @@ def test_quotient_requires_stabilizing_group():
 def test_sweep_quotients_match_the_direct_product(stabilizer_classes):
     """Each cached induced matrix is projection @ pic_action(g) @ section."""
     trio = reference_trio()
+    projection, section = boundary_quotient(trio.classes)
     for cls in stabilizer_classes:
         quotient = quotient_by_trio(trio, cls.group)
-        assert len(quotient.module.matrices) == len(cls.group.generators)
-        for g, m in zip(cls.group.generators, quotient.module.matrices):
-            assert m == quotient.projection @ pic_action(g) @ quotient.section
+        assert len(quotient.matrices) == len(cls.group.generators)
+        for g, m in zip(cls.group.generators, quotient.matrices):
+            assert m == projection @ pic_action(g) @ section
 
 
 def test_a_moving_group_is_refused_after_a_stabilizing_one(trio_stabilizer):
@@ -234,32 +291,29 @@ def test_a_moving_group_is_refused_after_a_stabilizing_one(trio_stabilizer):
 def test_a_trio_quotient_can_be_deep_copied(trio_stabilizer):
     quotient = quotient_by_trio(reference_trio(), trio_stabilizer)
     clone = copy.deepcopy(quotient)
-    assert clone.projection == quotient.projection
-    assert clone.section == quotient.section
-    assert clone.module == quotient.module
-    assert clone.module.group.order() == 1152
+    assert clone == quotient
+    assert clone.group.order() == 1152
+    maps = boundary_quotient(reference_trio().classes)
+    assert copy.deepcopy(maps) == maps
 
 
 def test_quotient_action_unimodular():
     trio = reference_trio()
     stab = setwise_stabilizer(weyl_group(), set(trio.indices))
     quotient = quotient_by_trio(trio, stab)
-    for m in quotient.module.matrices:
+    for m in quotient.matrices:
         assert m.det() in (1, -1)
 
 
 def test_all_45_trios_torsion_free():
     for trio in tritangent_trios():
-        assert snf(trio.boundary_matrix()).diagonal() == (1, 1, 1)
+        assert snf(_boundary_matrix(trio.classes)).diagonal() == (1, 1, 1)
 
 
 def test_torsion_free_line_conic():
-    reports = torsion_free_line_conic()
-    assert len(reports) == 27
-    assert all(r.torsion_free for r in reports)
-    by_class = {r.divisor_class: r for r in reports}
-    assert by_class[(0, 1, 0, 0, 0, 0, 0)].snf_diagonal == (1, 1)
-    assert by_class[(1, -1, -1, 0, 0, 0, 0)].torsion_free
+    for line in lines27():
+        _check_free_quotient(_line_conic(line))
+        assert elementary_divisors(_boundary_matrix(_line_conic(line))) == (1, 1)
 
 
 def test_weyl_full_listing_matches_order():

@@ -69,8 +69,9 @@ def test_twist_invariants_depend_on_the_square_class_only(case, n):
     assert twist_invariants(s, n) == twist_invariants_by_listing(s, n)
 
 
-# floats are kept small: an integral float is a valid d, and a d of hundreds
-# of digits costs a full trial division, which is not what is tested here
+# a float is never a valid d, integral or not; integers are kept small, since
+# a d of hundreds of digits costs a full trial division, which is not what is
+# tested here
 scalars = (
     st.none()
     | st.booleans()

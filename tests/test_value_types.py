@@ -18,7 +18,6 @@ import pytest
 import cubicbrauer
 from cubicbrauer.brauer import BoundaryDescriptor, GeometricBrauer, SweepEntry, TablePair
 from cubicbrauer.cohomology import LatticeGModule
-from cubicbrauer.cubiclattice import QuotientLattice, quotient_by_trio, reference_trio
 from cubicbrauer.intlinalg import FinAbGroup, IntMatrix, SmithForm, snf
 from cubicbrauer.perms import PermGroup, SubgroupClass, perm_from_cycles
 from cubicbrauer.qexamples import GaloisType, GeneralPositionReport, SearchOutcome
@@ -27,15 +26,6 @@ from cubicbrauer.values import Value
 
 SWAP = PermGroup(2, [(1, 0)])
 NEG = IntMatrix([[-1]])
-
-
-def _quotients() -> tuple[QuotientLattice, ...]:
-    """Two quotients equal field by field, and one with another projection."""
-    base = quotient_by_trio(reference_trio(), PermGroup(27, []))
-    return tuple(
-        QuotientLattice(base.trio, projection, base.section, base.module)
-        for projection in (IntMatrix.identity(1), IntMatrix([[1]]), IntMatrix([[2]]))
-    )
 
 
 # (two equal values built apart, then values that differ from them)
@@ -105,7 +95,6 @@ VALUES = {
         SmithForm(*snf(IntMatrix([[2, 4], [6, 8]]))),
         snf(IntMatrix([[2, 4], [6, 9]])),
     ),
-    "QuotientLattice": _quotients,
     "GeneralPositionReport": lambda: (
         GeneralPositionReport(True, True, False, Fraction(5), Fraction(-1), Fraction(0)),
         GeneralPositionReport(
