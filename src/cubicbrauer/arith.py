@@ -29,6 +29,14 @@ TRIAL_DIVISION_BOUND = 10**6
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
+def decimal_integer(text: str) -> int:
+    """ASCII digits after an optional '-' (int() also reads '_', blanks, '+', any digits)."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)
+
+
 def is_probable_prime(n: int) -> bool:
     """Miller-Rabin to the bases in ``_MR_WITNESSES``, for n of any size.
 
@@ -174,6 +182,7 @@ def prime_power(n: int) -> tuple[int, int] | None:
 
 
 __all__ = [
+    "decimal_integer",
     "factorint",
     "is_perfect_square",
     "is_probable_prime",

@@ -21,7 +21,9 @@ from functools import cache
 from math import gcd
 from typing import Literal, NamedTuple
 
-from .arith import is_perfect_square, is_rational_square, prime_power, squarefree_part
+from .arith import (
+    decimal_integer, is_perfect_square, is_rational_square, prime_power, squarefree_part
+)
 from .cubiclattice import pic_module, quotient_by_trio, reference_trio, weyl_group
 from .errors import BadModulus, StabilizationFailed
 from .intlinalg import FinAbGroup
@@ -130,13 +132,13 @@ class BoundaryDescriptor(Value):
 
 
 def _json_integer(value, field: str) -> int:
-    """A square class read from JSON: an integer or a decimal-integer string.
+    """A square class read from JSON: an integer, or ASCII digits after an optional '-'.
 
     A float is refused, integral or not: it may already have been rounded.
     """
     if isinstance(value, (int, str)) and not isinstance(value, bool):
         try:
-            return int(value)
+            return value if isinstance(value, int) else decimal_integer(value)
         except ValueError:
             pass
     raise ValueError(f"{field}: d must be an integer, not {value!r}")

@@ -23,6 +23,7 @@ import sys
 from functools import cache
 from typing import Callable
 
+from .arith import decimal_integer
 from .brauer import (
     BoundaryDescriptor,
     algebraic_tables,
@@ -73,7 +74,7 @@ def _load_config(path: str) -> dict[str, str | int]:
                 raise ValueError(f"config format {value!r} is not one of {', '.join(FORMATS)}")
             if key in _INT_CONFIG_KEYS:
                 try:
-                    value = int(value)
+                    value = decimal_integer(value)
                 except ValueError:
                     raise ValueError(
                         f"config key {key!r} in {path}: {value!r} is not an integer"
@@ -373,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tables = sub.add_parser(
         "tables", help="(Br_1, Br X) possibility tables", parents=[common]
     )
-    p_tables.add_argument("--case", type=int, choices=(1, 2, 3), default=None)
+    p_tables.add_argument("--case", type=decimal_integer, choices=(1, 2, 3), default=None)
 
     p_classify = sub.add_parser(
         "classify", help="classify a boundary descriptor", parents=[common]
@@ -383,13 +384,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_inv = sub.add_parser(
         "invariants", help="twisted-module invariants over Q", parents=[common]
     )
-    p_inv.add_argument("--d", type=int, default=None, help="square class")
-    p_inv.add_argument("--n", type=int, default=None, help="prime-power modulus")
+    p_inv.add_argument("--d", type=decimal_integer, default=None, help="square class")
+    p_inv.add_argument("--n", type=decimal_integer, default=None, help="prime-power modulus")
 
     p_ex = sub.add_parser("example", help="rational example pipeline", parents=[common])
     p_ex.add_argument("--poly", help="coefficients, ascending degree, comma-separated")
     p_ex.add_argument("--a", default=None, help="shift parameter (rational)")
-    p_ex.add_argument("--auto-a", dest="auto_a", type=int, default=None,
+    p_ex.add_argument("--auto-a", dest="auto_a", type=decimal_integer, default=None,
                       help="search a = 1..BOUND for an admissible shift")
 
     return parser

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from functools import cache, lru_cache
 from itertools import combinations
+from operator import mul
 from typing import NamedTuple, Sequence
 
 from .cohomology import LatticeGModule
@@ -169,30 +170,30 @@ def weyl_group() -> PermGroup:
     return PermGroup(27, [matrix_to_line_permutation(m) for m in weyl_generator_matrices()])
 
 
+@cache
+def _packed_lines() -> tuple[int, ...]:
+    return tuple(sum(x << (8 * k) for k, x in enumerate(d)) for d in lines27())
+
+
 @lru_cache(maxsize=None)
 def pic_action(p: Perm) -> IntMatrix:
     """7x7 matrix acting on Pic that induces the given line permutation.
 
     Reconstructed from the images of e1..e6 and l = (l-e1-e2) + e1 + e2,
-    then verified against all 27 line images.
+    then checked on all 27 lines d in packed integers P(v) = sum v_k 256^k.
+    P is linear, and one-to-one on entries below 128 in absolute value; every
+    entry of M d is at most 2*6 + 6*2 = 24 in absolute value (|d_0| <= 2,
+    |d_k| <= 1; col_0 is a sum of three lines, each other column a line).
     """
-    lines = lines27()
-    idx = line_index()
-    cols: list[DivClass] = [None] * RANK  # type: ignore[list-item]
-    for i in range(1, 7):
-        cols[i] = lines[p[idx[_unit(i)]]]
-    chord12 = tuple(a - b - c for a, b, c in zip(_unit(0), _unit(1), _unit(2)))
-    ell_image = tuple(
-        x + y + z
-        for x, y, z in zip(lines[p[idx[chord12]]], cols[1], cols[2])
-    )
-    cols[0] = ell_image
+    lines, packed = lines27(), _packed_lines()
+    # the images of e1..e6 (lines 0..5) and of l-e1-e2 (line 6)
+    images = [lines[p[i]] for i in range(7)]
+    cols = [tuple(map(sum, zip(images[6], images[0], images[1]))), *images[:6]]
+    packed_images = [packed[p[i]] for i in range(7)]
+    packed_cols = [packed_images[6] + packed_images[0] + packed_images[1], *packed_images[:6]]
+    if not all(sum(map(mul, d, packed_cols)) == packed[p[i]] for i, d in enumerate(lines)):
+        raise InconsistentPermutation("permutation does not extend to a lattice automorphism")
     m = IntMatrix.from_columns(cols, rows=RANK)
-    for i, d in enumerate(lines):
-        if m.apply(d) != lines[p[i]]:
-            raise InconsistentPermutation(
-                "permutation does not extend to a lattice automorphism"
-            )
     if not m.is_unimodular():
         raise InconsistentPermutation("reconstructed action is not unimodular")
     return m

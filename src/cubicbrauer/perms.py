@@ -21,24 +21,27 @@ generate, and works on indices into its sorted codes (the identity is
 index 0); only the generators of the classes found are read back as
 tuples.  Every product of two indices is formed when it is read, by one
 ``bytes.translate`` and one dict lookup, so memory stays linear in the
-order of the group; no table of all products is built.  A small generating set of the group (two
-elements for the trio stabilizer, which has five permutation generators)
-is found first, and every walk over conjugates runs on it, since a walk
-costs one step per conjugate and generator.  The walk over
-the conjugates of each class also yields its normalizer,
-from the Schreier elements of that orbit (orbit-stabilizer), grown from
-the class one coset at a time (Dimino's algorithm) until it has the order
-the orbit dictates, so no element of G is tested one by one and no
-subgroup is closed again from the identity.  Solvability needs no test of
-its own: each class is built from the trivial group by normal extensions
-of prime index, so it is solvable, and every solvable subgroup is reached
-(Neubüser 1960), so G is found among the classes iff it is solvable.
+order of the group; no table of all products is built.  A small
+generating set of the group (two elements for the trio stabilizer, which
+has five permutation generators) is found first, and every walk over
+conjugates runs on it, since a walk costs one step per conjugate and
+generator.  The walk over the conjugates of each class also yields its
+normalizer, grown from the class one coset at a time (Dimino's
+algorithm) by the Schreier elements of that orbit alone, which normalize
+it, each formed when read, until it has the order the orbit dictates
+(orbit-stabilizer); so no element of G is tested one by one and no
+subgroup is closed again from the identity.  Solvability needs no test
+of its own: each class is built from the trivial group by normal
+extensions of prime index, so it is solvable, and every solvable
+subgroup is reached (Neubüser 1960), so G is found among the classes iff
+it is solvable.
 """
 
 from __future__ import annotations
 
 import random
 from itertools import repeat
+from operator import itemgetter
 from math import lcm
 from typing import Iterable, NamedTuple
 
@@ -294,12 +297,12 @@ class _TableGroup:
     index of the product x y of two indices is then
     ``ids[codes[y].translate(pads[x])]``: one C call and one dict lookup,
     so memory stays linear in |G| and no product is formed before it is
-    read (the whole enumeration of the trio stabilizer reads about 109 k
-    of its 1.33 M products).  Hot loops bind ``ids``, ``codes`` and
-    ``pads`` as locals.  Orders and inverses come from powers of the byte
-    codes.  ``gens`` is a small generating set
-    (:meth:`_small_generating_set`), which the conjugation maps and the
-    orbit walks run on.
+    read (the whole enumeration of the trio stabilizer forms about 104 k
+    of its 1.33 M products, counting each ``bytes.translate``).  Hot loops
+    bind ``ids``, ``codes`` and ``pads`` as locals.  Orders and inverses
+    come from powers of the byte codes.  ``gens`` is a small generating
+    set (:meth:`_small_generating_set`), which the conjugation maps and
+    the orbit walks run on.
 
     The least code of the sorted listing is the identity, index 0.  A walk
     from it, each step a left multiplication by a permutation generator
@@ -427,54 +430,56 @@ class _TableGroup:
         """The conjugates of U, and N_G(U) by orbit-stabilizer.
 
         One breadth-first search over the conjugates g U g^-1 keeps a
-        transversal element t with t U t^-1 = T for each conjugate T.  An
-        edge T -> g T g^-1 that closes back into the orbit gives the
-        Schreier element trans[img]^-1 * g * trans[T], which normalizes U;
-        these generate N_G(U) (Schreier's lemma).  Each conjugate is the
-        sorted tuple of its elements, several times smaller than a
-        frozenset, which matters for the set of every conjugate that
-        :func:`subgroup_classes` keeps (5191 for the trio stabilizer);
-        and R = min(orbit) needs no sort key.  Returns the orbit, its
-        representative R as a set, the greedy generators of R, generators
-        of N_G(R) (those of R first), conjugated from N_G(U) by the
-        transversal element of R, and the element set of N_G(R).  That set
-        grows from R by cosets (:meth:`extend`) as each new Schreier
-        element is added, until its order is |G| / |orbit|; no later
-        Schreier element would be added, so the order check is the exit.
+        transversal element t with t U t^-1 = T for each conjugate T, and
+        maps T by one ``itemgetter`` over g's conjugation map.  An edge
+        T -> g T g^-1 that closes back into the orbit is kept as
+        (trans[T], g, trans[img]); its Schreier element
+        trans[img]^-1 * g * trans[T] normalizes U, and these generate
+        N_G(U) (Schreier's lemma).  Each conjugate is the sorted tuple of
+        its elements, several times smaller than a frozenset, for the set
+        of every conjugate that :func:`subgroup_classes` keeps (5191 for
+        the trio stabilizer).  Returns the orbit, its least member R as a
+        set, the greedy generators of R, generators of N_G(R) (those of R
+        first, then Schreier elements conjugated by trans[R]), and the
+        element set of N_G(R).  That set grows from R over the Schreier
+        elements alone (:meth:`extend`), which normalize R, each formed
+        when read, until its order is |G| / |orbit|.
         """
         ids, codes, pads, inv = self.ids, self.codes, self.pads, self.inv
         trans = {tuple(sorted(sub)): 0}
-        schreier: list[int] = []
+        closing: list[tuple[int, bytes, int]] = []
         queue = list(trans)
-        gen_pads = [pads[g] for g in self.gens]
+        steps = list(zip([pads[g] for g in self.gens], self.conj_maps))
         for t in queue:
-            tt = codes[trans[t]]
-            for pg, cg in zip(gen_pads, self.conj_maps):
-                img = tuple(sorted(map(cg.__getitem__, t)))
-                step = tt.translate(pg)  # g * trans[T]
+            images = itemgetter(*t) if len(t) > 1 else lambda cg, x=t[0]: (cg[x],)
+            tt = trans[t]
+            for pg, cg in steps:
+                img = tuple(sorted(images(cg)))
                 known = trans.get(img)
                 if known is None:
-                    trans[img] = ids[step]
+                    trans[img] = ids[codes[tt].translate(pg)]  # g * trans[T]
                     queue.append(img)
                 else:
-                    schreier.append(ids[step.translate(pads[inv[known]])])
+                    closing.append((tt, pg, known))
         rep_key = min(trans)
         rep = frozenset(rep_key)
         rep_gens = self.greedy_generators(rep)
-        # N_G(R) = c N_G(U) c^-1 with c = trans[R]: (s c^-1), then c times that
+        # c s c^-1 normalizes R = c U c^-1 for c = trans[R], formed from c^-1 leftwards
         c = trans[rep_key]
         code_c_inv, pad_c = codes[inv[c]], pads[c]
-        norm_gens = list(rep_gens)
+        schreier: list[int] = []
         norm = rep
         # grown only until orbit-stabilizer says it is all of N_G(R)
         order = self.n // len(trans)
-        for s in schreier:
+        for tt, pg, known in closing:
             if len(norm) == order:
                 break
-            s = ids[code_c_inv.translate(pads[s]).translate(pad_c)]
+            code = code_c_inv.translate(pads[tt]).translate(pg)
+            s = ids[code.translate(pads[inv[known]]).translate(pad_c)]
             if s not in norm:
-                norm_gens.append(s)
-                norm = self.extend(norm, norm_gens)
+                schreier.append(s)
+                norm = self.extend(norm, schreier)
+        norm_gens = rep_gens + schreier
         if len(norm) * len(trans) != self.n:
             raise AssertionError("orbit-stabilizer mismatch in the normalizer")
         return list(trans), rep, rep_gens, norm_gens, norm
@@ -552,6 +557,8 @@ def subgroup_classes(g: PermGroup) -> list[SubgroupClass]:
                 if tuple(sorted(new)) not in known:
                     register(new)
                 break  # x yields exactly one minimal prime extension
+            else:  # (x u)^p rep = x^p rep, so no element of x rep yields one
+                covered.update(tg.left_coset(x, rep_codes))
 
     if not any(len(cls["rep"]) == n for cls in classes):
         raise NotSolvable("subgroup enumeration implemented for solvable groups only")

@@ -10,6 +10,7 @@ import pytest
 from cubicbrauer import arith
 from cubicbrauer.arith import (
     TRIAL_DIVISION_BOUND,
+    decimal_integer,
     factorint,
     is_probable_prime,
     is_rational_square,
@@ -19,6 +20,20 @@ from cubicbrauer.arith import (
 from cubicbrauer.errors import TooLarge
 
 MERSENNE_61 = 2**61 - 1  # prime
+
+
+def test_decimal_integer_reads_ascii_digits_after_an_optional_minus():
+    assert [decimal_integer(t) for t in ("0", "-0", "12", "-27", "007")] == [0, 0, 12, -27, 7]
+    assert decimal_integer("9" * 400) == int("9" * 400)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", "-", "--1", "+5", "1_2", " 12 ", "12\n", "\u0661\u0662", "\uff12\uff10", "\u00b2", "0x10", "1.0"],
+)
+def test_decimal_integer_refuses_what_int_would_read_or_misread(text):
+    with pytest.raises(ValueError, match="not a decimal integer"):
+        decimal_integer(text)
 
 
 def test_is_probable_prime_matches_sieve():

@@ -81,6 +81,12 @@ def test_descriptor_json_refuses_a_non_integral_d(d):
         BoundaryDescriptor.from_json({"type": "three_lines", "galois": {"c2": d}})
 
 
+@pytest.mark.parametrize("d", ["1_2", " 12 ", "\u0661\u0662", "+12", "-", ""])
+def test_descriptor_json_refuses_a_d_string_beyond_ascii_digits(d):
+    with pytest.raises(ValueError, match="galois: d must be an integer"):
+        BoundaryDescriptor.from_json({"type": "three_lines", "galois": {"c2": d}})
+
+
 def test_geometric_brauer_case_table():
     rows = [
         (BoundaryDescriptor("line_conic", "tangent"), "zero", None),

@@ -253,6 +253,50 @@ def test_config_values_are_checked_when_the_file_is_read(tmp_path, capsys, argv)
     assert err == f"error: config key 'n' in {config}: 'x' is not an integer\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("tables", "--case", "\u0661"),  # an Arabic-Indic one
+        ("invariants", "--d=-1_0", "--n", "4"),
+        ("invariants", "--d", " 12 ", "--n", "4"),
+        ("invariants", "--d", "+5", "--n", "4"),
+        ("invariants", "--d", "-1", "--n", "\u0669"),  # an Arabic-Indic nine
+        ("example", "--poly", "-2,-2,1,1", "--auto-a", "\uff12\uff10"),  # full-width 20
+    ],
+)
+def test_integer_flags_take_only_ascii_digits(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "invalid decimal_integer value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("d", ["1_2", " 12 ", "\u0661\u0662"])
+def test_classify_refuses_a_d_string_beyond_ascii_digits(capsys, d):
+    boundary = json.dumps({"type": "three_lines", "galois": {"c2": d}})
+    code, out, err = run(capsys, "classify", "--boundary", boundary)
+    assert (code, out) == (1, "")
+    assert err == f"error: galois: d must be an integer, not {d!r}\n"
+
+
+@pytest.mark.parametrize(
+    "line, argv",
+    [
+        ("d=1_2", ("invariants", "--n", "4")),
+        ("n=\u0669", ("invariants", "--d", "-1")),
+        ("case=+3", ("tables",)),
+        ("auto_a=\uff12\uff10", ("example", "--poly", "-2,-2,1,1")),
+    ],
+)
+def test_config_integers_take_only_ascii_digits(tmp_path, capsys, line, argv):
+    config = tmp_path / "settings.conf"
+    config.write_text(line + "\n", encoding="utf-8")
+    code, out, err = run(capsys, "--config", str(config), *argv)
+    assert (code, out) == (1, "")
+    key, _, value = line.partition("=")
+    assert err == f"error: config key {key!r} in {config}: {value!r} is not an integer\n"
+
+
 def test_text_output_default(capsys):
     code, out, _ = run(capsys, "invariants", "--d", "-3", "--n", "3")
     assert code == 0

@@ -234,6 +234,20 @@ def test_elementary_divisors_match_snf_on_the_sweep(sweep_modules):
         assert elementary_divisors(a) == snf(a).diagonal()
 
 
+def test_stacked_differences_match_the_stacked_m_minus_identity(sweep_modules):
+    """The one-pass rows against vstack(m - I), and H^1 against the cokernel's torsion."""
+    from cubicbrauer.intlinalg import cokernel_structure
+
+    with_generators = [m for _, m in sweep_modules if m.matrices]
+    assert len(with_generators) == 490  # the trivial class has no generators
+    for module in with_generators:
+        ident = IntMatrix.identity(module.rank)
+        expected = IntMatrix.vstack(*[m - ident for m in module.matrices])
+        assert module.stacked_differences() == expected
+        torsion = cokernel_structure(expected).invariant_factors
+        assert h1_lattice(module) == FinAbGroup(0, torsion)
+
+
 def test_h1_lattice_builds_no_smith_transforms(sweep_modules, monkeypatch):
     """H^1 over the whole sweep reads only the diagonal: snf is never called."""
     from cubicbrauer import intlinalg

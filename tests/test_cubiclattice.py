@@ -160,6 +160,55 @@ def test_pic_action_rejects_non_automorphism():
         pic_action(tuple(bogus))
 
 
+def _pic_action_by_apply(p):
+    """pic_action's earlier route: the same matrix, checked by 27 calls of ``apply``.
+
+    Returns None where a line image disagrees.  Asserts the bound that
+    makes the packed check exact: every entry of M d is at most 24.
+    """
+    lines = lines27()
+    images = [lines[p[i]] for i in range(7)]  # e1..e6, then l-e1-e2
+    ell = tuple(x + y + z for x, y, z in zip(images[6], images[0], images[1]))
+    m = IntMatrix.from_columns([ell, *images[:6]], rows=RANK)
+    applied = [m.apply(d) for d in lines]
+    assert max(abs(x) for v in applied for x in v) <= 24
+    return m if all(v == lines[p[i]] for i, v in enumerate(applied)) else None
+
+
+def test_packed_check_agrees_with_the_apply_route_on_the_trio_stabilizer(trio_stabilizer):
+    elements = trio_stabilizer.elements()
+    assert len(elements) == 1152
+    for g in elements:
+        expected = _pic_action_by_apply(g)
+        assert expected is not None and pic_action(g) == expected
+
+
+def test_every_line_transposition_is_refused_by_both_routes():
+    """No transposition of two lines lies in W(E6): no two lines meet the same lines."""
+    lines = lines27()
+    neighbours = [
+        frozenset(j for j, e in enumerate(lines) if intersection(d, e) == 1) for d in lines
+    ]
+    assert len(set(neighbours)) == 27
+    pairs = list(combinations(range(27), 2))
+    assert len(pairs) == 351
+    for i, j in pairs:
+        swap = list(range(27))
+        swap[i], swap[j] = j, i
+        assert _pic_action_by_apply(swap) is None
+        with pytest.raises(InconsistentPermutation):
+            pic_action(tuple(swap))
+
+
+def test_random_line_permutations_are_refused_by_both_routes():
+    rng = random.Random(26)
+    for _ in range(500):
+        p = tuple(rng.sample(range(27), 27))
+        assert _pic_action_by_apply(p) is None
+        with pytest.raises(InconsistentPermutation):
+            pic_action(p)
+
+
 def _boundary_matrix(components) -> IntMatrix:
     return IntMatrix.from_columns(components, rows=RANK)
 
