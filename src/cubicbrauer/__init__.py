@@ -13,7 +13,6 @@ from .brauer import (
     TablePair,
     algebraic_tables,
     geometric_brauer,
-    qmodz_invariants,
     transcendental_bound,
     twist_invariants,
 )
@@ -86,7 +85,6 @@ __all__ = [
     "orbit_count",
     "pic_action",
     "pic_module",
-    "qmodz_invariants",
     "quotient_by_trio",
     "reference_trio",
     "setwise_stabilizer",

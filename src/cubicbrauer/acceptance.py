@@ -17,11 +17,10 @@ import time
 from math import gcd
 from typing import Callable, NamedTuple
 
+from .arith import is_perfect_square, prime_power
 from .brauer import (
     BoundaryDescriptor,
     TablePair,
-    _cyclotomic_class,
-    _fixes_sqrt_d,
     algebraic_tables,
     geometric_brauer,
     transcendental_bound,
@@ -42,7 +41,9 @@ from .cubiclattice import (
     tritangent_trios,
     weyl_group,
 )
-from .errors import CubicBrauerError, InconsistentPermutation, NotStabilized, TorsionFound
+from .errors import (
+    BadModulus, CubicBrauerError, InconsistentPermutation, NotStabilized, TorsionFound
+)
 from .intlinalg import (
     FinAbGroup,
     IntMatrix,
@@ -633,6 +634,21 @@ def _published_bound(boundary: BoundaryDescriptor) -> FinAbGroup:
     return _group(2)
 
 
+def _listed_bound(boundary: BoundaryDescriptor, failures: list[str]) -> FinAbGroup:
+    """The bound as the listed levels at 4 and 3, checked equal at 8 and 9, summed.
+
+    The full twist Q/Z(-1) is listed as M_1: every t fixes sqrt(1).
+    """
+    geometric = geometric_brauer(boundary)
+    if geometric.kind == "zero":
+        return _group()
+    d = 1 if geometric.kind == "full_twist" else geometric.d
+    at4, at8, at3, at9 = (twist_invariants_by_listing(d, n) for n in (4, 8, 3, 9))
+    if (at4, at3) != (at8, at9):
+        failures.append(f"M_{d}: {at4} + {at3} at 4 and 3, {at8} + {at9} at 8 and 9")
+    return at4.direct_sum(at3)
+
+
 def check_classifier_consistency() -> CheckResult:
     t0 = time.perf_counter()
     catalog = [
@@ -655,9 +671,9 @@ def check_classifier_consistency() -> CheckResult:
     realized = set()
     for boundary in catalog:
         got = transcendental_bound(boundary)
-        want = _published_bound(boundary)
-        if got != want:
-            failures.append(f"{boundary}: {got} != {want}")
+        for want in (_published_bound(boundary), _listed_bound(boundary, failures)):
+            if got != want:
+                failures.append(f"{boundary}: {got} != {want}")
         if geometric_brauer(boundary).kind != "zero":
             realized.add(got.invariant_factors)
     # among subgroups of Z/6 only Z/2 and Z/6 ever occur (and Z/4 separately)
@@ -672,15 +688,52 @@ def check_classifier_consistency() -> CheckResult:
     )
 
 
+def _cyclotomic_class(d: int, n: int) -> tuple[int, int | None]:
+    """The prime p of a prime power n, and the class c of sqrt(d) in Q(zeta_n).
+
+    Quadratic subfields of prime-power cyclotomic fields: Q(i) inside
+    Q(zeta_{2^i}) for i >= 2, and Q(sqrt(+-2)) for i >= 3; for odd p the
+    unique one is Q(sqrt(p*)) with p* = (-1)^((p-1)/2) p.  So c is the one
+    of 1, -1, 2, -2, p* in Q(zeta_n) with c * d a square, or None when
+    sqrt(d) is not in Q(zeta_n); deciding it takes square tests, not factoring.
+    """
+    pp = prime_power(n)
+    if pp is None:
+        raise BadModulus(f"{n} is not a prime power")
+    p, _ = pp
+    if p == 2:
+        classes = (1, -1, 2, -2) if n % 8 == 0 else (1, -1) if n % 4 == 0 else (1,)
+    else:
+        classes = (1, p if p % 4 == 1 else -p)
+    return p, next((c for c in classes if is_perfect_square(c * d)), None)
+
+
+def _fixes_sqrt_d(c: int, t: int, p: int) -> bool:
+    """Whether the cyclotomic automorphism zeta -> zeta^t fixes sqrt(d).
+
+    Only valid when sqrt(d) lies in Q(zeta_{p^k}), in the class c found by
+    _cyclotomic_class; decided by congruence conditions on t (closed forms
+    for the quadratic subfields).
+    """
+    if c == 1:
+        return True
+    if c == -1:
+        return t % 4 == 1
+    if c == 2:
+        return t % 8 in (1, 7)
+    if c == -2:
+        return t % 8 in (1, 3)
+    return pow(t, (p - 1) // 2, p) == 1  # Euler's criterion: t is a square mod p
+
+
 def twist_invariants_by_listing(d: int, n: int) -> FinAbGroup:
     """Twisted invariants over Q by listing Gal(Q(zeta_n, sqrt d)/Q).
 
     Every unit t of Z/n gives the scalars eps * t^{-1}: both signs eps when
     sqrt(d) is not in Q(zeta_n), the sign of t's action on sqrt(d) when it
     is.  The m in Z/n fixed by every scalar form a subgroup of the cyclic
-    group Z/n, so the invariants are Z/(their count).  Apart from deciding
-    whether sqrt(d) lies in Q(zeta_n) and which t fix it, this shares no
-    code with the gcd of ``twist_invariants``.
+    group Z/n, so the invariants are Z/(their count).  A square d gives the
+    full twist Q/Z(-1).  This shares no code with ``brauer``'s closed forms.
     """
     p, c = _cyclotomic_class(d, n)
     scalars = set()

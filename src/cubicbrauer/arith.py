@@ -167,18 +167,28 @@ def _integer_root(n: int, k: int) -> int:
 
 
 def prime_power(n: int) -> tuple[int, int] | None:
-    """Return (p, k) with n = p**k, k >= 1, or None.
+    """Return (p, k) with n = p**k, k >= 1, or None; n is never factored.
 
-    Tries every exponent k up to log2(n) with an integer k-th root and a
-    primality test, so n is never factored.
+    The least divisor f > 1 of n is prime, so one below 1000 decides n.  Else
+    n is a q-th power only for 1000^q <= n: those prime q are tried, n taking
+    its q-th root while that is exact, and what is left is tested for primality.
     """
     if n < 2:
         return None
-    for k in range(1, n.bit_length()):  # 2**k <= n, so the root is >= 2
-        p = _integer_root(n, k)
-        if p**k == n and is_probable_prime(p):
-            return p, k
-    return None
+    for f in range(2, 1000):
+        if n % f == 0:
+            k = 0
+            while n % f == 0:
+                n, k = n // f, k + 1
+            return (f, k) if n == 1 else None
+    k, q = 1, 2
+    while 1000**q <= n:
+        root = _integer_root(n, q)
+        if root**q == n:
+            n, k = root, k * q
+        else:
+            q = next(r for r in range(q + 1, 2 * q + 1) if is_probable_prime(r))  # Bertrand
+    return (n, k) if is_probable_prime(n) else None
 
 
 __all__ = [

@@ -40,10 +40,6 @@ class BadModulus(CubicBrauerError):
     """Twisted invariants require a prime-power modulus."""
 
 
-class StabilizationFailed(CubicBrauerError):
-    """Prime-power invariants failed to stabilize between n and n*p."""
-
-
 class NotSeparable(CubicBrauerError):
     """A polynomial required to be separable has a repeated root."""
 

@@ -24,14 +24,18 @@ from .values import Value
 
 
 def parse_rational(text: str) -> Fraction:
-    """A rational such as '-3/4' or '0.25'; ValueError on malformed text or a zero denominator.
+    """ASCII digits after an optional '-', with at most one '/' or '.', as a Fraction.
 
-    Exponent notation is refused: a few characters such as '1e999999999'
-    would denote an integer of a billion digits, so the size of what is
-    computed would no longer follow the length of the text.
+    ``Fraction`` also reads '_', blanks, '+' and any Unicode digit.  Exponent
+    notation is named in its error: a few characters such as '1e999999999'
+    denote a billion-digit integer, so the work would not follow the text.
     """
     if "e" in text.lower():
         raise ValueError(f"exponent notation in {text!r}: write an integer, a decimal or p/q")
+    body = text[1:] if text.startswith("-") else text
+    digits = body.replace("/" if "/" in body else ".", "", 1)
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a decimal rational: {text!r}")
     try:
         return Fraction(text)
     except ZeroDivisionError:

@@ -76,6 +76,34 @@ def test_criterion_8_classifier_consistency():
     _report(check_classifier_consistency())
 
 
+# -- criterion 8 checks the levels of the bound --------------------------------
+
+
+def _patch_listing(monkeypatch, moved):
+    listing = acceptance.twist_invariants_by_listing
+    monkeypatch.setattr(
+        acceptance,
+        "twist_invariants_by_listing",
+        lambda d, n: moved(d, n) or listing(d, n),
+    )
+
+
+@pytest.mark.parametrize("d, n", [(1, 8), (5, 9)])  # d = 1 lists the full twist Q/Z(-1)
+def test_criterion_8_fails_on_a_listed_level_that_moves(monkeypatch, d, n):
+    """A level at 8 or 9 unlike the one at 4 or 3 fails, though the library lists neither."""
+    _patch_listing(monkeypatch, lambda *cell: FinAbGroup(0, (n,)) if cell == (d, n) else None)
+    result = check_classifier_consistency()
+    assert not result.passed
+    assert result.detail.startswith(f"M_{d}: ") and f"Z/{n}" in result.detail
+
+
+def test_criterion_8_fails_on_a_bound_the_listing_disputes(monkeypatch):
+    _patch_listing(monkeypatch, lambda d, n: FinAbGroup(0, (2,)) if d == -1 else None)
+    result = check_classifier_consistency()
+    assert not result.passed
+    assert ": Z/4 != Z/2 x Z/2" in result.detail
+
+
 # -- criterion 2 can still fail ----------------------------------------------
 
 

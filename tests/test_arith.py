@@ -89,6 +89,22 @@ def test_prime_power_of_large_numbers_without_factoring():
     assert prime_power(3 * 2**100) is None
 
 
+def test_prime_power_takes_few_roots_of_a_long_modulus(monkeypatch):
+    """A factor below 1000 decides n with no root; otherwise only prime q with 1000^q <= n."""
+    exponents = []
+    root = arith._integer_root
+    monkeypatch.setattr(arith, "_integer_root", lambda n, k: exponents.append(k) or root(n, k))
+    assert prime_power(10**4000) is None
+    assert prime_power(2**13000) == (2, 13000)
+    assert prime_power(3 * MERSENNE_61**5) is None
+    assert exponents == []
+    assert prime_power(1009**1300) == (1009, 1300)  # 1300 = 2^2 * 5^2 * 13
+    assert exponents == [2, 2, 2, 3, 5, 5, 5, 7, 11, 13]
+    exponents.clear()
+    assert prime_power(MERSENNE_61**5) == (MERSENNE_61, 5)
+    assert exponents == [2, 3, 5, 5]  # then 1000^7 > 2^61 - 1
+
+
 def test_factorint_keeps_a_prime_cofactor():
     assert factorint(-360) == {2: 3, 3: 2, 5: 1}
     assert factorint(999983 * 999979) == {999979: 1, 999983: 1}

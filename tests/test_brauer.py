@@ -6,20 +6,18 @@ import json
 
 import pytest
 
-from cubicbrauer import arith, brauer
+from cubicbrauer import acceptance, arith
 from cubicbrauer.acceptance import residue_kernel_check, twist_invariants_by_listing
 from cubicbrauer.brauer import (
     BoundaryDescriptor,
     TablePair,
     algebraic_tables,
     geometric_brauer,
-    qmodz_invariants,
-    sqrt_in_cyclotomic,
     table_sweep_entries,
     transcendental_bound,
     twist_invariants,
 )
-from cubicbrauer.errors import BadModulus, StabilizationFailed
+from cubicbrauer.errors import BadModulus
 from cubicbrauer.intlinalg import FinAbGroup
 
 
@@ -110,7 +108,12 @@ def test_geometric_brauer_case_table():
 # -- twisted invariants -------------------------------------------------------
 
 
-def test_sqrt_in_cyclotomic():
+def test_cyclotomic_class():
+    """The listing route's test of whether sqrt(d) lies in Q(zeta_n), and in which class."""
+
+    def sqrt_in_cyclotomic(d, n):
+        return acceptance._cyclotomic_class(d, n)[1] is not None
+
     assert sqrt_in_cyclotomic(-1, 4) and sqrt_in_cyclotomic(-1, 8)
     assert not sqrt_in_cyclotomic(-1, 2)
     assert sqrt_in_cyclotomic(2, 8) and sqrt_in_cyclotomic(-2, 8)
@@ -119,6 +122,9 @@ def test_sqrt_in_cyclotomic():
     assert sqrt_in_cyclotomic(5, 5) and sqrt_in_cyclotomic(5, 25)
     assert not sqrt_in_cyclotomic(-5, 5)
     assert sqrt_in_cyclotomic(-7, 7)
+    assert acceptance._cyclotomic_class(-8, 16) == (2, -2)
+    assert acceptance._cyclotomic_class(-12, 27) == (3, -3)
+    assert acceptance._cyclotomic_class(4, 2) == (2, 1)  # a square d: the full twist
     with pytest.raises(BadModulus):
         sqrt_in_cyclotomic(2, 12)
 
@@ -176,23 +182,12 @@ def test_twist_stabilization():
 
 
 def test_twist_against_enumeration():
-    """The gcd over generators against a listing of the whole Galois group."""
+    """The closed form against a listing of the whole Galois group."""
     classes = (-1, 2, -2, -3, 5, -7, 3, -5, 6, -6, 7, 10, -11, 13)
     moduli = (2, 4, 8, 16, 32, 64, 128, 3, 9, 27, 81, 243, 5, 25, 125, 7, 49)
     for d in classes:
         for n in moduli:
             assert twist_invariants(d, n) == twist_invariants_by_listing(d, n), (d, n)
-
-
-def test_qmodz_invariants():
-    assert qmodz_invariants(2) == G(2)
-    assert qmodz_invariants(4) == G(2)
-    assert qmodz_invariants(9) == G()
-    assert qmodz_invariants(3) == G()
-    assert qmodz_invariants(6) == G(2)
-    assert qmodz_invariants(12) == G(2)
-    assert qmodz_invariants(18) == G(2)
-    assert qmodz_invariants(2**10) == G(2)
 
 
 def test_transcendental_bound_values():
@@ -204,27 +199,23 @@ def test_transcendental_bound_values():
     assert transcendental_bound(BoundaryDescriptor("three_lines", "c3", eckardt=True)) == G()
 
 
-@pytest.fixture
-def fresh_full_twist_bound():
-    """The cached full-twist bound, computed again in the test and after it."""
-    brauer._full_twist_bound.cache_clear()
-    yield
-    brauer._full_twist_bound.cache_clear()
-
-
-@pytest.mark.parametrize("sub", ["trivial", "c3"])
-def test_the_full_twist_bound_is_checked_stable_once(monkeypatch, fresh_full_twist_bound, sub):
-    """A level at 8 unlike the one at 4 still fails, though the bound is computed once."""
-    boundary = BoundaryDescriptor("three_lines", sub)
-    calls = []
-    qmodz = brauer.qmodz_invariants
-    monkeypatch.setattr(brauer, "qmodz_invariants", lambda n: calls.append(n) or qmodz(n))
-    assert transcendental_bound(boundary) == transcendental_bound(boundary) == G(2)
-    assert sorted(calls) == [3, 4, 8, 9]
-    brauer._full_twist_bound.cache_clear()
-    monkeypatch.setattr(brauer, "qmodz_invariants", lambda n: G(n) if n == 8 else qmodz(n))
-    with pytest.raises(StabilizationFailed, match=r"Q/Z\(-1\) at 2"):
-        transcendental_bound(boundary)
+def test_transcendental_bound_against_the_listed_levels():
+    """The closed bound against the listing route's levels at 4 = 8 and 3 = 9, summed."""
+    for d in range(-100, 101):
+        if arith.is_rational_square(d):
+            continue
+        levels = [twist_invariants_by_listing(d, n) for n in (4, 8, 3, 9)]
+        assert levels[0] == levels[1] and levels[2] == levels[3], d
+        listed = levels[0].direct_sum(levels[2])
+        # the second descriptor keeps d as given, so the closed form sees -4, -12 or -27
+        for boundary in (
+            BoundaryDescriptor("three_lines", "c2", d=d),
+            BoundaryDescriptor._of_squarefree("three_lines", "c2", d),
+        ):
+            assert transcendental_bound(boundary) == listed, d
+    assert transcendental_bound(BoundaryDescriptor("three_lines", "c2", d=-4)) == G(4)
+    assert transcendental_bound(BoundaryDescriptor("three_lines", "c2", d=-12)) == G(2, 3)
+    assert transcendental_bound(BoundaryDescriptor("three_lines", "c2", d=-27)) == G(2, 3)
 
 
 def test_realized_bounds_among_subgroups_of_z6():

@@ -380,6 +380,31 @@ def test_example_refuses_exponent_notation(capsys, argv, text):
     assert err == f"error: exponent notation in {text!r}: write an integer, a decimal or p/q\n"
 
 
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (("example", "--poly", "-2,-2,1,1", "--a", "٣/٤"), "٣/٤"),  # once read as 3/4
+        (("example", "--poly", "1_0,1,0,1", "--a", "1"), "1_0"),  # once read as 10
+        (("example", "--poly", "-2,-2,1,1", "--a", " 1/2"), " 1/2"),
+        (("example", "--poly", "-2,-2,1,1", "--a", "+1"), "+1"),
+        (("example", "--poly", "+1,1,0,1", "--a", "1"), "+1"),
+        (("example", "--poly", "-2,-2,1,1", "--a", "1.5/2"), "1.5/2"),
+    ],
+)
+def test_example_reads_only_decimal_rationals(capsys, argv, text):
+    """ASCII digits after an optional '-', with at most one '/' or '.'."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: not a decimal rational: {text!r}\n"
+
+
+@pytest.mark.parametrize("a", ["-3/4", "0.75", "3/4", "-0.75", "6/8"])
+def test_example_reads_a_decimal_or_a_fraction(capsys, a):
+    code, out, err = run(capsys, "--format", "json", "example", "--poly", "-2,-2,1,1", "--a", a)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["result"]["a"] == ("-3/4" if a.startswith("-") else "3/4")
+
+
 @pytest.mark.parametrize("poly", ["0,0,1,1", "1,1,0,1"])  # t^2 (t + 1); roots summing to 0
 def test_auto_a_stops_once_no_shift_can_pass(capsys, monkeypatch, poly):
     from cubicbrauer import qexamples

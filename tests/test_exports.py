@@ -47,3 +47,22 @@ def test_elimination_routes_stay_in_the_tests():
     for name in ("discriminant", "resultant", "fraction_det", "rational_roots"):
         assert not hasattr(cubicbrauer, name)
         assert not hasattr(cubicbrauer.ratpoly, name)
+
+
+def test_the_listing_route_stays_in_the_acceptance_suite(monkeypatch):
+    # the bound is a closed form; the Galois-group listing that checks it is acceptance's
+    import cubicbrauer.brauer as brauer
+
+    for name in (
+        "_cyclotomic_class", "_fixes_sqrt_d", "_unit_generators", "_stabilized", "qmodz_invariants"
+    ):
+        assert not hasattr(brauer, name)
+        assert not hasattr(cubicbrauer, name)
+        assert name not in cubicbrauer.__all__
+
+    def refuse(d, n):
+        raise AssertionError("transcendental_bound called twist_invariants")
+
+    monkeypatch.setattr(brauer, "twist_invariants", refuse)
+    boundary = brauer.BoundaryDescriptor("three_lines", "s3", d=-3)
+    assert brauer.transcendental_bound(boundary).invariant_factors == (6,)
