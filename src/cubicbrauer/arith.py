@@ -17,7 +17,7 @@ once per input (a boundary's d, a cubic's Galois-type d).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import factorial, gcd, isqrt
 
 from .errors import TooLarge
 
@@ -166,6 +166,9 @@ def _integer_root(n: int, k: int) -> int:
         x = y
 
 
+_FACTORIAL_999 = factorial(999)  # n is prime to it exactly when no prime below 1000 divides n
+
+
 def prime_power(n: int) -> tuple[int, int] | None:
     """Return (p, k) with n = p**k, k >= 1, or None; n is never factored.
 
@@ -175,12 +178,12 @@ def prime_power(n: int) -> tuple[int, int] | None:
     """
     if n < 2:
         return None
-    for f in range(2, 1000):
-        if n % f == 0:
-            k = 0
-            while n % f == 0:
-                n, k = n // f, k + 1
-            return (f, k) if n == 1 else None
+    if gcd(n, _FACTORIAL_999) > 1:
+        f = next((f for f in range(2, isqrt(n) + 1) if n % f == 0), n)  # the least, a prime
+        k = 0
+        while n % f == 0:
+            n, k = n // f, k + 1
+        return (f, k) if n == 1 else None
     k, q = 1, 2
     while 1000**q <= n:
         root = _integer_root(n, q)
