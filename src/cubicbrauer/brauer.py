@@ -168,6 +168,8 @@ def geometric_brauer(boundary: BoundaryDescriptor) -> GeometricBrauer:
 
 # -- twisted invariants over Q ---------------------------------------------
 
+_Z2, _Z3, _Z4, _Z6 = (FinAbGroup(0, (order,)) for order in (2, 3, 4, 6))
+
 
 def twist_invariants(d: int, n: int) -> FinAbGroup:
     """Galois invariants of M_d/nM_d(-1) over Q, for a non-square d and a prime power n.
@@ -187,9 +189,9 @@ def twist_invariants(d: int, n: int) -> FinAbGroup:
     if pp is None:
         raise BadModulus(f"{n} is not a prime power")
     if pp[0] == 2:
-        return FinAbGroup(0, (4 if n % 4 == 0 and is_perfect_square(-d) else 2,))
+        return _Z4 if n % 4 == 0 and is_perfect_square(-d) else _Z2
     if pp[0] == 3 and is_perfect_square(-3 * d):
-        return FinAbGroup(0, (3,))
+        return _Z3
     return FinAbGroup.trivial()
 
 
@@ -206,10 +208,10 @@ def transcendental_bound(boundary: BoundaryDescriptor) -> FinAbGroup:
         return FinAbGroup.trivial()
     if geometric.kind == "d_twist":
         if is_perfect_square(-geometric.d):
-            return FinAbGroup(0, (4,))
+            return _Z4
         if is_perfect_square(-3 * geometric.d):
-            return FinAbGroup(0, (6,))
-    return FinAbGroup(0, (2,))
+            return _Z6
+    return _Z2
 
 
 # -- the algebraic tables ---------------------------------------------------
