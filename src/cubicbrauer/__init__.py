@@ -49,7 +49,7 @@ from .qexamples import (
     find_admissible_a,
     general_position,
 )
-from .ratpoly import RationalPoly
+from .ratpoly import IntegralCubic, integral_cubic
 
 __version__ = "0.1.0"
 
@@ -61,9 +61,9 @@ __all__ = [
     "GeometricBrauer",
     "HYPERPLANE",
     "IntMatrix",
+    "IntegralCubic",
     "LatticeGModule",
     "PermGroup",
-    "RationalPoly",
     "SmithForm",
     "TablePair",
     "TritangentTrio",
@@ -78,6 +78,7 @@ __all__ = [
     "geometric_brauer",
     "h1_cyclic_oracle",
     "h1_lattice",
+    "integral_cubic",
     "intersection",
     "kernel_basis",
     "lines27",

@@ -56,7 +56,7 @@ from .intlinalg import (
 )
 from .perms import PermGroup, orbit_count, perm_order, setwise_stabilizer
 from .qexamples import searched_example_brauer
-from .ratpoly import RationalPoly
+from .ratpoly import integral_cubic, parse_coefficients
 
 
 class CheckResult(NamedTuple):
@@ -427,9 +427,9 @@ def check_examples_end_to_end() -> CheckResult:
     notes = []
     ok = True
     for text, want in cases:
-        poly = RationalPoly.parse(text)
+        cubic = integral_cubic(parse_coefficients(text))
         try:
-            outcome, _, got = searched_example_brauer(poly, 20)
+            outcome, _, got = searched_example_brauer(cubic, 20)
         except CubicBrauerError as exc:
             ok = False
             notes.append(f"{text}: {exc}")
@@ -756,7 +756,7 @@ def check_twist_enumeration_oracle() -> CheckResult:
     return CheckResult(
         "4b twist enumeration oracle",
         not failures,
-        f"gcd and element listing agree on all {len(cells)} grid cells"
+        f"closed form and element listing agree on all {len(cells)} grid cells"
         if not failures
         else f"mismatch at {failures[:5]}",
         time.perf_counter() - t0,

@@ -43,7 +43,7 @@ from .cubiclattice import (
 from .errors import CubicBrauerError
 from .perms import setwise_stabilizer
 from .qexamples import example_brauer, searched_example_brauer
-from .ratpoly import RationalPoly, parse_rational
+from .ratpoly import cubic_text, integral_cubic, parse_coefficients, parse_rational
 
 CONFIG_KEYS = ("format", "case", "d", "n", "poly", "a", "auto_a", "boundary")
 _INT_CONFIG_KEYS = ("case", "d", "n", "auto_a")
@@ -274,19 +274,24 @@ def _cmd_invariants(args) -> int:
 def _cmd_example(args) -> int:
     if args.poly is None:
         raise ValueError("example requires --poly")
-    poly = RationalPoly.parse(args.poly)
+    coefficients = parse_coefficients(args.poly)
     rejected: list = []
+    # --a and --auto-a are checked before the degree of --poly
     if args.auto_a is not None:
-        outcome, galois, group = searched_example_brauer(poly, args.auto_a)
+        if args.auto_a < 1:
+            raise ValueError(f"the search bound must be at least 1, not {args.auto_a}")
+        cubic = integral_cubic(coefficients)
+        outcome, galois, group = searched_example_brauer(cubic, args.auto_a)
         a = outcome.a
         rejected = [{"a": str(r), "reason": why} for r, why in outcome.rejected]
     elif args.a is not None:
         a = parse_rational(args.a)
-        galois, group = example_brauer(poly, a)
+        cubic = integral_cubic(coefficients)
+        galois, group = example_brauer(cubic, a)
     else:
         raise ValueError("example requires --a or --auto-a")
     result = {
-        "polynomial": [str(c) for c in poly.coefficients],
+        "polynomial": [str(c) for c in cubic.coefficients],
         "galois_type": {"type": galois.variant, "d": galois.d},
         "a": str(a),
         "rejected_a": rejected,
@@ -302,7 +307,7 @@ def _cmd_example(args) -> int:
 
     def text() -> str:
         return (
-            f"F = {poly}\n"
+            f"F = {cubic_text(cubic)}\n"
             f"  galois type: {galois.variant}"
             + (f" (d = {galois.d})" if galois.d is not None else "")
             + f"\n  a = {a} (general position: ok, lines not concurrent)\n"

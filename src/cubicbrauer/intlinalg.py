@@ -102,9 +102,6 @@ class IntMatrix(Value):
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self.data)
 
-    def columns(self) -> list[tuple[int, ...]]:
-        return [self.column(j) for j in range(self.cols)]
-
     def __matmul__(self, other: IntMatrix) -> IntMatrix:
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
@@ -134,10 +131,6 @@ class IntMatrix(Value):
     def scaled(self, k: int) -> IntMatrix:
         k = index(k)
         return IntMatrix._from_rows(tuple(tuple([k * a for a in r]) for r in self.data))
-
-    def mod(self, n: int) -> IntMatrix:
-        n = index(n)
-        return IntMatrix._from_rows(tuple(tuple([a % n for a in r]) for r in self.data))
 
     @staticmethod
     def hstack(*blocks: "IntMatrix") -> "IntMatrix":
@@ -228,13 +221,6 @@ class SmithForm(NamedTuple):
 
     def rank(self) -> int:
         return sum(1 for d in self.diagonal() if d != 0)
-
-    def verify(self, a: IntMatrix) -> bool:
-        return (
-            self.U @ a @ self.V == self.S
-            and self.U.is_unimodular()
-            and self.V.is_unimodular()
-        )
 
 
 def _smith_eliminate(
@@ -468,11 +454,6 @@ class FinAbGroup(Value):
         for d in self.invariant_factors:
             n *= d
         return n
-
-    def exponent(self) -> int:
-        if not self.is_finite():
-            raise ValueError("infinite group")
-        return self.invariant_factors[-1] if self.invariant_factors else 1
 
     def to_json(self) -> dict:
         return {"free_rank": self.free_rank, "factors": list(self.invariant_factors)}

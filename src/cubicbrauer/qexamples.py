@@ -11,8 +11,8 @@ invariant group of the twisted boundary module, so the whole pipeline
 reduces to the cubic's Galois type.
 
 Every invariant here is in closed form, in integers on the integral
-scaling F = c3 t^3 + c2 t^2 + c1 t + c0 of f = lambda F, which is built
-once per polynomial and cached on it: disc(f) = lambda^4 disc F; the
+scaling F = c3 t^3 + c2 t^2 + c1 t + c0 of f = lambda F, read from the
+``ratpoly.IntegralCubic`` record of f: disc(f) = lambda^4 disc F; the
 rational roots by bisection (``ratpoly.monic_cubic_integer_roots``); H's
 t^5 coefficient f3 (2 f2 - 3 a f3); and two values of one cubic.  Over
 the roots r_i of F, prod_{i<j} (s^2 - (r_i - r_j)^2) = R(s^2) for
@@ -42,10 +42,9 @@ from .errors import (
     GeneralPositionFailed,
     NoAdmissibleShift,
     NotSeparable,
-    WrongDegree,
 )
 from .intlinalg import FinAbGroup
-from .ratpoly import RationalPoly, cubic_discriminant, monic_cubic_integer_roots
+from .ratpoly import IntegralCubic, monic_cubic_integer_roots
 from .values import Value
 
 
@@ -67,26 +66,7 @@ class GaloisType(Value):
         object.__setattr__(self, "d", d)
 
 
-def _integral(f: RationalPoly) -> tuple[tuple[int, int, int, int], Fraction, int]:
-    """(c0, c1, c2, c3), the integral scaling F of a cubic f; lambda with f = lambda F; disc F.
-
-    Built once per polynomial and kept in its ``_integral`` cache slot, so
-    the Galois type, every shift's general position and Eckardt test, and
-    the search's stop all read the same one.
-    """
-    try:
-        return f._integral
-    except AttributeError:
-        pass
-    if f.is_zero() or f.degree != 3:
-        raise WrongDegree("expected a cubic polynomial")
-    c = f.integer_scaled()
-    form = c, f.leading / c[3], cubic_discriminant(*c)
-    object.__setattr__(f, "_integral", form)
-    return form
-
-
-def cubic_galois_type(f: RationalPoly) -> GaloisType:
+def cubic_galois_type(f: IntegralCubic) -> GaloisType:
     """Galois group of a degree-3 separable polynomial over Q.
 
     On f = lambda F, disc(f) = lambda^4 disc(F), and the rational roots of F
@@ -98,8 +78,8 @@ def cubic_galois_type(f: RationalPoly) -> GaloisType:
     primes away from what ``squarefree_part`` factors; lambda's denominator
     is kept, since it can cancel a square factor of disc(F) or qb^2 - 4 qc.
     """
-    (c0, c1, c2, c3), scale, disc = _integral(f)
-    den = scale.denominator
+    c0, c1, c2, c3 = f.integral
+    disc, den = f.disc, f.scale.denominator
     if disc == 0:
         raise NotSeparable("cubic has a repeated root")
     roots = monic_cubic_integer_roots(c2, c1 * c3, c0 * c3 * c3)
@@ -173,7 +153,7 @@ def _triple_sum_product(c: tuple[int, int, int, int], disc: int, n: int, d: int)
     return t0 * t1**3 * t2**3 * t3 * q1 * q2
 
 
-def general_position(f: RationalPoly, a) -> GeneralPositionReport:
+def general_position(f: IntegralCubic, a) -> GeneralPositionReport:
     """The three general-position conditions for H = F(t)F(t-a), with f = lambda F.
 
     Each reported value is one Fraction of integers on the integral form,
@@ -181,11 +161,11 @@ def general_position(f: RationalPoly, a) -> GeneralPositionReport:
     coefficient f3 (2 f2 - 3 a f3) is lambda^2 c3 (2 c2 d - 3 n c3) / d.
     """
     a = Fraction(a)
-    c, scale, disc = _integral(f)
     if a == 0:
         raise ValueError("the shift a must be nonzero")
+    c, disc = f.integral, f.disc
     n, d = a.numerator, a.denominator
-    lam, mu = scale.numerator, scale.denominator
+    lam, mu = f.scale.numerator, f.scale.denominator
     _, _, c2, c3 = c
     res = Fraction(lam**6 * _shift_resultant(c, disc, n, d), mu**6 * d**9)
     degree5 = Fraction(lam * lam * c3 * (2 * c2 * d - 3 * n * c3), mu * mu * d)
@@ -208,7 +188,7 @@ class EckardtVerdict(Enum):
     NO = "no"
 
 
-def eckardt_concurrent(f: RationalPoly, a) -> EckardtVerdict:
+def eckardt_concurrent(f: IntegralCubic, a) -> EckardtVerdict:
     """Exact test whether the three boundary lines are concurrent.
 
     The lines join [1 : r : r^3] to [1 : r+a : (r+a)^3] over the roots r
@@ -227,7 +207,7 @@ def eckardt_concurrent(f: RationalPoly, a) -> EckardtVerdict:
     report = general_position(f, a)
     if not report.ok:
         raise GeneralPositionFailed(report)
-    (_, c1, c2, c3), _, _ = _integral(f)
+    _, c1, c2, c3 = f.integral
     n, d = a.numerator, a.denominator
     if c3 * n * n - c2 * n * d + c1 * d * d == 0:
         return EckardtVerdict.YES
@@ -246,7 +226,7 @@ def boundary_from_galois(galois: GaloisType) -> BoundaryDescriptor:
     return BoundaryDescriptor._of_squarefree("three_lines", galois.variant, galois.d)
 
 
-def example_brauer(f: RationalPoly, a) -> tuple[GaloisType, FinAbGroup]:
+def example_brauer(f: IntegralCubic, a) -> tuple[GaloisType, FinAbGroup]:
     """The Galois type of F, and Br(U)/Br_1(U) for the blowup surface attached to (F, a).
 
     For this construction the Galois-invariant bound is attained, so the
@@ -269,7 +249,7 @@ class SearchOutcome(NamedTuple):
     rejected: tuple[tuple[Fraction, str], ...]
 
 
-def _fails_every_shift(f: RationalPoly) -> bool:
+def _fails_every_shift(f: IntegralCubic) -> bool:
     """Whether no shift a puts the six points of F(t)F(t - a) in general position.
 
     That holds when F has a repeated root (disc F = 0), which H then has
@@ -278,11 +258,10 @@ def _fails_every_shift(f: RationalPoly) -> bool:
     fails for finitely many a only, so the search below ends after a few
     shifts whatever its bound.
     """
-    (_, _, c2, _), _, disc = _integral(f)
-    return c2 == 0 or disc == 0
+    return f.integral[2] == 0 or f.disc == 0
 
 
-def find_admissible_a(f: RationalPoly, bound: int = 20) -> SearchOutcome:
+def find_admissible_a(f: IntegralCubic, bound: int = 20) -> SearchOutcome:
     """Smallest integer a in 1..bound passing general position and Eckardt.
 
     The search stops at the first rejected shift once no shift can pass.
@@ -307,7 +286,7 @@ def find_admissible_a(f: RationalPoly, bound: int = 20) -> SearchOutcome:
 
 
 def searched_example_brauer(
-    f: RationalPoly, bound: int = 20
+    f: IntegralCubic, bound: int = 20
 ) -> tuple[SearchOutcome, GaloisType, FinAbGroup]:
     """:func:`find_admissible_a`, then :func:`example_brauer` at the shift found.
 

@@ -1,40 +1,40 @@
-"""Exact univariate polynomials over Q, and closed forms for integral cubics.
+"""The integral cubic that the example pipeline reads, with its parser and printer.
 
-Coefficients are ``fractions.Fraction`` in ascending degree; products,
-shifts and divisions are exact.  The example pipeline works on the
-integral scaling c3 t^3 + c2 t^2 + c1 t + c0 of a cubic instead, with no
+The example pipeline works on the integral scaling
+F = c3 t^3 + c2 t^2 + c1 t + c0 of a rational cubic f = lambda F, with no
 Fraction elimination: its discriminant is a closed form, and its rational
 roots are u/c3 for the integer roots u of the monic cubic
 u^3 + c2 u^2 + c1 c3 u + c0 c3^2, found by exact bisection between its
-critical points, with no factoring.  ``qexamples`` builds that scaling
-once per polynomial and keeps it, with the scale and the discriminant, in
-the ``_integral`` slot of the ``RationalPoly``: a cache, like
-``IntMatrix._det``, that equality, hashing, pickles and the repr ignore.
-The Sylvester-matrix resultant and discriminant and the rational-root-
-theorem listing are the second route, in ``tests/oracles.py``;
-``tests/test_ratpoly.py`` compares the two.
+critical points, with no factoring.  :func:`integral_cubic` builds the
+record of f once, with F's coefficients, lambda and disc F, and every stage
+of one example reads its fields.  The Sylvester-matrix resultant and
+discriminant, the rational-root-theorem listing and the polynomial
+arithmetic they run on are the second route, in ``tests/oracles.py``;
+``tests/test_ratpoly.py`` and ``tests/test_qexamples.py`` compare the two.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from typing import NamedTuple
 
-from .values import Value
+from .errors import WrongDegree
 
 
 def parse_rational(text: str) -> Fraction:
     """ASCII digits after an optional '-', with at most one '/' or '.', as a Fraction.
 
-    ``Fraction`` also reads '_', blanks, '+' and any Unicode digit.  Exponent
-    notation is named in its error: a few characters such as '1e999999999'
-    denote a billion-digit integer, so the work would not follow the text.
+    Each side of a '/' holds at least one digit.  ``Fraction`` also reads
+    '_', blanks, '+' and any Unicode digit.  Exponent notation is named in
+    its error: a few characters such as '1e999999999' denote a
+    billion-digit integer, so the work would not follow the text.
     """
     if "e" in text.lower():
         raise ValueError(f"exponent notation in {text!r}: write an integer, a decimal or p/q")
     body = text[1:] if text.startswith("-") else text
-    digits = body.replace("/" if "/" in body else ".", "", 1)
-    if not (digits.isascii() and digits.isdigit()):
+    sides = body.split("/", 1) if "/" in body else [body.replace(".", "", 1)]
+    if not all(side.isascii() and side.isdigit() for side in sides):
         raise ValueError(f"not a decimal rational: {text!r}")
     try:
         return Fraction(text)
@@ -42,150 +42,58 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"zero denominator in {text!r}") from None
 
 
-class RationalPoly(Value):
-    """An immutable polynomial; ``coefficients`` ascend in degree, with no trailing zeros.
+def parse_coefficients(text: str) -> tuple[Fraction, ...]:
+    """Comma-separated rationals, ascending degree; '-2,-2,1,1' is t^3+t^2-2t-2.
 
-    ``_integral`` is a cache slot that ``qexamples`` fills with a cubic's
-    integral form, so every stage of one example reads the same one.
+    An empty field raises ValueError: skipping it would shift every later degree.
+    """
+    parts = [p.strip() for p in text.replace("−", "-").split(",")]
+    for k, part in enumerate(parts):
+        if not part:
+            raise ValueError(f"empty coefficient field {k + 1} (of t^{k}) in {text!r}")
+    return tuple(map(parse_rational, parts))
+
+
+class IntegralCubic(NamedTuple):
+    """A rational cubic f = scale * (c3 t^3 + c2 t^2 + c1 t + c0), the c_k coprime integers.
+
+    ``coefficients`` are f's own, ascending, with no trailing zeros, for
+    printing; ``integral`` is (c0, c1, c2, c3) and ``disc`` is disc F.
     """
 
-    __slots__ = ("coefficients", "_integral")
+    coefficients: tuple[Fraction, ...]
+    integral: tuple[int, int, int, int]
+    scale: Fraction
+    disc: int
 
-    def __init__(self, coefficients):
-        coeffs = tuple(c if type(c) is Fraction else Fraction(c) for c in coefficients)
-        while coeffs and coeffs[-1] == 0:
-            coeffs = coeffs[:-1]
-        object.__setattr__(self, "coefficients", coeffs)
 
-    @classmethod
-    def zero(cls) -> RationalPoly:
-        return cls(())
+def integral_cubic(coefficients) -> IntegralCubic:
+    """The record of the polynomial with these coefficients, ascending in degree.
 
-    @classmethod
-    def parse(cls, text: str) -> RationalPoly:
-        """Comma-separated rationals, ascending degree; '-2,-2,1,1' is t^3+t^2-2t-2.
+    Trailing zeros are dropped; anything but a cubic raises WrongDegree.
+    """
+    coeffs = tuple(map(Fraction, coefficients))
+    while coeffs and not coeffs[-1]:
+        coeffs = coeffs[:-1]
+    if len(coeffs) != 4:
+        raise WrongDegree("expected a cubic polynomial")
+    denom = lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (denom // c.denominator) for c in coeffs]
+    content = gcd(*ints)
+    c = tuple(x // content for x in ints)
+    return IntegralCubic(coeffs, c, Fraction(content, denom), cubic_discriminant(*c))
 
-        An empty field raises ValueError: skipping it would shift every later degree.
-        """
-        parts = [p.strip() for p in text.replace("−", "-").split(",")]
-        for k, part in enumerate(parts):
-            if not part:
-                raise ValueError(f"empty coefficient field {k + 1} (of t^{k}) in {text!r}")
-        return cls(parse_rational(p) for p in parts)
 
-    def is_zero(self) -> bool:
-        return not self.coefficients
-
-    @property
-    def degree(self) -> int:
-        if self.is_zero():
-            raise ValueError("zero polynomial has no degree")
-        return len(self.coefficients) - 1
-
-    def coeff(self, k: int) -> Fraction:
-        return self.coefficients[k] if k < len(self.coefficients) else Fraction(0)
-
-    @property
-    def leading(self) -> Fraction:
-        if self.is_zero():
-            raise ValueError("zero polynomial")
-        return self.coefficients[-1]
-
-    def __add__(self, other: RationalPoly) -> RationalPoly:
-        n = max(len(self.coefficients), len(other.coefficients))
-        return RationalPoly(tuple(self.coeff(i) + other.coeff(i) for i in range(n)))
-
-    def __mul__(self, other: RationalPoly) -> RationalPoly:
-        if self.is_zero() or other.is_zero():
-            return RationalPoly.zero()
-        out = [Fraction(0)] * (len(self.coefficients) + len(other.coefficients) - 1)
-        for i, a in enumerate(self.coefficients):
-            if a:
-                for j, b in enumerate(other.coefficients):
-                    out[i + j] += a * b
-        return RationalPoly(tuple(out))
-
-    def scaled(self, c) -> RationalPoly:
-        c = Fraction(c)
-        return RationalPoly(tuple(c * x for x in self.coefficients))
-
-    def monic(self) -> RationalPoly:
-        return self.scaled(1 / self.leading)
-
-    def __call__(self, x) -> Fraction:
-        x = Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
-
-    def derivative(self) -> RationalPoly:
-        return RationalPoly(tuple(k * c for k, c in enumerate(self.coefficients) if k))
-
-    def shift(self, a) -> RationalPoly:
-        """The polynomial t -> self(t - a)."""
-        a = Fraction(a)
-        # Horner in the ring Q[t]: f(t-a) built from highest coefficient down.
-        acc = RationalPoly.zero()
-        t_minus_a = RationalPoly((-a, Fraction(1)))
-        for c in reversed(self.coefficients):
-            acc = acc * t_minus_a + RationalPoly((c,))
-        return acc
-
-    def divmod(self, other: RationalPoly) -> tuple[RationalPoly, RationalPoly]:
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coefficients)
-        q = [Fraction(0)] * max(len(rem) - len(other.coefficients) + 1, 0)
-        d = other.degree
-        lead = other.leading
-        while len(rem) - 1 >= d and any(rem):
-            k = len(rem) - 1
-            if rem[k] == 0:
-                rem.pop()
-                continue
-            factor = rem[k] / lead
-            q[k - d] = factor
-            for i, c in enumerate(other.coefficients):
-                rem[k - d + i] -= factor * c
-            rem.pop()
-        return RationalPoly(tuple(q)), RationalPoly(tuple(rem))
-
-    def __floordiv__(self, other: RationalPoly) -> RationalPoly:
-        q, r = self.divmod(other)
-        if not r.is_zero():
-            raise ValueError("division is not exact")
-        return q
-
-    def integer_scaled(self) -> tuple[int, ...]:
-        """Integer coefficient vector with content cleared (same roots)."""
-        if self.is_zero():
-            return ()
-        denom = lcm(*(c.denominator for c in self.coefficients))
-        ints = [c.numerator * (denom // c.denominator) for c in self.coefficients]
-        g = 0
-        for x in ints:
-            g = gcd(g, x)
-        return tuple(x // g for x in ints)
-
-    def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        terms = []
-        for k in range(self.degree, -1, -1):
-            c = self.coeff(k)
-            if c == 0:
-                continue
-            mag = abs(c)
-            body = "" if (mag == 1 and k > 0) else str(mag)
-            if k == 0:
-                term = str(mag)
-            elif k == 1:
-                term = f"{body}t"
-            else:
-                term = f"{body}t^{k}"
+def cubic_text(f: IntegralCubic) -> str:
+    """f in descending degree, as 't^3 + t^2 - 2t - 2'."""
+    terms = []
+    for k in range(3, -1, -1):
+        c = f.coefficients[k]
+        if c:
+            mag = "" if abs(c) == 1 and k else str(abs(c))
+            term = mag + ("", "t", "t^2", "t^3")[k]
             terms.append(("- " if c < 0 else "+ " if terms else "") + term)
-        return " ".join(terms)
+    return " ".join(terms)
 
 
 def cubic_discriminant(c0: int, c1: int, c2: int, c3: int) -> int:
@@ -236,8 +144,11 @@ def monic_cubic_integer_roots(b2: int, b1: int, b0: int) -> list[int]:
 
 
 __all__ = [
-    "RationalPoly",
+    "IntegralCubic",
     "cubic_discriminant",
+    "cubic_text",
+    "integral_cubic",
     "monic_cubic_integer_roots",
+    "parse_coefficients",
     "parse_rational",
 ]

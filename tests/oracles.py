@@ -1,23 +1,124 @@
 """Second routes for values that the library computes another way.
 
-The Sylvester-matrix resultant and discriminant, their Fraction
-determinant, and the rational roots by the rational root theorem over the
-divisors of the end coefficients.  ``cubicbrauer.ratpoly`` and
-``cubicbrauer.qexamples`` compute the same values in integers without
-elimination or factoring; the tests compare the two.  The Eckardt test on
-f's own coefficients, where ``qexamples`` tests its integral form.  The
-invariant factors of a sum of cyclic groups from primary parts, where
-``FinAbGroup.from_orders`` takes gcds and lcms.  And the group that
-permutations generate, by a breadth-first search on image tuples, where
+Exact polynomial arithmetic over Q in :class:`RationalPoly`: sums,
+products, scaling, evaluation, derivatives, the shift t -> t - a and
+division with remainder.  On it, the Sylvester-matrix resultant and
+discriminant, their Fraction determinant, and the rational roots by the
+rational root theorem over the divisors of the end coefficients.
+``cubicbrauer.ratpoly`` and ``cubicbrauer.qexamples`` compute the same
+values in integers without elimination or factoring; the tests compare the
+two.  The Eckardt test on f's own coefficients, where ``qexamples`` tests
+its integral form.  Smith-form verification, U A V == S with U and V
+unimodular.  The invariant factors of a sum of cyclic groups from primary
+parts, where ``FinAbGroup.from_orders`` takes gcds and lcms.  And the group
+that permutations generate, by a breadth-first search on image tuples, where
 ``cubicbrauer.perms`` lists Dimino's cosets on byte codes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from cubicbrauer.arith import factorint, is_rational_square
-from cubicbrauer.ratpoly import RationalPoly
+
+
+class RationalPoly:
+    """A polynomial over Q; ``coefficients`` ascend in degree, with no trailing zeros."""
+
+    __slots__ = ("coefficients",)
+
+    def __init__(self, coefficients):
+        coeffs = tuple(map(Fraction, coefficients))
+        while coeffs and coeffs[-1] == 0:
+            coeffs = coeffs[:-1]
+        self.coefficients = coeffs
+
+    def __repr__(self) -> str:
+        return f"RationalPoly({[str(c) for c in self.coefficients]})"
+
+    def is_zero(self) -> bool:
+        return not self.coefficients
+
+    @property
+    def degree(self) -> int:
+        if self.is_zero():
+            raise ValueError("zero polynomial has no degree")
+        return len(self.coefficients) - 1
+
+    def coeff(self, k: int) -> Fraction:
+        return self.coefficients[k] if k < len(self.coefficients) else Fraction(0)
+
+    @property
+    def leading(self) -> Fraction:
+        if self.is_zero():
+            raise ValueError("zero polynomial")
+        return self.coefficients[-1]
+
+    def __add__(self, other: RationalPoly) -> RationalPoly:
+        n = max(len(self.coefficients), len(other.coefficients))
+        return RationalPoly([self.coeff(i) + other.coeff(i) for i in range(n)])
+
+    def __mul__(self, other: RationalPoly) -> RationalPoly:
+        if self.is_zero() or other.is_zero():
+            return RationalPoly(())
+        out = [Fraction(0)] * (len(self.coefficients) + len(other.coefficients) - 1)
+        for i, a in enumerate(self.coefficients):
+            for j, b in enumerate(other.coefficients):
+                out[i + j] += a * b
+        return RationalPoly(out)
+
+    def scaled(self, c) -> RationalPoly:
+        return RationalPoly([c * x for x in self.coefficients])
+
+    def monic(self) -> RationalPoly:
+        return self.scaled(1 / self.leading)
+
+    def __call__(self, x) -> Fraction:
+        acc = Fraction(0)
+        for c in reversed(self.coefficients):
+            acc = acc * x + c
+        return acc
+
+    def derivative(self) -> RationalPoly:
+        return RationalPoly([k * c for k, c in enumerate(self.coefficients) if k])
+
+    def shift(self, a) -> RationalPoly:
+        """The polynomial t -> self(t - a), by Horner's rule in Q[t]."""
+        acc = RationalPoly(())
+        t_minus_a = RationalPoly((-Fraction(a), 1))
+        for c in reversed(self.coefficients):
+            acc = acc * t_minus_a + RationalPoly((c,))
+        return acc
+
+    def divmod(self, other: RationalPoly) -> tuple[RationalPoly, RationalPoly]:
+        if other.is_zero():
+            raise ZeroDivisionError("polynomial division by zero")
+        rem = list(self.coefficients)
+        d = other.degree
+        q = [Fraction(0)] * max(len(rem) - d, 0)
+        while len(rem) > d:
+            factor = rem[-1] / other.leading
+            q[len(rem) - 1 - d] = factor
+            for i, c in enumerate(other.coefficients):
+                rem[len(rem) - 1 - d + i] -= factor * c
+            rem.pop()
+        return RationalPoly(q), RationalPoly(rem)
+
+    def __floordiv__(self, other: RationalPoly) -> RationalPoly:
+        q, r = self.divmod(other)
+        if not r.is_zero():
+            raise ValueError("division is not exact")
+        return q
+
+    def integer_scaled(self) -> tuple[int, ...]:
+        """Integer coefficient vector with content cleared (same roots)."""
+        if self.is_zero():
+            return ()
+        denom = lcm(*(c.denominator for c in self.coefficients))
+        ints = [c.numerator * (denom // c.denominator) for c in self.coefficients]
+        content = gcd(*ints)
+        return tuple(x // content for x in ints)
 
 
 def resultant(f: RationalPoly, g: RationalPoly) -> Fraction:
@@ -123,6 +224,11 @@ def lines_concurrent(f: RationalPoly, a) -> bool:
     """Whether f3 a^2 - f2 a + f1 = 0: the Eckardt condition on f's coefficients, in Fractions."""
     a = Fraction(a)
     return f.coeff(3) * a * a - f.coeff(2) * a + f.coeff(1) == 0
+
+
+def verify_smith_form(form, a) -> bool:
+    """Whether U A V == S for the Smith form (U, S, V) of A, with U and V unimodular."""
+    return form.U @ a @ form.V == form.S and form.U.is_unimodular() and form.V.is_unimodular()
 
 
 def invariant_factors_by_factoring(orders, factor=factorint) -> tuple[int, ...]:

@@ -389,13 +389,41 @@ def test_example_refuses_exponent_notation(capsys, argv, text):
         (("example", "--poly", "-2,-2,1,1", "--a", "+1"), "+1"),
         (("example", "--poly", "+1,1,0,1", "--a", "1"), "+1"),
         (("example", "--poly", "-2,-2,1,1", "--a", "1.5/2"), "1.5/2"),
+        (("example", "--poly", "-2,-2,1,1", "--a", "1/"), "1/"),
+        (("example", "--poly", "-2,-2,1,1", "--a", "-/2"), "-/2"),
+        (("example", "--poly", "-2,-2,1,1", "--a", "/2"), "/2"),
     ],
 )
 def test_example_reads_only_decimal_rationals(capsys, argv, text):
-    """ASCII digits after an optional '-', with at most one '/' or '.'."""
+    """ASCII digits after an optional '-', with at most one '/' or '.'.
+
+    Each side of a '/' holds a digit: '1/' once ended in Fraction's own error.
+    """
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
     assert err == f"error: not a decimal rational: {text!r}\n"
+
+
+@pytest.mark.parametrize(
+    "poly, shift, answer",
+    [
+        ("1,1", (), "example requires --a or --auto-a"),
+        ("1,1", ("--a", "x"), "not a decimal rational: 'x'"),
+        ("1,1", ("--a", "0"), "expected a cubic polynomial"),
+        ("0,0,0,0", ("--a", "1"), "expected a cubic polynomial"),
+        ("-2,-2,1,1", ("--a", "0"), "the shift a must be nonzero"),
+        ("1,1", ("--auto-a", "0"), "the search bound must be at least 1, not 0"),
+        ("-2,-2,1,1,0", ("--a", "3"), ["-2", "-2", "1", "1"]),
+    ],
+)
+def test_example_reads_the_shift_before_the_degree(capsys, poly, shift, answer):
+    """The shift's errors come first, then the degree's; a trailing zero is dropped."""
+    code, out, err = run(capsys, "--format", "json", "example", "--poly", poly, *shift)
+    if isinstance(answer, list):
+        assert (code, err) == (0, "")
+        assert json.loads(out)["result"]["polynomial"] == answer
+    else:
+        assert (code, out, err) == (1, "", f"error: {answer}\n")
 
 
 @pytest.mark.parametrize("a", ["-3/4", "0.75", "3/4", "-0.75", "6/8"])
@@ -550,16 +578,15 @@ def test_example_computes_the_galois_type_once(capsys, monkeypatch):
 def test_json_output_renders_no_text(capsys, monkeypatch, argv):
     """Only --format text calls the renderers that its text alone reads."""
     from cubicbrauer.intlinalg import FinAbGroup
-    from cubicbrauer.ratpoly import RationalPoly
 
     code, expected, _ = run(capsys, "--format", "json", *argv)
     assert code == 0
 
-    def refuse(self):
+    def refuse(value):
         raise AssertionError("text rendered for JSON output")
 
     dumps, dumped = json.dumps, []
-    monkeypatch.setattr(RationalPoly, "__str__", refuse)
+    monkeypatch.setattr(cli, "cubic_text", refuse)
     monkeypatch.setattr(FinAbGroup, "__str__", refuse)
     monkeypatch.setattr(json, "dumps", lambda *a, **k: dumped.append(a) or dumps(*a, **k))
     code, out, err = run(capsys, "--format", "json", *argv)
@@ -570,16 +597,16 @@ def test_json_output_renders_no_text(capsys, monkeypatch, argv):
 
 
 def test_example_builds_the_integral_form_once(capsys, monkeypatch):
-    from cubicbrauer.ratpoly import RationalPoly
+    from cubicbrauer import ratpoly
 
     calls = []
-    integer_scaled = RationalPoly.integer_scaled
+    cubic_discriminant = ratpoly.cubic_discriminant
 
-    def counted(self):
-        calls.append(self)
-        return integer_scaled(self)
+    def counted(*c):
+        calls.append(c)
+        return cubic_discriminant(*c)
 
-    monkeypatch.setattr(RationalPoly, "integer_scaled", counted)
+    monkeypatch.setattr(ratpoly, "cubic_discriminant", counted)
     # a = 1 fails general position and 2 is concurrent: three shifts and the Galois type
     code, out, _ = run(capsys, "example", "--poly", "-2,-2,1,1", "--auto-a", "20")
     assert code == 0 and "a = 3 " in out

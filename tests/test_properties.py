@@ -18,13 +18,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from oracles import galois_type  # noqa: E402
+from oracles import RationalPoly, galois_type  # noqa: E402
 
 from cubicbrauer.acceptance import twist_invariants_by_listing  # noqa: E402
 from cubicbrauer.arith import is_rational_square, squarefree_part  # noqa: E402
 from cubicbrauer.brauer import twist_invariants  # noqa: E402
 from cubicbrauer.cli import CONFIG_KEYS, main  # noqa: E402
-from cubicbrauer.ratpoly import RationalPoly  # noqa: E402
 
 # primes up to the trial-division bound 10^6, some above the cube root of a cofactor
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 997, 20011, 65537, 524287, 999983)

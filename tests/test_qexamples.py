@@ -8,6 +8,7 @@ from itertools import combinations
 
 import pytest
 from oracles import (
+    RationalPoly,
     discriminant,
     fraction_det,
     galois_type,
@@ -35,9 +36,21 @@ from cubicbrauer.qexamples import (
     find_admissible_a,
     general_position,
 )
-from cubicbrauer.ratpoly import RationalPoly, cubic_discriminant, monic_cubic_integer_roots
+from cubicbrauer.ratpoly import (
+    IntegralCubic,
+    integral_cubic,
+    monic_cubic_integer_roots,
+    parse_coefficients,
+)
 
-P = RationalPoly.parse
+
+def P(text: str) -> RationalPoly:
+    return RationalPoly(parse_coefficients(text))
+
+
+def cubic(f: RationalPoly | str) -> IntegralCubic:
+    """The library's record of f, given as an oracle polynomial or as text."""
+    return integral_cubic(parse_coefficients(f) if isinstance(f, str) else f.coefficients)
 
 
 def G(*orders):
@@ -45,12 +58,12 @@ def G(*orders):
 
 
 def test_galois_types():
-    assert cubic_galois_type(P("1,1,1,1")) == GaloisType("c2", -1)  # (t^2+1)(t+1)
-    assert cubic_galois_type(P("-2,-2,1,1")) == GaloisType("c2", 2)  # (t^2-2)(t+1)
-    assert cubic_galois_type(P("3,3,1,1")) == GaloisType("c2", -3)  # (t^2+3)(t+1)
-    assert cubic_galois_type(P("-1,-2,1,1")) == GaloisType("c3")  # disc 49
-    assert cubic_galois_type(P("-2,0,0,1")) == GaloisType("s3", -3)  # t^3-2, disc -108
-    assert cubic_galois_type(P("-6,11,-6,1")) == GaloisType("trivial")  # (t-1)(t-2)(t-3)
+    assert cubic_galois_type(cubic("1,1,1,1")) == GaloisType("c2", -1)  # (t^2+1)(t+1)
+    assert cubic_galois_type(cubic("-2,-2,1,1")) == GaloisType("c2", 2)  # (t^2-2)(t+1)
+    assert cubic_galois_type(cubic("3,3,1,1")) == GaloisType("c2", -3)  # (t^2+3)(t+1)
+    assert cubic_galois_type(cubic("-1,-2,1,1")) == GaloisType("c3")  # disc 49
+    assert cubic_galois_type(cubic("-2,0,0,1")) == GaloisType("s3", -3)  # t^3-2, disc -108
+    assert cubic_galois_type(cubic("-6,11,-6,1")) == GaloisType("trivial")  # (t-1)(t-2)(t-3)
 
 
 def test_galois_type_invariance_under_scaling_and_shift():
@@ -71,32 +84,32 @@ def test_galois_type_invariance_under_scaling_and_shift():
         (P("2000006,1000003,0,1/1000003"), GaloisType("s3", -250001500009)),
     ):
         for c in (1, 2, Fraction(-1, 3), 1000033, Fraction(-1000033, 7)):
-            assert cubic_galois_type(f.scaled(c)) == expected
+            assert cubic_galois_type(cubic(f.scaled(c))) == expected
         for r in (1, Fraction(2, 5), -3):
-            assert cubic_galois_type(f.shift(r)) == expected
+            assert cubic_galois_type(cubic(f.shift(r))) == expected
 
 
 def test_galois_type_errors():
     with pytest.raises(WrongDegree):
-        cubic_galois_type(P("1,1"))
+        cubic_galois_type(cubic("1,1"))
     with pytest.raises(NotSeparable):
-        cubic_galois_type(P("0,0,0,1"))  # t^3
+        cubic_galois_type(cubic("0,0,0,1"))  # t^3
 
 
 def test_general_position_requires_nonzero_shift():
     with pytest.raises(ValueError):
-        general_position(P("-2,-2,1,1"), 0)
+        general_position(cubic("-2,-2,1,1"), 0)
 
 
 def test_general_position_inseparable_fails_condition_one():
-    report = general_position(P("0,0,0,1"), 1)  # t^3
+    report = general_position(cubic("0,0,0,1"), 1)  # t^3
     assert not report.distinct_roots
     assert not report.ok
 
 
 def test_general_position_degree5_vanishing():
     # the degree-5 coefficient of F(t)F(t-a) vanishes exactly at a = 2p/(3c)
-    f = P("-2,-2,1,1")  # p = 1, monic
+    f = cubic("-2,-2,1,1")  # p = 1, monic
     bad_a = Fraction(2, 3)
     report = general_position(f, bad_a)
     assert not report.degree5_nonzero
@@ -107,10 +120,10 @@ def test_general_position_degree5_vanishing():
 
 def test_general_position_triple_sum():
     # for F = (t^2-2)(t+1), a = 1: sqrt2 + (1 - sqrt2) + (-1) = 0
-    report = general_position(P("-2,-2,1,1"), 1)
+    report = general_position(cubic("-2,-2,1,1"), 1)
     assert report.distinct_roots and report.degree5_nonzero
     assert not report.no_triple_sum_zero
-    assert general_position(P("-2,-2,1,1"), 3).ok
+    assert general_position(cubic("-2,-2,1,1"), 3).ok
 
 
 def _companion(monic: RationalPoly) -> list[list[Fraction]]:
@@ -201,7 +214,7 @@ def test_derivation_determinant_matches_the_exterior_power_operator():
         if kind == "s3" and variant != "s3":
             continue  # a random cubic that happens to be reducible or cyclic
         assert variant == kind, (f, kind)
-        det = general_position(f, a).derivation_determinant
+        det = general_position(cubic(f), a).derivation_determinant
         assert det == _derivation_determinant(f * f.shift(a)), (f, a)
         seen[kind] += 1
     assert min(seen.values()) >= 45, seen
@@ -214,7 +227,7 @@ def test_derivation_determinant_matches_the_exterior_power_operator():
             Fraction(-11, 6),
         ),
     ):
-        det = general_position(f, a).derivation_determinant
+        det = general_position(cubic(f), a).derivation_determinant
         assert det == _derivation_determinant(f * f.shift(a)), (f, a)
 
 
@@ -230,7 +243,7 @@ def test_derivation_determinant_vanishes_on_each_zero_family(family):
                 c = 1 if family == "2ri+rj+a" else 2
                 roots = (r1, -2 * r1 - c * a, r2)  # 2 r_1 + r_2 + c a = 0
             f = _from_roots(*roots).scaled(Fraction(-3, 2))
-            report = general_position(f, a)
+            report = general_position(cubic(f), a)
             assert report.derivation_determinant == 0
             assert not report.no_triple_sum_zero
             assert _derivation_determinant(f * f.shift(a)) == 0
@@ -248,7 +261,7 @@ def test_derivation_determinant_against_numeric_roots():
         numeric = mpmath.mpf(1)
         for i, j, k in combinations(range(6), 3):
             numeric *= roots[i] + roots[j] + roots[k]
-        exact = general_position(f, a).derivation_determinant
+        exact = general_position(cubic(f), a).derivation_determinant
         assert abs(complex(numeric) - complex(Fraction(exact))) < 1e-25 * max(
             1.0, abs(complex(Fraction(exact)))
         )
@@ -261,13 +274,15 @@ def _assert_closed_forms_match_elimination(f: RationalPoly, a: Fraction, roots) 
     construction where that listing cannot factor.
     """
     shifted = f.shift(a)
-    report = general_position(f, a)
+    record = cubic(f)
+    report = general_position(record, a)
     res, disc = resultant(f, shifted), discriminant(f)
     assert report.resultant_f_fshift == res, (f, a)
     assert report.degree5_coefficient == (f * shifted).coeff(5), (f, a)
     assert report.distinct_roots == (disc != 0 and res != 0)
     c0, c1, c2, c3 = c = f.integer_scaled()
-    assert (f.leading / c3) ** 4 * cubic_discriminant(*c) == disc, f
+    assert record.integral == c and record.scale == f.leading / c3, f
+    assert record.scale**4 * record.disc == disc, f
     found = monic_cubic_integer_roots(c2, c1 * c3, c0 * c3 * c3)
     assert found == sorted(found)
     assert sorted(Fraction(u, c3) for u in found) == sorted(set(map(Fraction, roots))), f
@@ -276,7 +291,7 @@ def _assert_closed_forms_match_elimination(f: RationalPoly, a: Fraction, roots) 
 def _assert_galois_type_matches(f: RationalPoly, variant: str, d_class) -> None:
     """cubic_galois_type against the elimination routes, d by its square class."""
     try:
-        galois = cubic_galois_type(f)
+        galois = cubic_galois_type(cubic(f))
     except TooLarge:  # a printed d whose cofactor cannot be classed
         return
     assert galois.variant == variant, f
@@ -333,13 +348,13 @@ def test_shift_resultant_vanishes_on_each_zero_family(i, j):
     for roots in ((1, 5, -3), (Fraction(3, 2), -4, 0), (-7, Fraction(2, 9), 13)):
         f = _from_roots(*roots).scaled(Fraction(-3, 2))
         a = Fraction(roots[i]) - Fraction(roots[j])
-        report = general_position(f, a)
+        report = general_position(cubic(f), a)
         assert report.resultant_f_fshift == 0 == resultant(f, f.shift(a))
         assert not report.distinct_roots
 
 
 def test_eckardt_verdicts():
-    f = P("-2,-2,1,1")
+    f = cubic("-2,-2,1,1")
     assert eckardt_concurrent(f, 3) is EckardtVerdict.NO
     # a = 2 is a genuine concurrency with irrational roots -sqrt2, sqrt2
     assert eckardt_concurrent(f, 2) is EckardtVerdict.YES
@@ -349,12 +364,12 @@ def test_eckardt_verdicts():
 def test_eckardt_scaling_invariance():
     f = P("-2,-2,1,1")
     for a in (2, 3):
-        assert eckardt_concurrent(f.scaled(3), a) is eckardt_concurrent(f, a)
+        assert eckardt_concurrent(cubic(f.scaled(3)), a) is eckardt_concurrent(cubic(f), a)
 
 
 def test_eckardt_rational_concurrency_is_exact():
-    assert eckardt_concurrent(P("-6,11,-6,1"), 5) is EckardtVerdict.NO  # roots 1, 2, 3
-    f = P("-72,10,11,1")  # roots -4, 2, -9
+    assert eckardt_concurrent(cubic("-6,11,-6,1"), 5) is EckardtVerdict.NO  # roots 1, 2, 3
+    f = cubic("-72,10,11,1")  # roots -4, 2, -9
     assert general_position(f, 1).ok
     assert eckardt_concurrent(f, 1) is EckardtVerdict.YES
 
@@ -374,7 +389,7 @@ def _boundary_lines(roots, a):
 
 def _verdict_or_none(f, a):
     try:
-        return eckardt_concurrent(f, a)
+        return eckardt_concurrent(cubic(f), a)
     except GeneralPositionFailed:
         return None
 
@@ -447,30 +462,30 @@ def test_integer_eckardt_test_matches_the_coefficient_test():
 
 def test_eckardt_requires_general_position():
     with pytest.raises(GeneralPositionFailed):
-        eckardt_concurrent(P("-2,-2,1,1"), 1)
+        eckardt_concurrent(cubic("-2,-2,1,1"), 1)
 
 
 def test_example_brauer_published_values():
-    assert example_brauer(P("-2,-2,1,1"), 3) == (GaloisType("c2", 2), G(2))
-    assert example_brauer(P("1,1,1,1"), 2) == (GaloisType("c2", -1), G(4))
-    assert example_brauer(P("3,3,1,1"), 2) == (GaloisType("c2", -3), G(2, 3))
+    assert example_brauer(cubic("-2,-2,1,1"), 3) == (GaloisType("c2", 2), G(2))
+    assert example_brauer(cubic("1,1,1,1"), 2) == (GaloisType("c2", -1), G(4))
+    assert example_brauer(cubic("3,3,1,1"), 2) == (GaloisType("c2", -3), G(2, 3))
 
 
 def test_example_brauer_error_paths():
     with pytest.raises(GeneralPositionFailed):
-        example_brauer(P("-2,-2,1,1"), 1)
+        example_brauer(cubic("-2,-2,1,1"), 1)
     with pytest.raises(EckardtPoint):
-        example_brauer(P("-2,-2,1,1"), 2)
+        example_brauer(cubic("-2,-2,1,1"), 2)
 
 
 def test_find_admissible_a():
-    outcome = find_admissible_a(P("-2,-2,1,1"), 20)
+    outcome = find_admissible_a(cubic("-2,-2,1,1"), 20)
     assert outcome.a == 3
     assert outcome.rejected == (
         (Fraction(1), "three of the six roots sum to zero"),
         (Fraction(2), "eckardt check: yes"),
     )
-    assert find_admissible_a(P("1,1,1,1"), 20).a == 2
-    assert find_admissible_a(P("3,3,1,1"), 20).a == 2
+    assert find_admissible_a(cubic("1,1,1,1"), 20).a == 2
+    assert find_admissible_a(cubic("3,3,1,1"), 20).a == 2
     with pytest.raises(NoAdmissibleShift, match="no admissible a found up to 2"):
-        find_admissible_a(P("-2,-2,1,1"), 2)
+        find_admissible_a(cubic("-2,-2,1,1"), 2)

@@ -1,30 +1,74 @@
-"""Exact rational polynomial arithmetic."""
+"""The integral-cubic record, its parser and printer; the oracles' polynomial arithmetic."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
 import pytest
-from oracles import discriminant, rational_roots, resultant
+from oracles import RationalPoly, discriminant, rational_roots, resultant
 
-from cubicbrauer.ratpoly import RationalPoly
+from cubicbrauer.errors import WrongDegree
+from cubicbrauer.ratpoly import (
+    cubic_discriminant,
+    cubic_text,
+    integral_cubic,
+    parse_coefficients,
+    parse_rational,
+)
 
 P = RationalPoly
 
 
 def test_parse_ascending():
-    f = RationalPoly.parse("-2,-2,1,1")
-    assert f.coefficients == (Fraction(-2), Fraction(-2), Fraction(1), Fraction(1))
-    assert f.degree == 3
-    g = RationalPoly.parse("1/2, -3")
-    assert g.coefficients == (Fraction(1, 2), Fraction(-3))
+    assert parse_coefficients("-2,-2,1,1") == (-2, -2, 1, 1)
+    assert parse_coefficients(" 1/2, -3 ") == (Fraction(1, 2), -3)
+    assert parse_coefficients("1.,.5,\u22120.25") == (1, Fraction(1, 2), Fraction(-1, 4))
+    assert parse_coefficients("1,0,0") == (1, 0, 0)  # trailing zeros are kept as read
 
 
 @pytest.mark.parametrize("text, field", [("1,,1,1,1", 2), ("1,1,1,1,", 5), (" ,1,1,1", 1), ("", 1)])
 def test_parse_refuses_an_empty_field(text, field):
     """Skipping an empty field would shift every later coefficient down a degree."""
     with pytest.raises(ValueError, match=f"empty coefficient field {field} "):
-        RationalPoly.parse(text)
+        parse_coefficients(text)
+
+
+@pytest.mark.parametrize("text", ["1e3", "2E-3", "1/2e1"])
+def test_parse_names_exponent_notation(text):
+    with pytest.raises(ValueError, match="exponent notation"):
+        parse_coefficients(f"1,{text},0,1")
+    with pytest.raises(ValueError, match="exponent notation"):
+        parse_rational(text)
+
+
+def test_integral_cubic_fields():
+    f = integral_cubic(parse_coefficients("1/2,-3/4,0,-5/6,0,0"))
+    assert f.coefficients == (Fraction(1, 2), Fraction(-3, 4), 0, Fraction(-5, 6))
+    assert f.integral == (6, -9, 0, -10)  # f = (1/12) F
+    assert f.scale == Fraction(1, 12)
+    assert f.disc == cubic_discriminant(6, -9, 0, -10)
+    assert all(c == f.scale * k for c, k in zip(f.coefficients, f.integral))
+
+
+@pytest.mark.parametrize("coefficients", [(), (0, 0, 0, 0), (1, 1), (1, 0, 1, 0, 1), (0, 0, 0, 0, 0)])
+def test_integral_cubic_refuses_other_degrees(coefficients):
+    with pytest.raises(WrongDegree, match="expected a cubic polynomial"):
+        integral_cubic(coefficients)
+
+
+@pytest.mark.parametrize(
+    "text, printed",
+    [
+        ("-2,-2,1,1", "t^3 + t^2 - 2t - 2"),
+        ("-2,-2,1,1,0,0", "t^3 + t^2 - 2t - 2"),
+        ("0,0,0,-1", "- t^3"),
+        ("1/2,0,-3,\u22127/2", "- 7/2t^3 - 3t^2 + 1/2"),
+        ("0,-1,1,2", "2t^3 + t^2 - t"),
+        ("1.5,1,0,1", "t^3 + t + 3/2"),
+    ],
+)
+def test_cubic_text(text, printed):
+    assert cubic_text(integral_cubic(parse_coefficients(text))) == printed
 
 
 def test_arithmetic():

@@ -21,7 +21,7 @@ from cubicbrauer.cohomology import LatticeGModule
 from cubicbrauer.intlinalg import FinAbGroup, IntMatrix, SmithForm, snf
 from cubicbrauer.perms import PermGroup, SubgroupClass, perm_from_cycles
 from cubicbrauer.qexamples import GaloisType, GeneralPositionReport, SearchOutcome
-from cubicbrauer.ratpoly import RationalPoly
+from cubicbrauer.ratpoly import integral_cubic
 from cubicbrauer.values import Value
 
 SWAP = PermGroup(2, [(1, 0)])
@@ -41,11 +41,6 @@ VALUES = {
         IntMatrix.from_columns([(1, 3), (2, 4)]),
         IntMatrix([[1, 3], [2, 4]]),
         IntMatrix([[1, 2]]),
-    ),
-    "RationalPoly": lambda: (
-        RationalPoly((1, Fraction(1, 2), 0)),
-        RationalPoly.parse("1, 1/2"),
-        RationalPoly((1, Fraction(1, 3))),
     ),
     "BoundaryDescriptor": lambda: (
         BoundaryDescriptor("three_lines", "c2", d=12),
@@ -203,7 +198,7 @@ def test_the_repr_of_a_group_names_its_fields():
         (lambda: FinAbGroup(-1), "negative free rank"),
         (lambda: FinAbGroup(0, (1, 2)), "invariant factors must exceed 1"),
         (lambda: FinAbGroup(0, (2, 3)), "invariant factors must form a divisibility chain"),
-        (lambda: RationalPoly(("1/x",)), "Invalid literal for Fraction: '1/x'"),
+        (lambda: integral_cubic(("1/x",)), "Invalid literal for Fraction: '1/x'"),
         (lambda: BoundaryDescriptor("plane", "tangent"), "unknown boundary kind 'plane'"),
         (lambda: BoundaryDescriptor("line_conic", "c2", d=5), "unknown case 'c2' for line_conic"),
         (
