@@ -1,10 +1,15 @@
 """Small exact integer utilities: factorization, square classes, primality.
 
-One trial-division loop, up to B = ``TRIAL_DIVISION_BOUND``, serves
-:func:`factorint` and :func:`squarefree_part`; it stops early once the
-divisor f has f^k above the cofactor left.  Every prime below f is then
-divided out, so the cofactor has fewer than k prime factors.
-:func:`factorint` stops at k = 2, where the cofactor is 1 or p.
+One trial-division kernel, up to B = ``TRIAL_DIVISION_BOUND``, serves
+:func:`factorint`, :func:`squarefree_part` and :func:`prime_power`.  The
+primes from 5 to B fall into blocks of 1000 integers, and the product of
+each block's primes is built from a sieve on first need and kept.  One gcd
+of n with a block's product tells whether any prime of the block divides
+n; only then are the block's candidates tried, and only the primes of that
+gcd divide n.  The blocks are taken in increasing order, and the division
+stops early once the divisor f has f^k above the cofactor left.  Every
+prime below f is then divided out, so the cofactor has fewer than k prime
+factors.  :func:`factorint` stops at k = 2, where the cofactor is 1 or p.
 :func:`squarefree_part` stops at k = 3, where it is 1, p, p^2 or p*q:
 squarefree unless a perfect square.  That holds as well for a cofactor
 below B^3 = 10^18 that trial division up to B left.  A Miller-Rabin test
@@ -17,7 +22,9 @@ once per input (a boundary's d, a cubic's Galois-type d).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, gcd, isqrt
+from itertools import compress
+from math import gcd, isqrt, prod
+from threading import Lock
 
 from .errors import TooLarge
 
@@ -69,12 +76,64 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
+# The primes p >= 5 up to B = TRIAL_DIVISION_BOUND, in blocks of _BLOCK
+# integers: block j holds those with j * _BLOCK <= p < (j + 1) * _BLOCK.  Both
+# caches are empty at import and grow under _GROWING: _SIEVE[i] is 1 exactly
+# when i is prime, for i < len(_SIEVE), and _BLOCK_PRODUCTS[j] is the product
+# of block j's primes.  So 6 times block 0's product is the product of the
+# primes below 1000.
+_BLOCK = 1000
+_SIEVE = bytearray()
+_BLOCK_PRODUCTS: list[int] = []
+_GROWING = Lock()
+
+
+def _grow_sieve(size: int) -> None:
+    """Extend ``_SIEVE`` to at least ``size`` entries; at most doubling it, up to B + 1.
+
+    Only the new entries are sieved, by the primes up to the square root of
+    the new length, which all lie in the old part once it has 1000 entries.
+    """
+    old = len(_SIEVE)
+    new = min(max(size, 2 * old, _BLOCK), TRIAL_DIVISION_BOUND + 1)
+    segment = bytearray(b"\x01") * (new - old)
+    if old == 0:
+        segment[0:2] = b"\x00\x00"
+    for p in range(2, isqrt(new - 1) + 1):
+        if _SIEVE[p] if p < old else segment[p - old]:
+            start = max(p * p, -(-old // p) * p) - old
+            segment[start::p] = bytes(len(range(start, new - old, p)))
+    _SIEVE.extend(segment)
+
+
+def _block_product(j: int) -> int:
+    """The product of the primes of block j; blocks up to j are built on first need."""
+    if j >= len(_BLOCK_PRODUCTS):
+        with _GROWING:
+            while j >= (i := len(_BLOCK_PRODUCTS)):
+                lo, hi = max(5, i * _BLOCK), min((i + 1) * _BLOCK, TRIAL_DIVISION_BOUND + 1)
+                if len(_SIEVE) < hi:
+                    _grow_sieve(hi)
+                a, b = lo + (1 - lo) % 6, lo + (5 - lo) % 6  # the first 6m + 1 and 6m + 5
+                _BLOCK_PRODUCTS.append(
+                    prod(compress(range(a, hi, 6), _SIEVE[a:hi:6]))
+                    * prod(compress(range(b, hi, 6), _SIEVE[b:hi:6]))
+                )
+    return _BLOCK_PRODUCTS[j]
+
+
 def _trial_divide(n: int, k: int) -> tuple[dict[int, int], int]:
     """Prime factors of |n| up to ``TRIAL_DIVISION_BOUND``, and the cofactor left.
 
-    The loop stops early once the divisor f has f^k above what is left.  Every
-    prime below f is divided out by then, so the cofactor is a product of
-    fewer than k primes: 1 or p for k = 2, and 1, p, p^2 or p*q for k = 3.
+    2 and 3 are divided out first.  Then the blocks of ``_block_product`` are
+    taken in increasing order while the divisor f has f^k at most what is
+    left.  One gcd g with a block's product tells whether any prime of the
+    block divides n.  Only then is the block scanned, its odd f in increasing
+    order, for the primes of g; once g < f^2, g itself is the last of them.
+    Every prime below f is divided out by then, so the cofactor is a product
+    of fewer than k primes: 1 or p for k = 2, and 1, p, p^2 or p*q for k = 3.
+    A prime of g above the final f may be divided out too, which changes the
+    split between the two results but not what the callers return.
     """
     n = abs(n)
     small: dict[int, int] = {}
@@ -82,15 +141,22 @@ def _trial_divide(n: int, k: int) -> tuple[dict[int, int], int]:
         while n % p == 0:
             small[p] = small.get(p, 0) + 1
             n //= p
-    f, stop = 5, min(_integer_root(n, k), TRIAL_DIVISION_BOUND)
-    while f <= stop:  # f^k <= n; the root is taken again only after a division
-        for p in (f, f + 2):
-            if n % p == 0:
-                while n % p == 0:
-                    small[p] = small.get(p, 0) + 1
-                    n //= p
+    stop = min(_integer_root(n, k), TRIAL_DIVISION_BOUND)
+    j, lo = 0, 5
+    while lo <= stop:  # f^k <= n; the root is taken again only after a division
+        g, f = gcd(n, _block_product(j)), lo | 1
+        while g > 1 and f <= stop:
+            if g < f * f:
+                f = g  # every prime factor of g is at least f, so g is a prime
+            if g % f == 0:  # a prime: the primes of a composite f are no longer in g
+                g //= f
+                while n % f == 0:
+                    small[f] = small.get(f, 0) + 1
+                    n //= f
                 stop = min(_integer_root(n, k), TRIAL_DIVISION_BOUND)
-        f += 6
+            f += 2
+        j += 1
+        lo = j * _BLOCK
     return small, n
 
 
@@ -122,8 +188,9 @@ def squarefree_part(q: int | Fraction) -> int:
     """The squarefree integer in the square class of a nonzero rational.
 
     This is the one square-class routine that factors; call it only for a
-    representative that is printed.  Trial division stops at the divisor f
-    with f^3 above the cofactor c left, or past B = ``TRIAL_DIVISION_BOUND``.
+    representative that is printed.  Trial division, by one gcd per block of
+    primes, stops at the divisor f with f^3 above the cofactor c left, or
+    past B = ``TRIAL_DIVISION_BOUND``.
     The cofactor is dropped when it is a perfect square and kept otherwise,
     which is exact when c < f^3 or c < B^3 (then c is p, p^2 or p*q) or c
     is squarefree.  A non-square c >= B^3 is kept when it passes
@@ -166,19 +233,17 @@ def _integer_root(n: int, k: int) -> int:
         x = y
 
 
-_FACTORIAL_999 = factorial(999)  # n is prime to it exactly when no prime below 1000 divides n
-
-
 def prime_power(n: int) -> tuple[int, int] | None:
     """Return (p, k) with n = p**k, k >= 1, or None; n is never factored.
 
-    The least divisor f > 1 of n is prime, so one below 1000 decides n.  Else
+    The least divisor f > 1 of n is prime, so one below 1000 decides n, and
+    one gcd with the product of the primes below 1000 finds whether n has it.  Else
     n is a q-th power only for 1000^q <= n: those prime q are tried, n taking
     its q-th root while that is exact, and what is left is tested for primality.
     """
     if n < 2:
         return None
-    if gcd(n, _FACTORIAL_999) > 1:
+    if gcd(n, 6 * _block_product(0)) > 1:  # the product of the primes below 1000
         f = next((f for f in range(2, isqrt(n) + 1) if n % f == 0), n)  # the least, a prime
         k = 0
         while n % f == 0:

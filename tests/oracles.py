@@ -12,15 +12,26 @@ its integral form.  Smith-form verification, U A V == S with U and V
 unimodular.  The invariant factors of a sum of cyclic groups from primary
 parts, where ``FinAbGroup.from_orders`` takes gcds and lcms.  And the group
 that permutations generate, by a breadth-first search on image tuples, where
-``cubicbrauer.perms`` lists Dimino's cosets on byte codes.
+``cubicbrauer.perms`` lists Dimino's cosets on byte codes.  Trial division
+by a wheel, one candidate divisor at a time, and the factorization and
+squarefree part built on it, where ``cubicbrauer.arith`` finds a block's
+prime factors by one gcd with the block's product.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 
-from cubicbrauer.arith import factorint, is_rational_square
+from cubicbrauer.arith import (
+    TRIAL_DIVISION_BOUND,
+    factorint,
+    is_perfect_square,
+    is_probable_prime,
+    is_rational_square,
+)
+from cubicbrauer.errors import TooLarge
 
 
 class RationalPoly:
@@ -280,3 +291,71 @@ def closure(degree: int, generators) -> frozenset[tuple[int, ...]]:
                 seen.add(y)
                 queue.append(y)
     return frozenset(seen)
+
+
+def _root(n: int, k: int) -> int:
+    """floor(n ** (1/k)) for n >= 0, by bisection."""
+    lo, hi = 0, 1 << -(-n.bit_length() // k)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if mid**k <= n else (lo, mid - 1)
+    return lo
+
+
+def wheel_trial_divide(n: int, k: int) -> tuple[dict[int, int], int]:
+    """Prime factors of |n| up to ``TRIAL_DIVISION_BOUND`` and the cofactor left.
+
+    The divisors 2, 3, then f and f + 2 for f = 5, 11, 17, ..., while f^k is
+    at most what is left.  Kept per |n| and k, so that n and -n cost one run.
+    """
+    small, rest = _wheel(abs(n), k)
+    return dict(small), rest
+
+
+@cache
+def _wheel(n: int, k: int) -> tuple[tuple[tuple[int, int], ...], int]:
+    small: dict[int, int] = {}
+    for p in (2, 3):
+        while n % p == 0:
+            small[p] = small.get(p, 0) + 1
+            n //= p
+    f, stop = 5, min(_root(n, k), TRIAL_DIVISION_BOUND)
+    while f <= stop:
+        for p in (f, f + 2):
+            if n % p == 0:
+                while n % p == 0:
+                    small[p] = small.get(p, 0) + 1
+                    n //= p
+                stop = min(_root(n, k), TRIAL_DIVISION_BOUND)
+        f += 6
+    return tuple(small.items()), n
+
+
+def wheel_factorint(n: int) -> dict[int, int]:
+    """``arith.factorint`` on the wheel: a cofactor that is not 1 or prime raises TooLarge."""
+    out, rest = wheel_trial_divide(n, 2)
+    if rest > 1:
+        if not is_probable_prime(rest):
+            raise TooLarge(
+                f"cannot factor {rest}: it has no prime factor up to {TRIAL_DIVISION_BOUND}"
+            )
+        out[rest] = 1
+    return out
+
+
+def wheel_squarefree_part(q) -> int:
+    """``arith.squarefree_part`` on the wheel, stopped at the cube root of the cofactor."""
+    q = Fraction(q)
+    small, rest = wheel_trial_divide(q.numerator * q.denominator, 3)
+    part = -1 if q < 0 else 1
+    for p, e in small.items():
+        if e % 2:
+            part *= p
+    if not is_perfect_square(rest):
+        if rest >= TRIAL_DIVISION_BOUND**3 and not is_probable_prime(rest):
+            raise TooLarge(
+                f"cannot find the square class of {q}: cofactor {rest} has no prime "
+                f"factor up to {TRIAL_DIVISION_BOUND} and is at least {TRIAL_DIVISION_BOUND}^3"
+            )
+        part *= rest
+    return part

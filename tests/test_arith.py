@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import isqrt
+from pathlib import Path
 
 import pytest
+from oracles import wheel_factorint, wheel_squarefree_part
 
 from cubicbrauer import arith
 from cubicbrauer.arith import (
@@ -172,3 +178,85 @@ def test_is_rational_square_never_factors(monkeypatch):
     assert not is_rational_square(big)
     assert not is_rational_square(-(big**2))
     assert not is_rational_square(Fraction(1, 2))
+
+
+def _answer(route, x):
+    try:
+        return route(x)
+    except TooLarge as exc:
+        return ("TooLarge", str(exc))
+
+
+def _prime_near(x, step):
+    """The first prime from x on, going up (step 1) or down (step -1)."""
+    while not is_probable_prime(x):
+        x += step
+    return x
+
+
+def _assert_routes_agree(values):
+    for n in values:
+        for m in (n, -n):
+            assert _answer(factorint, m) == _answer(wheel_factorint, m), m
+            assert _answer(squarefree_part, m) == _answer(wheel_squarefree_part, m), m
+
+
+def test_factorization_matches_the_wheel_below_30000():
+    _assert_routes_agree(range(1, 30000))
+    for q in (Fraction(n, d) for n in range(-400, 400) if n for d in (1, 2, 12, 35, 997, 4 * 1009)):
+        assert squarefree_part(q) == wheel_squarefree_part(q), q
+
+
+def test_factorization_matches_the_wheel_around_the_cube_root_stop():
+    """For p*q the stop is below p exactly when p^2 > q; for p^2*q and p*q^2 when
+    p > q; p^3 reaches it at p.  Each case on both sides, with q below and at the bound."""
+    values = []
+    for q in (10007, 1000003):
+        for p in (_prime_near(isqrt(q), -1), _prime_near(isqrt(q) + 1, 1)):
+            values.append(p * q)
+        for p in (_prime_near(q - 1, -1), _prime_near(q + 1, 1)):
+            values.append(p * p * q)
+    values += [p**3 for p in (997, 1009, 10007, 999983)] + [5 * 1009**3, 1000003 * 1009**3]
+    _assert_routes_agree(values)
+
+
+def test_factorization_matches_the_wheel_at_and_past_the_bound():
+    two_large = [1000003 * 9999991, 2 * 3 * 59 * 1999993 * 5000011]  # as in the bench
+    ends = [999983, 1000003, 999983 * 1000003, 999983**2 * 1000003]
+    # cofactors free of primes up to 10^6, below 10^18 and from 10^18 on
+    below, above = 999999937 * 1000000007, [(10**9 + 7) * (10**9 + 9), 1000003**2 * 1000033]
+    assert below < TRIAL_DIVISION_BOUND**3 <= min(above)
+    _assert_routes_agree(two_large + ends + [below, *above, MERSENNE_61, 7 * MERSENNE_61**2])
+    assert isinstance(_answer(squarefree_part, above[0]), tuple)  # both routes raise TooLarge
+
+
+def test_import_and_tables_build_no_block():
+    """Set-up and ``tables`` build no block of primes; a two-large-prime d builds
+    blocks only up to its cube root, and the sieve to at most twice that."""
+    d = 1000003 * 9999991
+    script = (
+        "import contextlib, io, json\n"
+        "from cubicbrauer import arith, cli\n"
+        "sizes = [(len(arith._BLOCK_PRODUCTS), len(arith._SIEVE))]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    cli.main(['tables', '--case', '3', '--format', 'json'])\n"
+        "    sizes.append((len(arith._BLOCK_PRODUCTS), len(arith._SIEVE)))\n"
+        "    boundary = {'type': 'three_lines', 'galois': {'s3': %d}}\n"
+        "    cli.main(['classify', '--boundary', json.dumps(boundary), '--format', 'json'])\n"
+        "    sizes.append((len(arith._BLOCK_PRODUCTS), len(arith._SIEVE)))\n"
+        "print(json.dumps(sizes))\n" % d
+    )
+    src = Path(arith.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        check=True,
+    )
+    (_, _), (_, _), (blocks, sieve) = sizes = json.loads(proc.stdout)
+    assert sizes[:2] == [[0, 0], [0, 0]]
+    root = arith._integer_root(d, 3)
+    assert blocks == root // arith._BLOCK + 1
+    assert sieve <= 2 * blocks * arith._BLOCK

@@ -18,12 +18,23 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from oracles import RationalPoly, galois_type  # noqa: E402
+from oracles import (  # noqa: E402
+    RationalPoly,
+    galois_type,
+    wheel_factorint,
+    wheel_squarefree_part,
+)
 
 from cubicbrauer.acceptance import twist_invariants_by_listing  # noqa: E402
-from cubicbrauer.arith import is_rational_square, squarefree_part  # noqa: E402
+from cubicbrauer.arith import (  # noqa: E402
+    factorint,
+    is_probable_prime,
+    is_rational_square,
+    squarefree_part,
+)
 from cubicbrauer.brauer import twist_invariants  # noqa: E402
 from cubicbrauer.cli import CONFIG_KEYS, main  # noqa: E402
+from cubicbrauer.errors import TooLarge  # noqa: E402
 
 # primes up to the trial-division bound 10^6, some above the cube root of a cofactor
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 997, 20011, 65537, 524287, 999983)
@@ -50,6 +61,42 @@ def square_classes(draw):
 def test_squarefree_part_of_a_class_times_a_square(case):
     s, m = case
     assert squarefree_part(s * m * m) == s
+
+
+def _next_prime(n):
+    while not is_probable_prime(n):
+        n += 1
+    return n
+
+
+@st.composite
+def bench_tier_products(draw):
+    """A signed product of primes from the benchmark's class tiers: below 60,
+    10^3 to 10^5 and 10^6 to 10^7, each to the power 1, 2 or 3."""
+    tiers = ((2, 60, 3), (10**3, 10**5, 2), (10**6, 10**7, 2))
+    primes = {
+        _next_prime(p)
+        for lo, hi, most in tiers
+        for p in draw(st.lists(st.integers(lo, hi - 1), max_size=most))
+    }
+    value = draw(st.sampled_from((1, -1)))
+    for p in primes:
+        value *= p ** draw(st.integers(1, 3))
+    return value
+
+
+def _or_too_large(route, n):
+    try:
+        return route(n)
+    except TooLarge as exc:
+        return ("TooLarge", str(exc))
+
+
+@settings(max_examples=30, deadline=None)  # the wheel runs to 10^6 past two large primes
+@given(bench_tier_products())
+def test_factorization_matches_the_wheel_on_bench_tier_products(n):
+    assert _or_too_large(factorint, n) == _or_too_large(wheel_factorint, n)
+    assert _or_too_large(squarefree_part, n) == _or_too_large(wheel_squarefree_part, n)
 
 
 @quick
