@@ -236,14 +236,15 @@ def _integer_root(n: int, k: int) -> int:
 def prime_power(n: int) -> tuple[int, int] | None:
     """Return (p, k) with n = p**k, k >= 1, or None; n is never factored.
 
-    The least divisor f > 1 of n is prime, so one below 1000 decides n, and
-    one gcd with the product of the primes below 1000 finds whether n has it.  Else
-    n is a q-th power only for 1000^q <= n: those prime q are tried, n taking
-    its q-th root while that is exact, and what is left is tested for primality.
+    The least divisor f > 1 of n is prime, so one below 1000 decides n.  An n
+    below 1000 is searched for it directly; a larger n first takes one gcd
+    with the product of the primes below 1000.  Else n is a q-th power only
+    for 1000^q <= n: those prime q are tried, n taking its q-th root while
+    that is exact, and what is left is tested for primality.
     """
     if n < 2:
         return None
-    if gcd(n, 6 * _block_product(0)) > 1:  # the product of the primes below 1000
+    if n < 1000 or gcd(n, 6 * _block_product(0)) > 1:  # 6 * block 0: the primes below 1000
         f = next((f for f in range(2, isqrt(n) + 1) if n % f == 0), n)  # the least, a prime
         k = 0
         while n % f == 0:

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 from math import isqrt
 from pathlib import Path
@@ -231,8 +232,9 @@ def test_factorization_matches_the_wheel_at_and_past_the_bound():
 
 
 def test_import_and_tables_build_no_block():
-    """Set-up and ``tables`` build no block of primes; a two-large-prime d builds
-    blocks only up to its cube root, and the sieve to at most twice that."""
+    """Set-up, ``tables`` and a modulus below 1000 build no block of primes; a
+    two-large-prime d builds blocks only up to its cube root, and the sieve to
+    at most twice that."""
     d = 1000003 * 9999991
     script = (
         "import contextlib, io, json\n"
@@ -240,6 +242,7 @@ def test_import_and_tables_build_no_block():
         "sizes = [(len(arith._BLOCK_PRODUCTS), len(arith._SIEVE))]\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    cli.main(['tables', '--case', '3', '--format', 'json'])\n"
+        "    cli.main(['invariants', '--d', '5', '--n', '243'])\n"
         "    sizes.append((len(arith._BLOCK_PRODUCTS), len(arith._SIEVE)))\n"
         "    boundary = {'type': 'three_lines', 'galois': {'s3': %d}}\n"
         "    cli.main(['classify', '--boundary', json.dumps(boundary), '--format', 'json'])\n"
@@ -260,3 +263,31 @@ def test_import_and_tables_build_no_block():
     root = arith._integer_root(d, 3)
     assert blocks == root // arith._BLOCK + 1
     assert sieve <= 2 * blocks * arith._BLOCK
+
+
+def test_threads_build_each_block_once(monkeypatch):
+    """Threads that grow the empty caches at once leave every block in its place."""
+    d = [p * q for p in (1000003, 2000003, 3000017, 9999991) for q in (5000011, 7000003)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            monkeypatch.setattr(arith, "_SIEVE", bytearray())
+            monkeypatch.setattr(arith, "_BLOCK_PRODUCTS", [])
+            results = [[] for _ in range(8)]
+            threads = [
+                threading.Thread(target=lambda out: out.extend(map(squarefree_part, d)), args=(out,))
+                for out in results
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert results == [d] * 8
+            built = arith._BLOCK_PRODUCTS
+            monkeypatch.setattr(arith, "_SIEVE", bytearray())
+            monkeypatch.setattr(arith, "_BLOCK_PRODUCTS", [])
+            assert built == [arith._block_product(j) for j in range(len(built))]
+    finally:
+        sys.setswitchinterval(interval)
