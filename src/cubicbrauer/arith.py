@@ -79,9 +79,9 @@ def is_probable_prime(n: int) -> bool:
 # The primes p >= 5 up to B = TRIAL_DIVISION_BOUND, in blocks of _BLOCK
 # integers: block j holds those with j * _BLOCK <= p < (j + 1) * _BLOCK.  Both
 # caches are empty at import and grow under _GROWING: _SIEVE[i] is 1 exactly
-# when i is prime, for i < len(_SIEVE), and _BLOCK_PRODUCTS[j] is the product
-# of block j's primes.  So 6 times block 0's product is the product of the
-# primes below 1000.
+# when i is prime, for 2 <= i < len(_SIEVE), and _BLOCK_PRODUCTS[j] is the
+# product of block j's primes.  So 6 times block 0's product is the product of
+# the primes below 1000.
 _BLOCK = 1000
 _SIEVE = bytearray()
 _BLOCK_PRODUCTS: list[int] = []
@@ -97,8 +97,6 @@ def _grow_sieve(size: int) -> None:
     old = len(_SIEVE)
     new = min(max(size, 2 * old, _BLOCK), TRIAL_DIVISION_BOUND + 1)
     segment = bytearray(b"\x01") * (new - old)
-    if old == 0:
-        segment[0:2] = b"\x00\x00"
     for p in range(2, isqrt(new - 1) + 1):
         if _SIEVE[p] if p < old else segment[p - old]:
             start = max(p * p, -(-old // p) * p) - old

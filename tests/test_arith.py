@@ -233,9 +233,9 @@ def test_factorization_matches_the_wheel_at_and_past_the_bound():
 
 def test_import_and_tables_build_no_block():
     """Set-up, ``tables`` and a modulus below 1000 build no block of primes; a
-    two-large-prime d builds blocks only up to its cube root, and the sieve to
-    at most twice that."""
-    d = 1000003 * 9999991
+    two-large-prime d builds blocks only up to the cube root of what is left
+    once its small prime is divided out, and the sieve to at most twice that."""
+    d = 59 * 1000003 * 9999991
     script = (
         "import contextlib, io, json\n"
         "from cubicbrauer import arith, cli\n"
@@ -258,11 +258,16 @@ def test_import_and_tables_build_no_block():
         env=dict(os.environ, PYTHONPATH=str(src)),
         check=True,
     )
-    (_, _), (_, _), (blocks, sieve) = sizes = json.loads(proc.stdout)
+    sizes = json.loads(proc.stdout)
     assert sizes[:2] == [[0, 0], [0, 0]]
-    root = arith._integer_root(d, 3)
-    assert blocks == root // arith._BLOCK + 1
+    blocks, sieve = sizes[2]
+    root = arith._integer_root(d // 59, 3)
+    assert blocks == root // arith._BLOCK + 1 < arith._integer_root(d, 3) // arith._BLOCK
     assert sieve <= 2 * blocks * arith._BLOCK
+
+
+def _squarefree_parts_into(d, out):
+    out.extend(map(squarefree_part, d))
 
 
 def test_threads_build_each_block_once(monkeypatch):
@@ -276,8 +281,7 @@ def test_threads_build_each_block_once(monkeypatch):
             monkeypatch.setattr(arith, "_BLOCK_PRODUCTS", [])
             results = [[] for _ in range(8)]
             threads = [
-                threading.Thread(target=lambda out: out.extend(map(squarefree_part, d)), args=(out,))
-                for out in results
+                threading.Thread(target=_squarefree_parts_into, args=(d, out)) for out in results
             ]
             for t in threads:
                 t.start()
