@@ -209,8 +209,8 @@ def test_factorization_matches_the_wheel_below_30000():
 
 
 def test_factorization_matches_the_wheel_around_the_cube_root_stop():
-    """For p*q the stop is below p exactly when p^2 > q; for p^2*q and p*q^2 when
-    p > q; p^3 reaches it at p.  Each case on both sides, with q below and at the bound."""
+    """For p*q the stop is below p exactly when p^2 > q, for p^2*q when p > q, and
+    p^3 reaches it at p.  Each case on both sides, with q below and above the bound."""
     values = []
     for q in (10007, 1000003):
         for p in (_prime_near(isqrt(q), -1), _prime_near(isqrt(q) + 1, 1)):
