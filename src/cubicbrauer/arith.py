@@ -9,8 +9,10 @@ n; only then are the block's candidates tried, and only the primes of that
 gcd divide n.  The blocks are taken in increasing order, and the division
 stops early once the divisor f has f^k above the cofactor left.  Every
 prime below f is then divided out, so the cofactor has fewer than k prime
-factors.  :func:`factorint` stops at k = 2, where the cofactor is 1 or p.
-:func:`squarefree_part` stops at k = 3, where it is 1, p, p^2 or p*q:
+factors.  :func:`factorint` stops at k = 2, where the cofactor is 1 or p,
+and so is a cofactor up to B^2 = 10^12 that trial division up to B left:
+neither needs a primality test.  :func:`squarefree_part` stops at k = 3,
+where it is 1, p, p^2 or p*q:
 squarefree unless a perfect square.  That holds as well for a cofactor
 below B^3 = 10^18 that trial division up to B left.  A Miller-Rabin test
 to twelve fixed bases decides larger cofactors, and prime powers without
@@ -161,8 +163,10 @@ def _trial_divide(n: int, k: int) -> tuple[dict[int, int], int]:
 def factorint(n: int) -> dict[int, int]:
     """Prime factorization by trial division, for group orders and coefficients.
 
-    The cofactor left by trial division up to ``TRIAL_DIVISION_BOUND`` is
-    kept when it is 1 or passes :func:`is_probable_prime`; any other
+    Trial division up to ``TRIAL_DIVISION_BOUND`` = B leaves a cofactor
+    with no prime factor up to its square root or B.  So a cofactor of at
+    most B^2 is 1 or a prime, and is kept with no further test.  A larger
+    one is kept when it passes :func:`is_probable_prime`; any other
     cofactor raises :class:`TooLarge` instead of trial-dividing on towards
     its square root.
     """
@@ -170,7 +174,7 @@ def factorint(n: int) -> dict[int, int]:
         raise ValueError("cannot factor 0")
     out, rest = _trial_divide(n, 2)
     if rest > 1:
-        if not is_probable_prime(rest):
+        if rest > TRIAL_DIVISION_BOUND**2 and not is_probable_prime(rest):
             raise TooLarge(
                 f"cannot factor {rest}: it has no prime factor up to {TRIAL_DIVISION_BOUND}"
             )

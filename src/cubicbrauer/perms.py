@@ -300,9 +300,10 @@ class _TableGroup:
     read (the whole enumeration of the trio stabilizer forms about 104 k
     of its 1.33 M products, counting each ``bytes.translate``).  Hot loops
     bind ``ids``, ``codes`` and ``pads`` as locals.  Orders and inverses
-    come from powers of the byte codes.  ``gens`` is a small generating
-    set (:meth:`_small_generating_set`), which the conjugation maps and
-    the orbit walks run on.
+    come from powers of the byte codes.  ``primes`` lists the primes
+    dividing |G|, among them every prime index of one subgroup in another.
+    ``gens`` is a small generating set (:meth:`_small_generating_set`),
+    which the conjugation maps and the orbit walks run on.
 
     The least code of the sorted listing is the identity, index 0.  A walk
     from it, each step a left multiplication by a permutation generator
@@ -314,6 +315,7 @@ class _TableGroup:
     def __init__(self, group: PermGroup):
         self.codes = codes = group._codes(ELEMENT_LISTING_BOUND)
         self.n = n = len(codes)
+        self.primes = sorted(factorint(n))
         self.ids = ids = {c: i for i, c in enumerate(codes)}
         ident = codes[0]
         if ident != bytes(range(len(ident))):
@@ -413,14 +415,25 @@ class _TableGroup:
         return frozenset(known)
 
     def greedy_generators(self, subgroup: frozenset[int]) -> list[int]:
+        """Generators of U = ``subgroup``, taken by decreasing order, then by index.
+
+        An element is kept when it lies outside the subgroup C that those
+        kept before it generate.  Once |U : C| is prime, C is maximal in U,
+        so the next element kept generates U with C and ends the list with
+        no closure formed; until then C grows by it one coset at a time
+        (:meth:`extend`).
+        """
         gens: list[int] = []
         covered = frozenset({0})
+        order = len(subgroup)
         # by decreasing order, then by index (the sort is stable)
         for i in sorted(sorted(subgroup), key=self.order_of.__getitem__, reverse=True):
             if i not in covered:
                 gens.append(i)
+                if order // len(covered) in self.primes:
+                    break
                 covered = self.extend(covered, gens)
-                if len(covered) == len(subgroup):
+                if len(covered) == order:
                     break
         return gens
 
@@ -508,7 +521,7 @@ def subgroup_classes(g: PermGroup) -> list[SubgroupClass]:
     """
     n = g.order(SUBGROUP_ENUM_BOUND)
     tg = _TableGroup(g)
-    primes = sorted(factorint(n))
+    primes = tg.primes
 
     classes: list[dict] = []
     known: set[tuple[int, ...]] = set()  # every conjugate of every class found

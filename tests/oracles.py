@@ -12,7 +12,9 @@ its integral form.  Smith-form verification, U A V == S with U and V
 unimodular.  The invariant factors of a sum of cyclic groups from primary
 parts, where ``FinAbGroup.from_orders`` takes gcds and lcms.  And the group
 that permutations generate, by a breadth-first search on image tuples, where
-``cubicbrauer.perms`` lists Dimino's cosets on byte codes.  Trial division
+``cubicbrauer.perms`` lists Dimino's cosets on byte codes, and on it the
+greedy generators of a subgroup, closing over every element kept, where
+``cubicbrauer.perms`` stops at the first prime index.  Trial division
 by a wheel, one candidate divisor at a time, and the factorization and
 squarefree part built on it, where ``cubicbrauer.arith`` finds a block's
 prime factors by one gcd with the block's product.
@@ -32,6 +34,7 @@ from cubicbrauer.arith import (
     is_rational_square,
 )
 from cubicbrauer.errors import TooLarge
+from cubicbrauer.perms import perm_order
 
 
 class RationalPoly:
@@ -291,6 +294,27 @@ def closure(degree: int, generators) -> frozenset[tuple[int, ...]]:
                 seen.add(y)
                 queue.append(y)
     return frozenset(seen)
+
+
+def greedy_generators(elements, subgroup) -> list[int]:
+    """The greedy generators of a subgroup, by the full loop.
+
+    ``elements`` lists the group's permutations, and ``subgroup`` holds the
+    indices of a subgroup's elements.  The indices are taken by decreasing
+    element order, then by index, and one is kept when its element lies
+    outside the group that those kept before it generate (:func:`closure`),
+    until they generate the whole subgroup.
+    """
+    degree = len(elements[0])
+    gens: list[int] = []
+    covered = {tuple(range(degree))}
+    for i in sorted(sorted(subgroup), key=lambda i: perm_order(elements[i]), reverse=True):
+        if elements[i] not in covered:
+            gens.append(i)
+            covered = closure(degree, [elements[g] for g in gens])
+            if len(covered) == len(subgroup):
+                break
+    return gens
 
 
 def _root(n: int, k: int) -> int:

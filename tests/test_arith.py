@@ -120,6 +120,26 @@ def test_factorint_keeps_a_prime_cofactor():
     assert factorint(20011 * 10000019) == {20011: 1, 10000019: 1}  # 20011 lies above the cube root
 
 
+def test_factorint_tests_primality_only_above_the_bound_squared(monkeypatch):
+    """A cofactor up to B^2 has no prime factor up to its square root, so it is prime."""
+    below, above = 999999999989, 1000000000039  # the primes next to 10^12
+    assert below < TRIAL_DIVISION_BOUND**2 < above
+    tested = []
+
+    def recorded(n):
+        tested.append(n)
+        return is_probable_prime(n)
+
+    monkeypatch.setattr(arith, "is_probable_prime", recorded)
+    assert factorint(4 * below) == wheel_factorint(4 * below) == {2: 2, below: 1}
+    assert tested == []
+    assert factorint(9 * above) == wheel_factorint(9 * above) == {3: 2, above: 1}
+    assert tested == [above]
+    with pytest.raises(TooLarge):
+        factorint(1000003 * 1000033)
+    assert tested == [above, 1000003 * 1000033]
+
+
 def test_factorint_refuses_a_composite_cofactor_above_the_bound():
     assert 1000003 > TRIAL_DIVISION_BOUND
     with pytest.raises(TooLarge):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import ast
+import gc
 import hashlib
 import json
 import os
@@ -816,3 +818,119 @@ def test_the_cli_and_tables_load_neither_dataclasses_nor_inspect():
         check=True,
     )
     assert proc.stdout == "[]\n0 []\n[]\n"
+
+
+# requests that end in an answer, a typed error (exit 1), a usage error
+# (exit 2) and the help text
+PROCESS_REQUESTS = [
+    ["tables", "--case", "3", "--format", "json"],
+    ["classify", "--boundary", '{"type":"line_conic","intersection":"tangent"}'],
+    ["invariants", "--d", "-1", "--n", "4"],
+    ["example", "--poly", "-2,-2,1,1", "--auto-a", "20"],
+    ["invariants", "--d", "5", "--n", "6"],
+    ["tables", "--case", "7"],
+    ["--help"],
+]
+
+
+def _in_process(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse's usage errors and --help
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv, expected", zip(PROCESS_REQUESTS[3:], (0, 1, 2, 0)))
+def test_main_leaves_the_collector_alone(capsys, argv, expected):
+    """A caller that keeps its process, as the tests and bench/worker.py do, keeps its collector."""
+    assert gc.isenabled()
+    frozen = gc.get_freeze_count()
+    code, _, _ = _in_process(capsys, argv)
+    assert code == expected
+    assert gc.isenabled() and gc.get_freeze_count() == frozen
+
+
+@pytest.mark.parametrize("argv", PROCESS_REQUESTS)
+def test_both_module_forms_answer_as_main_in_process(capsys, monkeypatch, argv):
+    """Exit code, stdout and stderr of ``python -m`` equal those of ``cli.main``."""
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps the help to the terminal
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-m", module, *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+        for module in ("cubicbrauer", "cubicbrauer.cli")
+    ]
+    answers = []
+    for proc in procs:
+        out, err = proc.communicate(timeout=60)
+        answers.append((proc.returncode, out, err))
+    expected = _in_process(capsys, argv)
+    assert expected[1] or expected[2]
+    assert answers == [expected, expected]
+
+
+def test_run_turns_the_collector_off_and_freezes_the_heap():
+    """In a child process, on an answer, a typed error and argparse's SystemExit."""
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    script = (
+        "import contextlib, gc, io, sys\n"
+        "from cubicbrauer import cli\n"
+        "for argv in (['lines'], ['invariants', '--d', '5', '--n', '6'], ['tables', '--case', '7']):\n"
+        "    gc.enable()\n"
+        "    gc.unfreeze()\n"
+        "    sys.argv = ['cubicbrauer', *argv]\n"
+        "    sink = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):\n"
+        "        try:\n"
+        "            code = cli.run()\n"
+        "        except SystemExit as exc:\n"
+        "            code = exc.code\n"
+        "    print(code, gc.isenabled(), gc.get_freeze_count() > 0)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=env,
+        check=True,
+    )
+    assert proc.stdout == "0 False True\n1 False True\n2 False True\n"
+
+
+def test_the_console_script_is_the_process_entry():
+    pyproject = Path(cli.__file__).resolve().parents[2] / "pyproject.toml"
+    scripts = pyproject.read_text(encoding="utf-8").partition("[project.scripts]\n")[2]
+    assert scripts.splitlines()[0] == 'cubicbrauer = "cubicbrauer.cli:run"'
+
+
+def test_only_the_process_entry_touches_the_collector():
+    """Library calls and ``cli.main`` leave the collector to whoever owns the process."""
+    package = Path(cli.__file__).resolve().parent
+    imports, uses = [], []
+
+    def visit(node, module, function):
+        if isinstance(node, ast.Import) and any(a.name == "gc" for a in node.names):
+            imports.append((module, function))
+        if isinstance(node, ast.ImportFrom) and node.module == "gc":
+            imports.append((module, function))
+        if isinstance(node, ast.Name) and node.id == "gc":
+            uses.append((module, function))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            function = getattr(node, "name", "<lambda>")
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, function)
+
+    for path in sorted(package.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.name, None)
+    assert imports == [("cli.py", None)]
+    assert uses == [("cli.py", "run"), ("cli.py", "run")]

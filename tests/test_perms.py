@@ -10,7 +10,7 @@ from itertools import product
 from math import factorial, gcd, lcm
 
 import pytest
-from oracles import closure
+from oracles import closure, greedy_generators
 
 from cubicbrauer.errors import NotSolvable, NotStabilized, TooLarge
 from cubicbrauer.perms import (
@@ -538,6 +538,40 @@ def test_orbit_normalizer_matches_bruteforce_on_the_trio_stabilizer(
             assert found == rep and len(orbit) == cls.conjugates
             assert tg.closure(gens) == rep and norm_gens[: len(gens)] == gens
             assert norm == tg.closure(norm_gens) == expected
+
+
+@pytest.mark.parametrize(
+    "factory",
+    [
+        s3,
+        s4,
+        sl23,
+        gl23,
+        d4,
+        lambda: PermGroup(6, [cyc(6, (0, 1, 2, 3, 4, 5))]),  # C6
+        lambda: PermGroup(4, [cyc(4, (0, 1, 2)), cyc(4, (0, 1), (2, 3))]),  # A4
+    ],
+)
+def test_greedy_generators_match_the_full_loop(factory):
+    """Stopping at the first prime index keeps what closing over every kept element keeps."""
+    group = factory()
+    tg = _TableGroup(group)
+    elements, index = _indexed(group)
+    for sub in all_subgroups_bruteforce(group):
+        subgroup = frozenset(index[p] for p in sub)
+        assert tg.greedy_generators(subgroup) == greedy_generators(elements, subgroup)
+
+
+def test_greedy_generators_match_the_full_loop_on_the_trio_stabilizer(
+    trio_stabilizer, stabilizer_classes
+):
+    """Every class rep of the sweep, and the whole group."""
+    tg = _TableGroup(trio_stabilizer)
+    elements, index = _indexed(trio_stabilizer)
+    reps = [frozenset(index[p] for p in cls.group.elements()) for cls in stabilizer_classes]
+    assert len(reps) == 246 and len(reps[-1]) == tg.n
+    for rep in reps:
+        assert tg.greedy_generators(rep) == greedy_generators(elements, rep)
 
 
 def _check_small_generating_set(group, expected=None):
