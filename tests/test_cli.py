@@ -749,25 +749,6 @@ def test_large_inputs_end_within_a_time_bound(argv):
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
-def test_package_runs_as_a_module():
-    """``python -m cubicbrauer`` prints what ``python -m cubicbrauer.cli`` does."""
-    src = Path(cli.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(src))
-    argv = ["tables", "--case", "3", "--format", "json"]
-    outputs = [
-        subprocess.run(
-            [sys.executable, "-m", module, *argv],
-            capture_output=True,
-            text=True,
-            timeout=60,
-            env=env,
-            check=True,
-        ).stdout
-        for module in ("cubicbrauer", "cubicbrauer.cli")
-    ]
-    assert outputs[0] and outputs[0] == outputs[1]
-
-
 def test_importing_the_cli_leaves_the_acceptance_suite_unloaded():
     """Only --seed-check reads the acceptance checks, so no other command imports them."""
     src = Path(cli.__file__).resolve().parents[1]
@@ -822,15 +803,15 @@ def test_the_cli_and_tables_load_neither_dataclasses_nor_inspect():
 
 # requests that end in an answer, a typed error (exit 1), a usage error
 # (exit 2) and the help text
-PROCESS_REQUESTS = [
-    ["tables", "--case", "3", "--format", "json"],
-    ["classify", "--boundary", '{"type":"line_conic","intersection":"tangent"}'],
-    ["invariants", "--d", "-1", "--n", "4"],
-    ["example", "--poly", "-2,-2,1,1", "--auto-a", "20"],
-    ["invariants", "--d", "5", "--n", "6"],
-    ["tables", "--case", "7"],
-    ["--help"],
-]
+PROCESS_REQUESTS = {
+    "tables": ["tables", "--case", "3", "--format", "json"],
+    "classify": ["classify", "--boundary", '{"type":"line_conic","intersection":"tangent"}'],
+    "invariants": ["invariants", "--d", "-1", "--n", "4"],
+    "example": ["example", "--poly", "-2,-2,1,1", "--auto-a", "20"],
+    "typed-error": ["invariants", "--d", "5", "--n", "6"],
+    "usage-error": ["tables", "--case", "7"],
+    "help": ["--help"],
+}
 
 
 def _in_process(capsys, argv):
@@ -842,20 +823,23 @@ def _in_process(capsys, argv):
     return code, captured.out, captured.err
 
 
-@pytest.mark.parametrize("argv, expected", zip(PROCESS_REQUESTS[3:], (0, 1, 2, 0)))
-def test_main_leaves_the_collector_alone(capsys, argv, expected):
+@pytest.mark.parametrize(
+    "name, expected", [("example", 0), ("typed-error", 1), ("usage-error", 2), ("help", 0)]
+)
+def test_main_leaves_the_collector_alone(capsys, name, expected):
     """A caller that keeps its process, as the tests and bench/worker.py do, keeps its collector."""
     assert gc.isenabled()
     frozen = gc.get_freeze_count()
-    code, _, _ = _in_process(capsys, argv)
+    code, _, _ = _in_process(capsys, PROCESS_REQUESTS[name])
     assert code == expected
     assert gc.isenabled() and gc.get_freeze_count() == frozen
 
 
-@pytest.mark.parametrize("argv", PROCESS_REQUESTS)
-def test_both_module_forms_answer_as_main_in_process(capsys, monkeypatch, argv):
+@pytest.mark.parametrize("name", PROCESS_REQUESTS)
+def test_both_module_forms_answer_as_main_in_process(capsys, monkeypatch, name):
     """Exit code, stdout and stderr of ``python -m`` equal those of ``cli.main``."""
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps the help to the terminal
+    argv = PROCESS_REQUESTS[name]
     src = Path(cli.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     procs = [
@@ -907,10 +891,19 @@ def test_run_turns_the_collector_off_and_freezes_the_heap():
     assert proc.stdout == "0 False True\n1 False True\n2 False True\n"
 
 
-def test_the_console_script_is_the_process_entry():
-    pyproject = Path(cli.__file__).resolve().parents[2] / "pyproject.toml"
+def test_the_console_script_and_both_module_forms_enter_through_run():
+    package = Path(cli.__file__).resolve().parent
+    pyproject = package.parents[1] / "pyproject.toml"
     scripts = pyproject.read_text(encoding="utf-8").partition("[project.scripts]\n")[2]
     assert scripts.splitlines()[0] == 'cubicbrauer = "cubicbrauer.cli:run"'
+    for name in ("cli.py", "__main__.py"):
+        tree = ast.parse((package / name).read_text(encoding="utf-8"))
+        blocks = [
+            node.body
+            for node in tree.body
+            if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+        ]
+        assert [[ast.unparse(stmt) for stmt in body] for body in blocks] == [["sys.exit(run())"]]
 
 
 def test_only_the_process_entry_touches_the_collector():

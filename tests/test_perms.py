@@ -549,6 +549,7 @@ def test_orbit_normalizer_matches_bruteforce_on_the_trio_stabilizer(
         gl23,
         d4,
         lambda: PermGroup(6, [cyc(6, (0, 1, 2, 3, 4, 5))]),  # C6
+        lambda: PermGroup(6, [cyc(6, (0, 1, 2)), cyc(6, (3, 4, 5))]),  # C3 x C3: index 9
         lambda: PermGroup(4, [cyc(4, (0, 1, 2)), cyc(4, (0, 1), (2, 3))]),  # A4
     ],
 )
