@@ -11,8 +11,7 @@ Subcommands expose each pipeline with deterministic text or JSON output:
   example     the end-to-end rational example pipeline
 
 JSON payloads have the shape {command, inputs, result, paper_anchor} and
-identical inputs always produce byte-identical output.  A key=value config
-file can pre-set any flag; command-line values win.
+identical inputs always produce byte-identical output.
 
 A command runs as one short process, through :func:`run`: the cyclic
 garbage collector is off for the whole command, since what a command
@@ -53,50 +52,7 @@ from .perms import setwise_stabilizer
 from .qexamples import example_brauer, searched_example_brauer
 from .ratpoly import cubic_text, integral_cubic, parse_coefficients, parse_rational
 
-CONFIG_KEYS = ("format", "case", "d", "n", "poly", "a", "auto_a", "boundary")
-_INT_CONFIG_KEYS = ("case", "d", "n", "auto_a")
 FORMATS = ("text", "json")
-
-
-def _load_config(path: str) -> dict[str, str | int]:
-    """The config file's values, each checked as it is read.
-
-    An integer key is read as an integer and ``format`` is checked against
-    :data:`FORMATS` here, whether or not the command line sets the key or
-    the command reads it, so a bad file fails the same way for every command.
-    """
-    values: dict[str, str | int] = {}
-    with open(path, encoding="utf-8") as handle:
-        for raw in handle:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"config line is not key=value: {line!r}")
-            key, _, value = line.partition("=")
-            key = key.strip().replace("-", "_")
-            if key not in CONFIG_KEYS:
-                raise ValueError(f"unknown config key {key!r}")
-            value = value.strip()
-            if key == "format" and value not in FORMATS:
-                raise ValueError(f"config format {value!r} is not one of {', '.join(FORMATS)}")
-            if key in _INT_CONFIG_KEYS:
-                try:
-                    value = decimal_integer(value)
-                except ValueError:
-                    raise ValueError(
-                        f"config key {key!r} in {path}: {value!r} is not an integer"
-                    ) from None
-            values[key] = value
-    return values
-
-
-def _merge_config(args: argparse.Namespace) -> None:
-    if not args.config:
-        return
-    for key, value in _load_config(args.config).items():
-        if getattr(args, key, None) is None:
-            setattr(args, key, value)
 
 
 def _emit(
@@ -353,14 +309,11 @@ def _cmd_seed_check(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # The shared flags may appear before or after the subcommand.  The
-    # subcommand-level copies default to SUPPRESS: a subparser writes its
+    # --format may appear before or after the subcommand.  The
+    # subcommand-level copy defaults to SUPPRESS: a subparser writes its
     # results into a fresh namespace, so an ordinary default would clobber
     # a value parsed at the top level.
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--config", default=argparse.SUPPRESS, help="key=value file pre-setting any flag"
-    )
     common.add_argument(
         "--format",
         choices=FORMATS,
@@ -373,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Brauer groups of complements of singular hyperplane "
         "sections in smooth cubic surfaces, in exact arithmetic.",
     )
-    parser.add_argument("--config", default=None, help="key=value file pre-setting any flag")
     parser.add_argument(
         "--format", choices=FORMATS, default=None, help="output format"
     )
@@ -445,8 +397,7 @@ def _parser() -> argparse.ArgumentParser:
     """The parser, built once per process.
 
     Reuse is safe: ``parse_args`` starts a new namespace on every call,
-    argparse looks ``sys.stdout`` and ``sys.stderr`` up when it prints, and
-    ``_merge_config`` writes only to the namespace.
+    and argparse looks ``sys.stdout`` and ``sys.stderr`` up when it prints.
     """
     return build_parser()
 
@@ -457,14 +408,14 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     args = parser.parse_args(_join_dash_values(list(argv)))
     try:
-        _merge_config(args)
         if args.seed_check:
             return _cmd_seed_check(args)
         if not args.command:
             parser.print_usage(sys.stderr)
             return 2
         return _DISPATCH[args.command](args)
-    except (CubicBrauerError, ValueError, OSError, json.JSONDecodeError) as exc:
+    # OSError: a stdout whose reader went away, as in `trios | head -1`
+    except (CubicBrauerError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

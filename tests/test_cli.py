@@ -1,12 +1,16 @@
-"""CLI surface: dispatch, JSON determinism, exit codes, config files."""
+"""CLI surface: dispatch, JSON determinism, exit codes, the parser and the process entry."""
 
 from __future__ import annotations
 
+import argparse
 import ast
+import errno
 import gc
 import hashlib
+import io
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -134,6 +138,21 @@ def test_example_requires_inputs(capsys):
     assert "--a or --auto-a" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["tables"], "tables requires --case 1|2|3"),
+        (["classify"], "classify requires --boundary JSON"),
+        (["invariants", "--d", "-1"], "invariants requires --d and --n"),
+        (["invariants", "--n", "4"], "invariants requires --d and --n"),
+        (["invariants"], "invariants requires --d and --n"),
+        (["example"], "example requires --poly"),
+    ],
+)
+def test_a_missing_flag_ends_in_one_error_line(capsys, argv, message):
+    assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["tables", "--case", "7"])
@@ -145,21 +164,42 @@ def test_no_command_is_usage_error(capsys):
     assert code == 2
 
 
-def test_config_file(tmp_path, capsys):
-    config = tmp_path / "settings.conf"
-    config.write_text("format=json\nd=-1\nn=4\n", encoding="utf-8")
-    code, out, _ = run(capsys, "--config", str(config), "invariants")
-    assert code == 0
-    assert json.loads(out)["result"]["invariants"]["factors"] == [4]
+@pytest.mark.parametrize("argv", [["--config", "f", "lines"], ["lines", "--config", "f"]])
+def test_config_is_an_unknown_argument(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == "" and captured.err.startswith("usage:")
 
 
-def test_config_flag_override(tmp_path, capsys):
-    config = tmp_path / "settings.conf"
-    config.write_text("format=json\nn=4\n", encoding="utf-8")
-    # command line --n wins over the config value
-    code, out, _ = run(capsys, "--config", str(config), "invariants", "--d", "-3", "--n", "3")
-    assert code == 0
-    assert json.loads(out)["result"]["invariants"]["factors"] == [3]
+def test_a_closed_stdout_ends_in_one_error_line(capsys, monkeypatch):
+    """A reader that went away, as in ``cubicbrauer trios | head -1``: exit 1, no traceback."""
+
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["lines"]) == 1
+    assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
+
+
+# flags that README names for other programs (pip)
+NON_CLI_FLAGS = {"--no-build-isolation"}
+
+
+def test_every_flag_the_readme_names_is_an_option_of_the_parser():
+    readme = Path(cli.__file__).resolve().parents[2] / "README.md"
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", readme.read_text(encoding="utf-8")))
+    parser = cli.build_parser()
+    options = set(parser._option_string_actions)
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for subparser in action.choices.values():
+                options |= set(subparser._option_string_actions)
+    assert named - NON_CLI_FLAGS <= options
+    assert NON_CLI_FLAGS <= named  # an entry README no longer names leaves the list
 
 
 def _request_outcomes(capsys, requests, fresh):
@@ -177,18 +217,16 @@ def _request_outcomes(capsys, requests, fresh):
     return outcomes
 
 
-def test_the_parser_built_once_answers_as_a_fresh_one(tmp_path, capsys, monkeypatch):
-    config = tmp_path / "settings.conf"
-    config.write_text("format=json\nd=-1\nn=4\n", encoding="utf-8")
+def test_the_parser_built_once_answers_as_a_fresh_one(capsys, monkeypatch):
     requests = [
         ["--format", "json", "invariants", "--d", "-3", "--n", "3"],
-        ["--config", str(config), "invariants"],
+        ["--format", "json", "invariants", "--d", "-1", "--n", "4"],
         ["tables", "--case", "9"],  # a usage error: exit 2
         ["classify", "--boundary", '{"type":"line_conic","intersection":"tangent"}'],
-        ["--config", str(config), "invariants", "--n", "3"],
+        ["invariants", "--d", "-1", "--n", "3", "--format", "json"],
         [],  # no subcommand: usage, exit 2
         ["example", "--poly", "-2,-2,1,1", "--a", "3"],
-        ["invariants", "--d", "-1", "--n", "4"],  # no format or config left over
+        ["invariants", "--d", "-1", "--n", "4"],  # no format left over
     ]
     built = []
     build_parser = cli.build_parser
@@ -202,57 +240,8 @@ def test_the_parser_built_once_answers_as_a_fresh_one(tmp_path, capsys, monkeypa
     assert [code for code, _, _ in shared] == [0, 0, 2, 0, 0, 2, 0, 0]
     assert "invalid choice: 9" in shared[2][2]
     assert json.loads(shared[1][1])["result"]["invariants"]["factors"] == [4]
-    assert json.loads(shared[4][1])["inputs"] == {"d": -1, "n": 3}  # --n beats the config
+    assert json.loads(shared[4][1])["inputs"] == {"d": -1, "n": 3}
     assert shared[7][1] == "invariants of M_-1/4(-1) over Q: Z/4\n"
-
-
-def test_config_rejects_unknown_keys(tmp_path, capsys):
-    config = tmp_path / "settings.conf"
-    config.write_text("volume=11\n", encoding="utf-8")
-    code, _, err = run(capsys, "--config", str(config), "lines")
-    assert code == 1
-    assert "unknown config key" in err
-
-
-def test_config_refuses_a_format_outside_the_choices(tmp_path, capsys):
-    config = tmp_path / "settings.conf"
-    config.write_text("format=yaml\n", encoding="utf-8")
-    code, out, err = run(capsys, "--config", str(config), "invariants", "--d", "-1", "--n", "4")
-    assert (code, out) == (1, "")
-    assert err == "error: config format 'yaml' is not one of text, json\n"
-
-
-@pytest.mark.parametrize(
-    "line, argv",
-    [
-        ("case=x", ("tables",)),
-        ("auto_a=0x10", ("example", "--poly", "-2,-2,1,1")),
-    ],
-)
-def test_config_names_the_key_and_file_of_a_value_that_is_not_an_integer(
-    tmp_path, capsys, line, argv
-):
-    config = tmp_path / "settings.conf"
-    config.write_text(line + "\n", encoding="utf-8")
-    code, out, err = run(capsys, "--config", str(config), *argv)
-    assert (code, out) == (1, "")
-    key, _, value = line.partition("=")
-    assert err == f"error: config key {key!r} in {config}: {value!r} is not an integer\n"
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("invariants", "--d", "-1", "--n", "4"),  # the command line sets n
-        ("tables", "--case", "3"),  # the command never reads n
-    ],
-)
-def test_config_values_are_checked_when_the_file_is_read(tmp_path, capsys, argv):
-    config = tmp_path / "settings.conf"
-    config.write_text("n=x\n", encoding="utf-8")
-    code, out, err = run(capsys, "--config", str(config), *argv)
-    assert (code, out) == (1, "")
-    assert err == f"error: config key 'n' in {config}: 'x' is not an integer\n"
 
 
 @pytest.mark.parametrize(
@@ -264,6 +253,7 @@ def test_config_values_are_checked_when_the_file_is_read(tmp_path, capsys, argv)
         ("invariants", "--d", "+5", "--n", "4"),
         ("invariants", "--d", "-1", "--n", "\u0669"),  # an Arabic-Indic nine
         ("example", "--poly", "-2,-2,1,1", "--auto-a", "\uff12\uff10"),  # full-width 20
+        ("invariants", "--d", "\u22125", "--n", "4"),  # a minus sign
     ],
 )
 def test_integer_flags_take_only_ascii_digits(capsys, argv):
@@ -279,24 +269,6 @@ def test_classify_refuses_a_d_string_beyond_ascii_digits(capsys, d):
     code, out, err = run(capsys, "classify", "--boundary", boundary)
     assert (code, out) == (1, "")
     assert err == f"error: galois: d must be an integer, not {d!r}\n"
-
-
-@pytest.mark.parametrize(
-    "line, argv",
-    [
-        ("d=1_2", ("invariants", "--n", "4")),
-        ("n=\u0669", ("invariants", "--d", "-1")),
-        ("case=+3", ("tables",)),
-        ("auto_a=\uff12\uff10", ("example", "--poly", "-2,-2,1,1")),
-    ],
-)
-def test_config_integers_take_only_ascii_digits(tmp_path, capsys, line, argv):
-    config = tmp_path / "settings.conf"
-    config.write_text(line + "\n", encoding="utf-8")
-    code, out, err = run(capsys, "--config", str(config), *argv)
-    assert (code, out) == (1, "")
-    key, _, value = line.partition("=")
-    assert err == f"error: config key {key!r} in {config}: {value!r} is not an integer\n"
 
 
 def test_text_output_default(capsys):
@@ -394,6 +366,7 @@ def test_example_refuses_exponent_notation(capsys, argv, text):
         (("example", "--poly", "-2,-2,1,1", "--a", "1/"), "1/"),
         (("example", "--poly", "-2,-2,1,1", "--a", "-/2"), "-/2"),
         (("example", "--poly", "-2,-2,1,1", "--a", "/2"), "/2"),
+        (("example", "--poly", "-2,-2,1,1", "--a", "\u22121"), "\u22121"),  # a minus sign
     ],
 )
 def test_example_reads_only_decimal_rationals(capsys, argv, text):
@@ -451,14 +424,6 @@ def test_auto_a_stops_once_no_shift_can_pass(capsys, monkeypatch, poly):
     assert code == 1 and out == ""
     assert err == "error: no admissible a found up to 1000\n"
     assert shifts == [1]
-
-
-def test_config_rejects_max_bits_key(tmp_path, capsys):
-    config = tmp_path / "settings.conf"
-    config.write_text("max_bits=256\n", encoding="utf-8")
-    code, _, err = run(capsys, "--config", str(config), "example", "--poly=1,1,1,1", "--a", "2")
-    assert code == 1
-    assert "unknown config key" in err
 
 
 def test_invariants_prime_witness_square_class(capsys):

@@ -1,14 +1,12 @@
 """Property tests: square classes, twisted invariants, the boundary parser,
-examples, polynomial text and config files."""
+examples and polynomial text."""
 
 from __future__ import annotations
 
 import contextlib
 import io
 import json
-import os
 import signal
-import tempfile
 from fractions import Fraction
 from math import isqrt, prod
 
@@ -33,7 +31,7 @@ from cubicbrauer.arith import (  # noqa: E402
     squarefree_part,
 )
 from cubicbrauer.brauer import twist_invariants  # noqa: E402
-from cubicbrauer.cli import CONFIG_KEYS, main  # noqa: E402
+from cubicbrauer.cli import main  # noqa: E402
 from cubicbrauer.errors import TooLarge  # noqa: E402
 
 # primes up to the trial-division bound 10^6, some above the cube root of a cofactor
@@ -212,7 +210,7 @@ def test_example_answers_or_reports_one_error_line(cubic, a, auto):
         assert is_rational_square(d_class / got["d"])
 
 
-# -- polynomial text and config files ------------------------------------------
+# -- polynomial text -----------------------------------------------------------
 
 LIMIT_S = 5.0  # each request below must end within this many seconds
 
@@ -273,51 +271,4 @@ auto_bounds = st.integers(-2, 30) | st.sampled_from((10**6, 10**12))
 def test_poly_text_answers_or_reports_one_error_line(poly, shift):
     shift_argv = ["--auto-a", str(shift)] if isinstance(shift, int) else [f"--a={shift}"]
     code, out, err = _answer(["example", f"--poly={poly}", *shift_argv])
-    _assert_answer_or_one_error_line(code, out, err)
-
-
-config_keys = st.sampled_from((*CONFIG_KEYS, "auto-a", "max_bits", "config")) | st.text(
-    "adnopz_-", max_size=5
-)
-config_values = (
-    number_texts
-    | poly_texts
-    | auto_bounds.map(str)
-    | st.sampled_from(("json", "text", "xml", "1", "2", "3", "4", "-2,-2,1,1"))
-    | boundaries().map(json.dumps)
-)
-config_lines = (
-    st.builds("{}={}".format, config_keys, config_values)
-    | st.builds("  {} = {}  ".format, config_keys, config_values)
-    | st.sampled_from(("", "# a comment", "   ", "=", "poly"))
-    | st.text(max_size=12)
-)
-config_files = st.lists(config_lines, max_size=6).map(lambda lines: "\n".join(lines).encode()) | (
-    st.binary(max_size=24)
-)
-commands = st.sampled_from(
-    (
-        ["example"],
-        ["example", "--auto-a", "3"],
-        ["example", "--poly=-2,-2,1,1"],
-        ["classify"],
-        ["invariants"],
-        ["invariants", "--n", "8"],
-        ["tables"],
-        ["lines"],
-    )
-)
-
-
-@settings(max_examples=60, deadline=None)
-@given(config_files, commands, st.booleans())
-def test_config_file_answers_or_reports_one_error_line(content, command, before):
-    """A config file may hold any bytes; the command reads it, answers or reports one error."""
-    with tempfile.TemporaryDirectory() as directory:
-        path = os.path.join(directory, "fuzz.conf")
-        with open(path, "wb") as handle:
-            handle.write(content)
-        config = ["--config", path]
-        argv = [*config, *command] if before else [*command, *config]
-        code, out, err = _answer(argv)
     _assert_answer_or_one_error_line(code, out, err)
