@@ -11,8 +11,7 @@ unimodular transforms U and V, which :func:`kernel_basis`,
 :func:`elementary_divisors` runs the same loop without them, on the
 transpose of the nonzero rows of the matrix, and returns only the
 diagonal (Cohen, *A Course in Computational Algebraic Number Theory*,
-2.4.4); :func:`cokernel_structure` and :func:`subgroup_structure_mod` use
-it.
+2.4.4); :func:`cokernel_structure` uses it.
 
 ``IntMatrix(...)`` is the one validating constructor: each entry must be
 an integer in the sense of ``operator.index``, so a float, a ``Fraction``
@@ -73,10 +72,6 @@ class IntMatrix(Value):
         )
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> IntMatrix:
-        return cls._from_rows(((0,) * cols,) * rows)
-
-    @classmethod
     def from_columns(cls, columns: Sequence[Sequence[int]], rows: int | None = None) -> IntMatrix:
         cols = [tuple(map(index, c)) for c in columns]
         if rows is None:
@@ -88,16 +83,6 @@ class IntMatrix(Value):
         if not cols:
             return cls._from_rows(((),) * rows)
         return cls._from_rows(tuple(zip(*cols)))
-
-    @classmethod
-    def empty(cls, rows: int) -> IntMatrix:
-        """A rows x 0 matrix (no columns)."""
-        return cls._from_rows(((),) * rows)
-
-    @classmethod
-    def diagonal(cls, entries: Sequence[int]) -> IntMatrix:
-        n = len(entries)
-        return cls([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)])
 
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self.data)
@@ -508,23 +493,6 @@ def solve_columns(a: IntMatrix, b: IntMatrix) -> IntMatrix | None:
     return form.V @ IntMatrix(z_rows)
 
 
-def subgroup_structure_mod(generators: Sequence[Sequence[int]], n: int, rank: int) -> FinAbGroup:
-    """Structure of the subgroup of (Z/n)^rank generated by the given vectors.
-
-    Uses the Smith form of [G | n*I]: if its diagonal is d1 | ... | dr then
-    the subgroup is  ⊕ Z/(n/di).
-    """
-    if rank == 0:
-        return FinAbGroup.trivial()
-    blocks = [IntMatrix.identity(rank).scaled(n)]
-    if generators:
-        blocks.insert(0, IntMatrix.from_columns([tuple(g) for g in generators], rows=rank))
-    diag = elementary_divisors(IntMatrix.hstack(*blocks))
-    if len(diag) != rank or any(d == 0 or n % d for d in diag):
-        raise AssertionError("lattice containing n*Z^rank must have full rank dividing n")
-    return FinAbGroup.from_orders([n // d for d in diag])
-
-
 __all__ = [
     "FinAbGroup",
     "IntMatrix",
@@ -535,5 +503,4 @@ __all__ = [
     "mod_kernel",
     "snf",
     "solve_columns",
-    "subgroup_structure_mod",
 ]

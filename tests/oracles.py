@@ -9,9 +9,12 @@ rational root theorem over the divisors of the end coefficients.
 values in integers without elimination or factoring; the tests compare the
 two.  The Eckardt test on f's own coefficients, where ``qexamples`` tests
 its integral form.  Smith-form verification, U A V == S with U and V
-unimodular.  The invariant factors of a sum of cyclic groups from primary
-parts, where ``FinAbGroup.from_orders`` takes gcds and lcms.  And the group
-that permutations generate, by a breadth-first search on image tuples, where
+unimodular.  The kernel of an integer matrix mod n by listing (Z/n)^cols,
+where ``intlinalg.mod_kernel`` reads an integer kernel, and the subgroup
+that vectors generate mod n, closed under addition.  The invariant factors
+of a sum of cyclic groups from primary parts, where
+``FinAbGroup.from_orders`` takes gcds and lcms.  And the group that
+permutations generate, by a breadth-first search on image tuples, where
 ``cubicbrauer.perms`` lists Dimino's cosets on byte codes, and on it the
 greedy generators of a subgroup, closing over every element kept, where
 ``cubicbrauer.perms`` stops at the first prime index.  Trial division
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from itertools import product
 from math import gcd, lcm
 
 from cubicbrauer.arith import (
@@ -243,6 +247,27 @@ def lines_concurrent(f: RationalPoly, a) -> bool:
 def verify_smith_form(form, a) -> bool:
     """Whether U A V == S for the Smith form (U, S, V) of A, with U and V unimodular."""
     return form.U @ a @ form.V == form.S and form.U.is_unimodular() and form.V.is_unimodular()
+
+
+def span_mod(gens, n: int, width: int) -> set[tuple[int, ...]]:
+    """The subgroup of (Z/n)^width that the vectors generate, closed under addition."""
+    span = {(0,) * width}
+    frontier = [(0,) * width]
+    while frontier:
+        base = frontier.pop()
+        for g in gens:
+            new = tuple((x + y) % n for x, y in zip(base, g))
+            if new not in span:
+                span.add(new)
+                frontier.append(new)
+    return span
+
+
+def mod_kernel_by_listing(a, n: int) -> set[tuple[int, ...]]:
+    """Every x in (Z/n)^cols with A x = 0 (mod n), found one vector at a time."""
+    return {
+        vec for vec in product(range(n), repeat=a.cols) if all(x % n == 0 for x in a.apply(vec))
+    }
 
 
 def invariant_factors_by_factoring(orders, factor=factorint) -> tuple[int, ...]:

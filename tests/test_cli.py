@@ -277,13 +277,26 @@ def test_text_output_default(capsys):
     assert "Z/3" in out
 
 
+SEED_CHECKS = [
+    "1 lattice combinatorics",
+    "2 algebraic tables",
+    "3 torsion-freeness",
+    "4 twisted invariants",
+    "4b twist enumeration oracle",
+    "5 examples over Q",
+    "6 cyclic oracle equivalence",
+    "8 classifier consistency",
+]
+
+
 def test_seed_check_runs_matrix(capsys):
+    """The eight checks in order, each under its acceptance-criterion number."""
     code, out, _ = run(capsys, "--seed-check")
     assert code == 0
-    assert out.count("[PASS]") == 9
-    assert "[FAIL]" not in out
-    assert "9/9 checks passed" in out
-    assert "algebraic tables" in out
+    lines = out.splitlines()
+    names = [re.fullmatch(r"\[PASS\] (.+?) +\( *[0-9.]+s\)  .+", line)[1] for line in lines[:-1]]
+    assert names == SEED_CHECKS
+    assert lines[-1] == "8/8 checks passed"
     # case 2 is reported as the published seven plus five witnessed extras
     assert "case 2: 12 pairs = published 7 + 5 witnessed extras" in out
 

@@ -3,16 +3,15 @@
 from __future__ import annotations
 
 import random
-from itertools import product
 from math import gcd
 
 import pytest
+from oracles import mod_kernel_by_listing, span_mod
 
-from cubicbrauer.arith import factorint
 from cubicbrauer.cohomology import LatticeGModule, h1_cyclic_oracle, h1_lattice
 from cubicbrauer.errors import NotCyclic
-from cubicbrauer.intlinalg import FinAbGroup, IntMatrix, mod_kernel, subgroup_structure_mod
-from cubicbrauer.perms import PermGroup, perm_from_cycles, perm_order
+from cubicbrauer.intlinalg import FinAbGroup, IntMatrix, mod_kernel
+from cubicbrauer.perms import PermGroup, compose, perm_from_cycles, perm_order
 
 
 def cyclic_module(order: int, matrix: IntMatrix) -> LatticeGModule:
@@ -46,6 +45,28 @@ def test_h1_cyclic_shift_c3():
     assert h1_lattice(module) == FinAbGroup.trivial()
 
 
+def regular_module(group: PermGroup) -> LatticeGModule:
+    """Z[G], each generator g of G sending the basis vector of h to that of gh."""
+    elements = sorted(group.elements())
+    index = {h: i for i, h in enumerate(elements)}
+    matrices = []
+    for g in group.generators:
+        images = [index[compose(g, h)] for h in elements]
+        columns = [tuple(int(i == j) for i in range(len(elements))) for j in images]
+        matrices.append(IntMatrix.from_columns(columns, rows=len(elements)))
+    return LatticeGModule(rank=len(elements), group=group, matrices=tuple(matrices))
+
+
+def test_h1_regular_representations_c4_s3():
+    """Shapiro's lemma: H^1(G, Z[G]) = H^1(1, Z) = 0."""
+    c4 = regular_module(PermGroup(4, [(1, 2, 3, 0)]))
+    assert c4.rank == 4
+    assert h1_lattice(c4) == h1_cyclic_oracle(c4) == FinAbGroup.trivial()
+    s3 = regular_module(PermGroup(3, [(1, 0, 2), (1, 2, 0)]))
+    assert s3.rank == 6
+    assert h1_lattice(s3) == FinAbGroup.trivial()
+
+
 def test_h1_c4_rotation():
     # Z^2 with a 4-fold rotation is induced from the sign lattice of the
     # order-2 subgroup, so Shapiro gives H^1 = H^1(C2, Z^-) = Z/2: the norm
@@ -71,7 +92,7 @@ def test_h1_oracle_requires_cyclic():
         h1_cyclic_oracle(module)
 
 
-def test_h1_exponent_annihilator_is_insufficient():
+def test_h1_exponent_annihilator_is_insufficient(stabilizer_classes):
     """A Klein four-group module whose H^1 has exponent 4 > exp(G) = 2.
 
     This is the boundary-quotient action of <(e1 e2)(e3 e4), cremona(1,3,5)
@@ -80,13 +101,11 @@ def test_h1_exponent_annihilator_is_insufficient():
     formula must be |G|, not the exponent.
     """
     from cubicbrauer.acceptance import _h1_by_annihilator
-    from cubicbrauer.cubiclattice import quotient_by_trio, reference_trio, weyl_group
-    from cubicbrauer.perms import setwise_stabilizer, subgroup_classes
+    from cubicbrauer.cubiclattice import quotient_by_trio, reference_trio
 
     trio = reference_trio()
-    stab = setwise_stabilizer(weyl_group(), set(trio.indices))
     witness = None
-    for cls in subgroup_classes(stab):
+    for cls in stabilizer_classes:
         if cls.order != 4 or any(perm_order(p) == 4 for p in cls.group.elements()):
             continue
         module = quotient_by_trio(trio, cls.group)
@@ -102,78 +121,63 @@ def test_h1_exponent_annihilator_is_insufficient():
     assert _h1_by_annihilator(module.matrices, module.rank, 4) == value
 
 
-def test_h1_factors_divide_group_order():
-    from cubicbrauer.cubiclattice import pic_module, quotient_by_trio, reference_trio, weyl_group
-    from cubicbrauer.perms import setwise_stabilizer, subgroup_classes
+def test_h1_factors_divide_group_order(sweep_modules):
+    """|G| kills H^1(G, M), on all 492 modules of the sweep."""
+    assert len(sweep_modules) == 492
+    for order, module in sweep_modules:
+        assert all(order % d == 0 for d in h1_lattice(module).invariant_factors)
+
+
+def _random_unimodular(rng: random.Random, n: int) -> IntMatrix:
+    """The identity after 3n random row operations row_i += c * row_j, |c| <= 2."""
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i != j:
+            c = rng.randint(-2, 2)
+            m[i] = [x + c * y for x, y in zip(m[i], m[j])]
+    return IntMatrix(m)
+
+
+def test_h1_is_invariant_under_a_change_of_basis(trio_stabilizer):
+    """A cyclic quotient module with H^1 = Z/2 x Z/4, conjugated by 100 random unimodular T."""
+    from cubicbrauer.cubiclattice import quotient_by_trio, reference_trio
 
     trio = reference_trio()
-    stab = setwise_stabilizer(weyl_group(), set(trio.indices))
-    for cls in subgroup_classes(stab)[:40]:
-        for module in (pic_module(cls.group), quotient_by_trio(trio, cls.group)):
-            h1 = h1_lattice(module)
-            assert all(cls.order % d == 0 for d in h1.invariant_factors)
+    expected = FinAbGroup.from_orders([2, 4])
+    cyclic = (quotient_by_trio(trio, PermGroup(27, [g])) for g in trio_stabilizer.elements())
+    module = next(m for m in cyclic if h1_lattice(m) == expected)
+    assert module.rank == 4
+    rng = random.Random(20260809)
+    for _ in range(100):
+        t = _random_unimodular(rng, 4)
+        t_inv = t.inverse_unimodular()
+        assert t @ t_inv == IntMatrix.identity(4)
+        matrices = tuple(t @ m @ t_inv for m in module.matrices)
+        conjugate = LatticeGModule(rank=4, group=module.group, matrices=matrices)
+        assert h1_lattice(conjugate) == expected
 
 
-def invariants_mod(n: int, rank: int, matrices: list[IntMatrix]) -> FinAbGroup:
-    """H^0 of (Z/n)^rank under the matrices, by the intlinalg composition
-    that the annihilator route and the residue kernel check use."""
+def fixed_vectors_mod(n: int, rank: int, matrices: list[IntMatrix]):
+    """The vectors of (Z/n)^rank that the matrices fix, by mod_kernel and by listing.
+
+    Both read the kernel mod n of the stacked (m - 1) mod n; with no
+    matrices, of one zero row.
+    """
     ident = IntMatrix.identity(rank)
     rows = [IntMatrix([[x % n for x in row] for row in (m - ident).data]) for m in matrices]
-    rows = rows or [IntMatrix.zeros(1, rank)]
-    return subgroup_structure_mod(mod_kernel(IntMatrix.vstack(*rows), n), n, rank)
-
-
-def invariants_enumerated(n: int, rank: int, matrices: list[IntMatrix]) -> FinAbGroup:
-    """Count the fixed vectors of (Z/n)^rank one by one."""
-    fixed = [
-        v
-        for v in product(range(n), repeat=rank)
-        if all(tuple(x % n for x in m.apply(v)) == v for m in matrices)
-    ]
-    return structure_from_elements(fixed, n)
-
-
-def structure_from_elements(elements: list[tuple[int, ...]], n: int) -> FinAbGroup:
-    """Structure of a finite abelian group given as a list of (Z/n)^r vectors.
-
-    Pure counting: for each prime p | n the partition of the p-part is read
-    off the sizes of the p^j-torsion subgroups.
-    """
-    orders: list[int] = []
-    for p in factorint(n):
-        torsion_sizes = [1]
-        j = 1
-        while True:
-            pj = p**j
-            torsion_sizes.append(sum(1 for v in elements if all(pj * x % n == 0 for x in v)))
-            if torsion_sizes[-1] == torsion_sizes[-2]:
-                break
-            j += 1
-        # log_p of successive quotients = number of cyclic parts of order >= p^j
-        parts_ge = []
-        for j in range(1, len(torsion_sizes)):
-            q = torsion_sizes[j] // torsion_sizes[j - 1]
-            e = 0
-            while q > 1:
-                q //= p
-                e += 1
-            parts_ge.append(e)
-        for idx, count in enumerate(parts_ge):
-            nxt = parts_ge[idx + 1] if idx + 1 < len(parts_ge) else 0
-            orders.extend([p ** (idx + 1)] * (count - nxt))
-    group = FinAbGroup.from_orders(orders)
-    assert group.order() == len(elements), "inconsistent torsion counts"
-    return group
+    stacked = IntMatrix.vstack(*rows) if rows else IntMatrix([[0] * rank])
+    return span_mod(mod_kernel(stacked, n), n, rank), mod_kernel_by_listing(stacked, n)
 
 
 def test_invariants_finite_examples():
-    assert invariants_mod(6, 1, []) == FinAbGroup.from_orders([6])
-    assert invariants_mod(4, 1, [IntMatrix([[-1]])]) == FinAbGroup.from_orders([2])
-
+    by_kernel, by_listing = fixed_vectors_mod(6, 1, [])
+    assert by_kernel == by_listing == {(m,) for m in range(6)}
+    by_kernel, by_listing = fixed_vectors_mod(4, 1, [IntMatrix([[-1]])])
+    assert by_kernel == by_listing == {(0,), (2,)}
     # 3m = m mod 8 forces 2m = 0 mod 8, i.e. m in {0, 4}
-    times_three = [IntMatrix([[3]])]
-    assert invariants_mod(8, 1, times_three) == FinAbGroup.from_orders([2])
-    assert invariants_enumerated(8, 1, times_three) == FinAbGroup.from_orders([2])
+    by_kernel, by_listing = fixed_vectors_mod(8, 1, [IntMatrix([[3]])])
+    assert by_kernel == by_listing == {(0,), (4,)}
 
 
 @pytest.mark.parametrize("seed", range(25))
@@ -188,7 +192,8 @@ def test_invariants_finite_vs_enumeration(seed):
             if gcd(m.det() % n, n) == 1:
                 break
         matrices.append(m)
-    assert invariants_mod(n, rank, matrices) == invariants_enumerated(n, rank, matrices)
+    by_kernel, by_listing = fixed_vectors_mod(n, rank, matrices)
+    assert by_kernel == by_listing
 
 
 def test_lattice_module_validation():
@@ -207,20 +212,19 @@ def test_lattice_module_rejects_a_cached_non_unimodular_determinant():
         LatticeGModule(rank=2, group=group, matrices=(doubled,))
 
 
-def test_module_matrices_respect_relations():
+def test_module_matrices_respect_relations(trio_stabilizer):
     """Random generator words get the matrix of the permutation they multiply to."""
-    from cubicbrauer.cubiclattice import pic_action, pic_module, reference_trio, weyl_group
-    from cubicbrauer.perms import compose, identity_perm, setwise_stabilizer
+    from cubicbrauer.cubiclattice import pic_action, pic_module
+    from cubicbrauer.perms import identity_perm
 
-    stab = setwise_stabilizer(weyl_group(), set(reference_trio().indices))
-    module = pic_module(stab)
+    module = pic_module(trio_stabilizer)
     rng = random.Random(3)
     for _ in range(200):
         perm = identity_perm(27)
         matrix = IntMatrix.identity(7)
         for _ in range(rng.randint(1, 5)):
-            i = rng.randrange(len(stab.generators))
-            perm = compose(stab.generators[i], perm)
+            i = rng.randrange(len(trio_stabilizer.generators))
+            perm = compose(trio_stabilizer.generators[i], perm)
             matrix = module.matrices[i] @ matrix
         assert pic_action(perm) == matrix
 

@@ -222,7 +222,7 @@ def _check_free_quotient(components) -> None:
     k = len(components)
     projection, section = boundary_quotient(components)
     assert projection.rows == section.cols == RANK - k
-    assert projection @ _boundary_matrix(components) == IntMatrix.zeros(RANK - k, k)
+    assert projection @ _boundary_matrix(components) == IntMatrix([[0] * k] * (RANK - k))
     assert projection @ section == IntMatrix.identity(RANK - k)
 
 
