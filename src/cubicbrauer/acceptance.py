@@ -200,17 +200,11 @@ def _h1_by_annihilator(matrices: tuple[IntMatrix, ...], rank: int, n: int) -> Fi
     ident = IntMatrix.identity(rank)
     stacked = IntMatrix.vstack(*[m - ident for m in matrices])
     invariant_gens = mod_kernel(stacked, n)  # generators of (M/nM)^G
-    if not invariant_gens:
-        return FinAbGroup.trivial()
     k = len(invariant_gens)
     kmat = IntMatrix.from_columns(invariant_gens, rows=rank)
     fixed = kernel_basis(stacked)  # basis of M^G
     # Relations among the generators: K x lies in  image(M^G) + n Z^rank.
-    blocks = [kmat]
-    if fixed.cols:
-        blocks.append(fixed)
-    blocks.append(ident.scaled(n))
-    relations = kernel_basis(IntMatrix.hstack(*blocks))
+    relations = kernel_basis(IntMatrix.hstack(kmat, fixed, ident.scaled(n)))
     result = cokernel_structure(IntMatrix(relations.data[:k]))
     if result.free_rank:
         raise AssertionError("H^1 of a finite group with lattice coefficients is finite")

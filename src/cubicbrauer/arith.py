@@ -199,9 +199,11 @@ def squarefree_part(q: int | Fraction) -> int:
     :func:`is_probable_prime`, which proves it prime only below about
     3.2 * 10^23; above that a composite strong pseudoprime is kept too, and
     the result is wrong only if the square of a prime divides it.  Any other
-    non-square c >= B^3 raises :class:`TooLarge`.
+    non-square c >= B^3 raises :class:`TooLarge`.  An int or a Fraction is
+    read as it is, with no new Fraction built.
     """
-    q = Fraction(q)
+    if not isinstance(q, (int, Fraction)):
+        q = Fraction(q)
     if q == 0:
         raise ValueError("0 has no square class")
     small, rest = _trial_divide(q.numerator * q.denominator, 3)

@@ -9,9 +9,10 @@ One elimination loop serves two routes.  :func:`snf` also carries the
 unimodular transforms U and V, which :func:`kernel_basis`,
 :func:`solve_columns` and ``IntMatrix.inverse_unimodular`` read.
 :func:`elementary_divisors` runs the same loop without them, on the
-transpose of the nonzero rows of the matrix, and returns only the
-diagonal (Cohen, *A Course in Computational Algebraic Number Theory*,
-2.4.4); :func:`cokernel_structure` uses it.
+transpose of the nonzero rows of the matrix once every entry +-1 has
+been eliminated, and returns only the diagonal (Cohen, *A Course in
+Computational Algebraic Number Theory*, 2.4.4); :func:`cokernel_structure`
+uses it.
 
 ``IntMatrix(...)`` is the one validating constructor: each entry must be
 an integer in the sense of ``operator.index``, so a float, a ``Fraction``
@@ -312,6 +313,36 @@ def snf(a: IntMatrix) -> SmithForm:
     return SmithForm(*(IntMatrix._from_rows(tuple(map(tuple, x))) for x in (u, s, v)))
 
 
+def _eliminate_unit_pivots(s: list[list[int]]) -> int:
+    """Take out of the rows s, in place, a row and a column per entry +-1; return how many.
+
+    A unit pivot clears its column by row operations; the column
+    operations that would then clear its row change no other entry, so
+    the pivot's row and column are deleted, each adding an elementary
+    divisor 1, and the rest has the same Smith form as before.  The loop
+    stops when no entry +-1 is left, including one that elimination made.
+    """
+    count = 0
+    while True:
+        for i, pivot in enumerate(s):
+            if 1 in pivot:
+                j = pivot.index(1)
+                break
+            if -1 in pivot:
+                j = pivot.index(-1)
+                break
+        else:
+            return count
+        del s[i]
+        for k, row in enumerate(s):
+            c = row[j] * pivot[j]  # pivot[j] is its own inverse
+            if c:
+                s[k] = [x - c * y for x, y in zip(row, pivot)]
+        for row in s:
+            del row[j]
+        count += 1
+
+
 def elementary_divisors(a: IntMatrix) -> tuple[int, ...]:
     """The diagonal of the Smith normal form of A, without U and V.
 
@@ -320,12 +351,15 @@ def elementary_divisors(a: IntMatrix) -> tuple[int, ...]:
     matrix and its transpose have the same ones, so only the number of
     trailing zeros, min(rows, cols) - rank, is taken from A's shape.  The
     stacked (g - 1) matrices of H^1 are tall, and the elimination runs
-    faster on their wide transposes.
+    faster on their wide transposes.  Every entry +-1 is eliminated first,
+    with no search for a least pivot, and the Smith loop runs only on the
+    block that is left, which has no unit entry.
     """
     s = [list(col) for col in zip(*filter(any, a.data))]
+    ones = _eliminate_unit_pivots(s)
     _smith_eliminate(s, None, None)
     nonzero = [row[i] for i, row in enumerate(s) if i < len(row) and row[i]]
-    return (*nonzero, *(0,) * (min(a.rows, a.cols) - len(nonzero)))
+    return (*(1,) * ones, *nonzero, *(0,) * (min(a.rows, a.cols) - ones - len(nonzero)))
 
 
 def kernel_basis(a: IntMatrix) -> IntMatrix:

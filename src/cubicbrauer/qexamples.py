@@ -99,12 +99,35 @@ def cubic_galois_type(f: IntegralCubic) -> GaloisType:
 
 
 class GeneralPositionReport(NamedTuple):
+    """The three general-position conditions, and the three values they test.
+
+    Each value is kept as the integers (numerator, denominator > 0) that
+    :func:`general_position` computes, not reduced, and becomes a Fraction
+    only when its property is read; a report is equal to another when
+    those integers are.
+    """
+
     distinct_roots: bool
     degree5_nonzero: bool
     no_triple_sum_zero: bool
-    resultant_f_fshift: Fraction
-    degree5_coefficient: Fraction
-    derivation_determinant: Fraction
+    resultant_terms: tuple[int, int]
+    degree5_terms: tuple[int, int]
+    derivation_terms: tuple[int, int]
+
+    @property
+    def resultant_f_fshift(self) -> Fraction:
+        """Res(f, f(t - a))."""
+        return Fraction(*self.resultant_terms)
+
+    @property
+    def degree5_coefficient(self) -> Fraction:
+        """The t^5 coefficient of f(t) f(t - a)."""
+        return Fraction(*self.degree5_terms)
+
+    @property
+    def derivation_determinant(self) -> Fraction:
+        """The product of the 20 sums of three distinct roots of f(t) f(t - a)."""
+        return Fraction(*self.derivation_terms)
 
     @property
     def ok(self) -> bool:
@@ -116,6 +139,13 @@ class GeneralPositionReport(NamedTuple):
             (self.degree5_nonzero, "degree-5 coefficient of F(t)F(t-a) vanishes"),
             (self.no_triple_sum_zero, "three of the six roots sum to zero"),
         ) if not ok]
+
+
+def _shift_terms(a) -> tuple[int, int]:
+    """(n, d) with a = n/d in lowest terms and d > 0; only a non-rational type becomes a Fraction."""
+    if not isinstance(a, (int, Fraction)):
+        a = Fraction(a)
+    return a.numerator, a.denominator
 
 
 def _difference_form(c: tuple[int, int, int, int], disc: int, d: int, t: int) -> int:
@@ -156,27 +186,28 @@ def _triple_sum_product(c: tuple[int, int, int, int], disc: int, n: int, d: int)
 def general_position(f: IntegralCubic, a) -> GeneralPositionReport:
     """The three general-position conditions for H = F(t)F(t-a), with f = lambda F.
 
-    Each reported value is one Fraction of integers on the integral form,
-    at a = n/d: Res(f, f(t - a)) = lambda^6 Res(F, F(t - a)), and H's t^5
-    coefficient f3 (2 f2 - 3 a f3) is lambda^2 c3 (2 c2 d - 3 n c3) / d.
+    Each condition is decided on an integer closed form at a = n/d, and the
+    report keeps that integer with the denominator that makes it a value of
+    f: Res(f, f(t - a)) = lambda^6 Res(F, F(t - a)), H's t^5 coefficient
+    f3 (2 f2 - 3 a f3) is lambda^2 c3 (2 c2 d - 3 n c3) / d, and the triple
+    sums multiply to T0 T1^3 T2^3 T3 q(T1) q(T2) / (c3 d)^20.
     """
-    a = Fraction(a)
-    if a == 0:
+    n, d = _shift_terms(a)
+    if not n:
         raise ValueError("the shift a must be nonzero")
     c, disc = f.integral, f.disc
-    n, d = a.numerator, a.denominator
     lam, mu = f.scale.numerator, f.scale.denominator
     _, _, c2, c3 = c
-    res = Fraction(lam**6 * _shift_resultant(c, disc, n, d), mu**6 * d**9)
-    degree5 = Fraction(lam * lam * c3 * (2 * c2 * d - 3 * n * c3), mu * mu * d)
-    det = Fraction(_triple_sum_product(c, disc, n, d), (c3 * d) ** 20)
+    res = _shift_resultant(c, disc, n, d)
+    degree5 = 2 * c2 * d - 3 * n * c3
+    det = _triple_sum_product(c, disc, n, d)
     return GeneralPositionReport(
         distinct_roots=disc != 0 and res != 0,
         degree5_nonzero=degree5 != 0,
         no_triple_sum_zero=det != 0,
-        resultant_f_fshift=res,
-        degree5_coefficient=degree5,
-        derivation_determinant=det,
+        resultant_terms=(lam**6 * res, mu**6 * d**9),
+        degree5_terms=(lam * lam * c3 * degree5, mu * mu * d),
+        derivation_terms=(det, (c3 * d) ** 20),
     )
 
 
@@ -203,12 +234,11 @@ def eckardt_concurrent(f: IntegralCubic, a) -> EckardtVerdict:
     a = n/d that is c3 n^2 - c2 n d + c1 d^2 = 0, one test in integers; on
     f = lambda F the scale lambda cancels.
     """
-    a = Fraction(a)
     report = general_position(f, a)
     if not report.ok:
         raise GeneralPositionFailed(report)
     _, c1, c2, c3 = f.integral
-    n, d = a.numerator, a.denominator
+    n, d = _shift_terms(a)
     if c3 * n * n - c2 * n * d + c1 * d * d == 0:
         return EckardtVerdict.YES
     return EckardtVerdict.NO
@@ -270,18 +300,17 @@ def find_admissible_a(f: IntegralCubic, bound: int = 20) -> SearchOutcome:
     if bound < 1:
         raise ValueError(f"the search bound must be at least 1, not {bound}")
     rejected: list[tuple[Fraction, str]] = []
-    for candidate in range(1, bound + 1):
-        a = Fraction(candidate)
+    for a in range(1, bound + 1):
         try:
             verdict = eckardt_concurrent(f, a)
         except GeneralPositionFailed as exc:
-            rejected.append((a, "; ".join(exc.report.failures())))
+            rejected.append((Fraction(a), "; ".join(exc.report.failures())))
             if _fails_every_shift(f):
                 break
             continue
         if verdict is EckardtVerdict.NO:
-            return SearchOutcome(a=a, rejected=tuple(rejected))
-        rejected.append((a, f"eckardt check: {verdict.value}"))
+            return SearchOutcome(a=Fraction(a), rejected=tuple(rejected))
+        rejected.append((Fraction(a), f"eckardt check: {verdict.value}"))
     raise NoAdmissibleShift(f"no admissible a found up to {bound}")
 
 

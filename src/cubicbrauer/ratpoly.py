@@ -7,10 +7,15 @@ roots are u/c3 for the integer roots u of the monic cubic
 u^3 + c2 u^2 + c1 c3 u + c0 c3^2, found by exact bisection between its
 critical points, with no factoring.  :func:`integral_cubic` builds the
 record of f once, with F's coefficients, lambda and disc F, and every stage
-of one example reads its fields.  The Sylvester-matrix resultant and
-discriminant, the rational-root-theorem listing and the polynomial
-arithmetic they run on are the second route, in ``tests/oracles.py``;
-``tests/test_ratpoly.py`` and ``tests/test_qexamples.py`` compare the two.
+of one example reads its fields.  An example request keeps its rationals
+in integers: :func:`parse_rational` builds each Fraction from the digits
+it has checked, ``integral_cubic`` keeps the Fractions it is given, a
+shift enters the pipeline as its numerator and denominator, and the
+general-position values are formed as Fractions only when read.  The
+Sylvester-matrix resultant and discriminant, the rational-root-theorem
+listing and the polynomial arithmetic they run on are the second route,
+in ``tests/oracles.py``; ``tests/test_ratpoly.py`` and
+``tests/test_qexamples.py`` compare the two.
 """
 
 from __future__ import annotations
@@ -28,18 +33,33 @@ def parse_rational(text: str) -> Fraction:
     Each side of a '/' holds at least one digit.  ``Fraction`` also reads
     '_', blanks, '+' and any Unicode digit.  Exponent notation is named in
     its error: a few characters such as '1e999999999' denote a
-    billion-digit integer, so the work would not follow the text.
+    billion-digit integer, so the work would not follow the text.  The
+    validated digit strings become integers as ``Fraction(text)`` converts
+    them: the numerator and the denominator, or the whole and the decimal
+    part, one at a time, so each meets ``int``'s 4300-digit limit alone and
+    a refusal reads as that text's would.
     """
     if "e" in text.lower():
         raise ValueError(f"exponent notation in {text!r}: write an integer, a decimal or p/q")
-    body = text[1:] if text.startswith("-") else text
-    sides = body.split("/", 1) if "/" in body else [body.replace(".", "", 1)]
+    negative = text.startswith("-")
+    body = text[1:] if negative else text
+    ratio = "/" in body
+    if ratio:
+        whole, _, part = body.partition("/")
+        sides = (whole, part)
+    else:
+        whole, _, part = body.partition(".")
+        sides = (whole + part,)
     if not all(side.isascii() and side.isdigit() for side in sides):
         raise ValueError(f"not a decimal rational: {text!r}")
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
+    if ratio:
+        numerator, denominator = int(whole), int(part)
+        if not denominator:
+            raise ValueError(f"zero denominator in {text!r}")
+    else:
+        denominator = 10 ** len(part)
+        numerator = int(whole or "0") * denominator + int(part or "0")
+    return Fraction(-numerator if negative else numerator, denominator)
 
 
 def parse_coefficients(text: str) -> tuple[Fraction, ...]:
@@ -72,7 +92,7 @@ def integral_cubic(coefficients) -> IntegralCubic:
 
     Trailing zeros are dropped; anything but a cubic raises WrongDegree.
     """
-    coeffs = tuple(map(Fraction, coefficients))
+    coeffs = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in coefficients)
     while coeffs and not coeffs[-1]:
         coeffs = coeffs[:-1]
     if len(coeffs) != 4:

@@ -342,6 +342,39 @@ def test_random_kernel_inputs_cover_the_edge_shapes():
     )
 
 
+def test_elementary_divisors_around_unit_pivots():
+    """Unit pivots are eliminated before the Smith loop; the diagonal stays snf's.
+
+    Inputs: entries with no +-1 at all, entries whose units appear only
+    after elimination (2 and 3 give 3 - 2 = 1), units among large
+    entries, and the empty shapes.
+    """
+    rng = random.Random(20261020)
+    big = 10**30
+    inputs = [
+        IntMatrix([[2, 3], [4, 9]]),  # no unit entry; diagonal (1, 6)
+        IntMatrix([[6, 10, 15]]),  # gcd 1 from three non-units
+        IntMatrix([[2, 0], [0, 2], [4, 6]]),
+        IntMatrix([[1, big], [big, 1]]),
+        IntMatrix([[-1, 2], [2, -4]]),  # a unit pivot that leaves a zero block
+        IntMatrix([[big, big + 1], [big - 1, big]]),  # determinant 1, no unit entry
+        IntMatrix.from_columns([], rows=3),  # 3 x 0
+        IntMatrix([[], []]),  # 2 x 0
+        IntMatrix([[0, 0, 0]]),
+        IntMatrix(()),  # 0 x 0
+    ]
+    for _ in range(60):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        entries = rng.choice(((0, 2, -2, 3, 4, -6, 9), (0, 1, -1, 2, 5), (0, 1, big, -big, 7)))
+        inputs.append(IntMatrix([[rng.choice(entries) for _ in range(cols)] for _ in range(rows)]))
+    inputs += [IntMatrix([list(row) for row in zip(*a.data)]) for a in inputs if a.rows and a.cols]
+    no_unit = 0
+    for a in inputs:
+        assert elementary_divisors(a) == snf(a).diagonal(), a
+        no_unit += a.rows > 0 and a.cols > 0 and not any(abs(x) == 1 for row in a.data for x in row)
+    assert no_unit >= 20
+
+
 def test_elementary_divisors_of_the_trio_boundaries():
     from cubicbrauer.cubiclattice import tritangent_trios
 

@@ -342,6 +342,59 @@ def test_closed_forms_match_the_elimination_routes():
             _assert_closed_forms_match_elimination(f, a, roots)
 
 
+def _eager_values(f: RationalPoly, a: Fraction) -> tuple[Fraction, Fraction, Fraction]:
+    """Res(f, f(t - a)), H's t^5 coefficient and the triple-sum product, in Fractions.
+
+    Over F's roots, prod_{i<j} (x - (r_i - r_j)^2) = R(x) = x (x - D0/c3^2)^2
+    - disc F/c3^4, and f = lambda F; the report keeps the same values as
+    integers with cleared denominators.
+    """
+    c0, c1, c2, c3 = f.integer_scaled()
+    lam = f.leading / c3
+    e1 = Fraction(-c2, c3)
+    d0 = Fraction(c2 * c2 - 3 * c1 * c3, c3 * c3)
+    disc = Fraction(discriminant(P(f"{c0},{c1},{c2},{c3}")), c3**4)
+
+    def r(x):
+        return x * (x - d0) ** 2 - disc
+
+    res = lam**6 * c3**6 * -(a**3) * r(a * a)
+    degree5 = f.coeff(3) * (2 * f.coeff(2) - 3 * a * f.coeff(3))
+    sums = e1 * (e1 + a) ** 3 * (e1 + 2 * a) ** 3 * (e1 + 3 * a)
+    return res, degree5, sums * r((e1 + a) ** 2) * r((e1 + 2 * a) ** 2)
+
+
+def test_report_values_read_as_the_eager_fractions():
+    """The report's values, formed when read, equal Fractions formed at once.
+
+    Besides each seeded shift, every cubic also gets shifts that fail one
+    condition: a difference of two rational roots, the zero 2 c2 / (3 c3)
+    of the t^5 coefficient, and -e1 / k, which puts e1 + k a at zero.
+    """
+    rng = random.Random(20262)
+    failing = dict.fromkeys(("distinct_roots", "degree5_nonzero", "no_triple_sum_zero"), 0)
+    pairs = 0
+    for _, f, a in _seeded_cubics(rng, 120):
+        c0, c1, c2, c3 = f.integer_scaled()
+        roots = [Fraction(u, c3) for u in monic_cubic_integer_roots(c2, c1 * c3, c0 * c3 * c3)]
+        shifts = {a, Fraction(2 * c2, 3 * c3), *(Fraction(c2, k * c3) for k in (1, 2, 3))}
+        shifts.update(x - y for x, y in combinations(roots, 2))
+        for shift in shifts - {0}:
+            report = general_position(cubic(f), shift)
+            values = (
+                report.resultant_f_fshift, report.degree5_coefficient, report.derivation_determinant
+            )
+            assert values == _eager_values(f, shift), (f, shift)
+            assert all(type(v) is Fraction for v in values)
+            assert report.distinct_roots == (values[0] != 0)
+            assert report.degree5_nonzero == (values[1] != 0)
+            assert report.no_triple_sum_zero == (values[2] != 0)
+            for name in failing:
+                failing[name] += not getattr(report, name)
+            pairs += 1
+    assert pairs >= 500 and min(failing.values()) >= 40, (pairs, failing)
+
+
 @pytest.mark.parametrize("i,j", [(0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1)])
 def test_shift_resultant_vanishes_on_each_zero_family(i, j):
     # a = r_i - r_j puts the root r_i of F among the roots r + a of F(t - a)

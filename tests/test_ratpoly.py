@@ -41,6 +41,64 @@ def test_parse_names_exponent_notation(text):
         parse_rational(text)
 
 
+_LONG = "9" * 4300  # int()'s default limit on the digits of one string
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["0", "-0", "007", "1.", ".5", "-.5", "0.000", "3/6", "-0/5", "-12/18", "2.50", "-3",
+     _LONG, f"-{_LONG}/7", f"1/{_LONG}", f"0.{_LONG}", f"{_LONG}.{_LONG}", f"-.{_LONG}"],
+    ids=lambda text: text if len(text) < 20 else f"{text[:8]}..({len(text)} chars)",
+)
+def test_parse_rational_reads_as_fraction_does(text):
+    value = parse_rational(text)
+    assert type(value) is Fraction and value == Fraction(text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1/0", "zero denominator in '1/0'"),
+        ("0/0", "zero denominator in '0/0'"),
+        ("-0/00", "zero denominator in '-0/00'"),
+        ("1e5", "exponent notation in '1e5': write an integer, a decimal or p/q"),
+        ("1E5", "exponent notation in '1E5': write an integer, a decimal or p/q"),
+        ("--1", "not a decimal rational: '--1'"),
+        ("1/-2", "not a decimal rational: '1/-2'"),
+        ("1_000", "not a decimal rational: '1_000'"),
+        (" 1", "not a decimal rational: ' 1'"),
+        ("+1", "not a decimal rational: '+1'"),
+        ("١", "not a decimal rational: '١'"),
+        ("", "not a decimal rational: ''"),
+        ("-", "not a decimal rational: '-'"),
+        (".", "not a decimal rational: '.'"),
+        ("1/", "not a decimal rational: '1/'"),
+        ("/2", "not a decimal rational: '/2'"),
+        ("1/2/3", "not a decimal rational: '1/2/3'"),
+        ("1.2.3", "not a decimal rational: '1.2.3'"),
+        ("1.5/2", "not a decimal rational: '1.5/2'"),
+    ],
+)
+def test_parse_rational_refusals(text, message):
+    with pytest.raises(ValueError) as refused:
+        parse_rational(text)
+    assert str(refused.value) == message
+
+
+@pytest.mark.parametrize(
+    "text", [f"{_LONG}1", f"-{_LONG}1/3", f"3/{_LONG}1", f"{_LONG}1/0", f"1.{_LONG}1", f"{_LONG}1.5"],
+    ids=["numerator", "signed", "denominator", "before-zero", "decimal", "whole"],
+)
+def test_parse_rational_keeps_the_digit_limit_of_fraction(text):
+    """A part over 4300 digits is refused with the text ``Fraction(text)`` gives."""
+    with pytest.raises(ValueError) as ours:
+        parse_rational(text)
+    with pytest.raises(ValueError) as theirs:
+        Fraction(text)
+    assert str(ours.value) == str(theirs.value)
+    assert "4300" in str(ours.value)
+
+
 def test_integral_cubic_fields():
     f = integral_cubic(parse_coefficients("1/2,-3/4,0,-5/6,0,0"))
     assert f.coefficients == (Fraction(1, 2), Fraction(-3, 4), 0, Fraction(-5, 6))

@@ -91,16 +91,16 @@ VALUES = {
         snf(IntMatrix([[2, 4], [6, 9]])),
     ),
     "GeneralPositionReport": lambda: (
-        GeneralPositionReport(True, True, False, Fraction(5), Fraction(-1), Fraction(0)),
+        GeneralPositionReport(True, True, False, (5, 1), (-1, 1), (0, 1)),
         GeneralPositionReport(
             distinct_roots=True,
             degree5_nonzero=True,
             no_triple_sum_zero=False,
-            resultant_f_fshift=Fraction(5),
-            degree5_coefficient=Fraction(-1),
-            derivation_determinant=Fraction(0),
+            resultant_terms=(5, 1),
+            degree5_terms=(-1, 1),
+            derivation_terms=(0, 1),
         ),
-        GeneralPositionReport(True, True, True, Fraction(5), Fraction(-1), Fraction(7)),
+        GeneralPositionReport(True, True, True, (5, 1), (-1, 1), (7, 1)),
     ),
     "SearchOutcome": lambda: (
         SearchOutcome(Fraction(2), ((Fraction(1), "eckardt check: yes"),)),
