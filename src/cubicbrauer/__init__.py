@@ -16,7 +16,7 @@ from .brauer import (
     transcendental_bound,
     twist_invariants,
 )
-from .cohomology import LatticeGModule, h1_cyclic_oracle, h1_lattice
+from .cohomology import LatticeGModule, h1_lattice
 from .cubiclattice import (
     HYPERPLANE,
     TritangentTrio,
@@ -33,10 +33,7 @@ from .intlinalg import (
     FinAbGroup,
     IntMatrix,
     SmithForm,
-    cokernel_structure,
     elementary_divisors,
-    kernel_basis,
-    mod_kernel,
     snf,
 )
 from .perms import PermGroup, orbit_count, setwise_stabilizer
@@ -68,7 +65,6 @@ __all__ = [
     "TablePair",
     "TritangentTrio",
     "algebraic_tables",
-    "cokernel_structure",
     "cubic_galois_type",
     "eckardt_concurrent",
     "elementary_divisors",
@@ -76,13 +72,10 @@ __all__ = [
     "find_admissible_a",
     "general_position",
     "geometric_brauer",
-    "h1_cyclic_oracle",
     "h1_lattice",
     "integral_cubic",
     "intersection",
-    "kernel_basis",
     "lines27",
-    "mod_kernel",
     "orbit_count",
     "pic_action",
     "pic_module",

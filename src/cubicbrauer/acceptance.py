@@ -8,6 +8,10 @@ to hold five pairs beyond the published seven), each extra pair carries an
 explicit witness subgroup in CASE_TWO_WITNESSES that the check re-verifies
 by a route independent of the sweep, and the check's report names the
 published count next to the witnessed extras.
+
+The second routes to H^1 that checks 2 and 6 run live here, with the
+integer kernels, cokernels and solutions that only they read, so the
+modules that the user commands import do not carry them.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from .brauer import (
     transcendental_bound,
     twist_invariants,
 )
-from .cohomology import h1_cyclic_oracle, h1_lattice
+from .cohomology import LatticeGModule, h1_lattice
 from .cubiclattice import (
     HYPERPLANE,
     RANK,
@@ -43,13 +47,7 @@ from .cubiclattice import (
 from .errors import (
     BadModulus, CubicBrauerError, InconsistentPermutation, NotStabilized, TorsionFound
 )
-from .intlinalg import (
-    FinAbGroup,
-    IntMatrix,
-    cokernel_structure,
-    kernel_basis,
-    mod_kernel,
-)
+from .intlinalg import FinAbGroup, IntMatrix, elementary_divisors, snf
 from .perms import PermGroup, orbit_count, perm_order, setwise_stabilizer
 from .qexamples import searched_example_brauer
 from .ratpoly import integral_cubic, parse_coefficients
@@ -184,6 +182,109 @@ CASE_TWO_WITNESSES: tuple[CaseTwoWitness, ...] = (
         (_IOTA @ _permute_e((1, 2), (3, 5, 4, 6)), _permute_e((3, 5), (4, 6))),
     ),
 )
+
+
+# -- second routes to H^1 and the integer linear algebra only they read --------
+
+
+class NotCyclic(CubicBrauerError):
+    """The cyclic cohomology oracle was applied to a module on more than one generator."""
+
+
+def kernel_basis(a: IntMatrix) -> IntMatrix:
+    """Basis of the integer kernel of A, as matrix columns.
+
+    The basis spans a primitive (saturated) sublattice: it consists of
+    columns of the unimodular V from the Smith form, so the quotient of
+    Z^cols by the kernel is torsion-free.
+    """
+    form = snf(a)
+    cols = [form.V.column(j) for j in range(form.rank(), a.cols)]
+    return IntMatrix.from_columns(cols, rows=a.cols)
+
+
+def mod_kernel(a: IntMatrix, n: int) -> list[tuple[int, ...]]:
+    """Generators of { x mod n : A x = 0 (mod n) } in (Z/n)^cols.
+
+    Computed exactly as the integer kernel of the augmented matrix
+    [A | -n*I] projected to the first block of coordinates.
+    """
+    if n < 2:
+        raise ValueError("modulus must be at least 2")
+    aug = IntMatrix.hstack(a, IntMatrix.identity(a.rows).scaled(-n))
+    basis = kernel_basis(aug)
+    out: list[tuple[int, ...]] = []
+    seen: set[tuple[int, ...]] = set()
+    for j in range(basis.cols):
+        vec = tuple(x % n for x in basis.column(j)[: a.cols])
+        if any(vec) and vec not in seen:
+            seen.add(vec)
+            out.append(vec)
+    return out
+
+
+def cokernel_structure(a: IntMatrix) -> FinAbGroup:
+    """Isomorphism type of Z^rows / (column span of A)."""
+    diag = elementary_divisors(a)
+    r = sum(1 for d in diag if d != 0)
+    # the Smith diagonal is a divisibility chain, so its entries above 1 are
+    # already the invariant factors
+    return FinAbGroup(a.rows - r, tuple(d for d in diag if d > 1))
+
+
+def solve_columns(a: IntMatrix, b: IntMatrix) -> IntMatrix | None:
+    """Solve A @ X = B over Z; None if there is no integral solution.
+
+    A may be rank-deficient: the coordinates beyond its rank in the Smith
+    basis are free and are set to 0.
+    """
+    form = snf(a)
+    diag = form.diagonal()
+    rank = form.rank()
+    ub = form.U @ b
+    if any(ub.data[i][j] for i in range(rank, a.rows) for j in range(b.cols)):
+        return None
+    z_rows = []
+    for i in range(rank):
+        row = []
+        for j in range(b.cols):
+            q, r = divmod(ub.data[i][j], diag[i])
+            if r:
+                return None
+            row.append(q)
+        z_rows.append(row)
+    z_rows.extend([0] * b.cols for _ in range(rank, a.cols))
+    return form.V @ IntMatrix(z_rows)
+
+
+def h1_cyclic_oracle(module: LatticeGModule) -> FinAbGroup:
+    """Independent H^1 for G = <s> on one generator: ker(Norm) / image(s - 1).
+
+    Raises NotCyclic when the module has more than one generator, even if
+    they generate a cyclic group: rebuild it on one element of full order.
+    """
+    if len(module.matrices) > 1:
+        raise NotCyclic("the module has more than one generator")
+    if not module.matrices:
+        return FinAbGroup.trivial()
+    (a,) = module.matrices
+    order = perm_order(module.group.generators[0])
+    ident = IntMatrix.identity(module.rank)
+    norm = ident
+    power = ident
+    for _ in range(order - 1):
+        power = power @ a
+        norm = norm + power
+    ker_norm = kernel_basis(norm)
+    if ker_norm.cols == 0:
+        return FinAbGroup.trivial()
+    coords = solve_columns(ker_norm, a - ident)
+    if coords is None:
+        raise AssertionError("image(s - 1) must lie in ker(Norm)")
+    result = cokernel_structure(coords)
+    if result.free_rank:
+        raise AssertionError("ker(Norm)/image(s-1) is finite for a lattice module")
+    return result
 
 
 def _h1_by_annihilator(matrices: tuple[IntMatrix, ...], rank: int, n: int) -> FinAbGroup:
@@ -643,10 +744,16 @@ __all__ = [
     "CaseTwoWitness",
     "CheckResult",
     "EXPECTED_TABLES",
+    "NotCyclic",
     "TWIST_GRID_D",
     "TWIST_GRID_N",
+    "cokernel_structure",
     "expected_twist",
+    "h1_cyclic_oracle",
+    "kernel_basis",
+    "mod_kernel",
     "run_all",
+    "solve_columns",
     "twist_invariants_by_listing",
     "verify_case_two_witness",
 ]

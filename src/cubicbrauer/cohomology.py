@@ -6,21 +6,17 @@ For a finite group G = <s_1, ..., s_k> acting on a lattice M,
 
 the Smith diagonal entries above 1 of the matrix that ``stacked_differences``
 builds in one pass, read by ``elementary_divisors`` with no transforms
-(see :func:`h1_lattice` for why).  The |G|-annihilator formula
-(M/nM)^G / image(M^G) survives only in the acceptance suite, as the route
-by which ``--seed-check`` re-verifies the case-2 witnesses.  The test suite
-checks the two formulas against each other on every module of the table
-sweep, and this one against the classical ker(Norm)/image(sigma - 1)
-description for cyclic groups.
+(see :func:`h1_lattice` for why).  The second routes live in the
+acceptance suite: the |G|-annihilator formula (M/nM)^G / image(M^G), by
+which ``--seed-check`` re-verifies the case-2 witnesses and which the test
+suite checks against this one on every module of the table sweep, and the
+classical ker(Norm)/image(sigma - 1) description for cyclic groups.
 """
 
 from __future__ import annotations
 
-from .errors import NotCyclic
-from .intlinalg import (
-    FinAbGroup, IntMatrix, cokernel_structure, elementary_divisors, kernel_basis, solve_columns
-)
-from .perms import PermGroup, perm_order
+from .intlinalg import FinAbGroup, IntMatrix, elementary_divisors
+from .perms import PermGroup
 from .values import Value
 
 
@@ -70,38 +66,7 @@ def h1_lattice(module: LatticeGModule) -> FinAbGroup:
     return FinAbGroup(0, tuple(d for d in diagonal if d > 1))
 
 
-def h1_cyclic_oracle(module: LatticeGModule) -> FinAbGroup:
-    """Independent H^1 for G = <s> on one generator: ker(Norm) / image(s - 1).
-
-    Raises NotCyclic when the module has more than one generator, even if
-    they generate a cyclic group: rebuild it on one element of full order.
-    """
-    if len(module.matrices) > 1:
-        raise NotCyclic("the module has more than one generator")
-    if not module.matrices:
-        return FinAbGroup.trivial()
-    (a,) = module.matrices
-    order = perm_order(module.group.generators[0])
-    ident = IntMatrix.identity(module.rank)
-    norm = ident
-    power = ident
-    for _ in range(order - 1):
-        power = power @ a
-        norm = norm + power
-    ker_norm = kernel_basis(norm)
-    if ker_norm.cols == 0:
-        return FinAbGroup.trivial()
-    coords = solve_columns(ker_norm, a - ident)
-    if coords is None:
-        raise AssertionError("image(s - 1) must lie in ker(Norm)")
-    result = cokernel_structure(coords)
-    if result.free_rank:
-        raise AssertionError("ker(Norm)/image(s-1) is finite for a lattice module")
-    return result
-
-
 __all__ = [
     "LatticeGModule",
-    "h1_cyclic_oracle",
     "h1_lattice",
 ]

@@ -24,10 +24,6 @@ class NotStabilized(CubicBrauerError):
     """The group does not stabilize the given point set."""
 
 
-class NotCyclic(CubicBrauerError):
-    """The cyclic cohomology oracle was applied to a non-cyclic group."""
-
-
 class TorsionFound(CubicBrauerError):
     """A boundary quotient Z^7 / <components> is not free of rank 7 - k."""
 

@@ -1,4 +1,4 @@
-"""Exact integer linear algebra: Smith normal form, kernels, cokernels.
+"""Exact integer linear algebra: Smith normal form and elementary divisors.
 
 Everything is computed over Z with Python's arbitrary-precision integers;
 no floating point enters this module.  Matrices are tiny (the largest
@@ -6,13 +6,13 @@ routine inputs are a few dozen rows), so the classical elimination with
 minimal-absolute-value pivoting is entirely adequate.
 
 One elimination loop serves two routes.  :func:`snf` also carries the
-unimodular transforms U and V, which :func:`kernel_basis`,
-:func:`solve_columns` and ``IntMatrix.inverse_unimodular`` read.
-:func:`elementary_divisors` runs the same loop without them, on the
-transpose of the nonzero rows of the matrix once every entry +-1 has
-been eliminated, and returns only the diagonal (Cohen, *A Course in
-Computational Algebraic Number Theory*, 2.4.4); :func:`cokernel_structure`
-uses it.
+unimodular transforms U and V, which ``IntMatrix.inverse_unimodular``
+and ``cubiclattice.boundary_quotient`` read.  :func:`elementary_divisors`
+runs the same loop without them, on the transpose of the nonzero rows of
+the matrix once every entry +-1 has been eliminated, and returns only
+the diagonal (Cohen, *A Course in Computational Algebraic Number Theory*,
+2.4.4); H^1 reads it.  The kernels, cokernels and solutions that only
+the second routes of the acceptance suite read live in ``acceptance``.
 
 ``IntMatrix(...)`` is the one validating constructor: each entry must be
 an integer in the sense of ``operator.index``, so a float, a ``Fraction``
@@ -28,7 +28,7 @@ trial division and an order of any size answers.
 from __future__ import annotations
 
 from math import gcd
-from operator import add, index, mul, neg, sub
+from operator import add, index, mul, sub
 from typing import Iterable, NamedTuple, Sequence
 
 from .values import Value
@@ -110,9 +110,6 @@ class IntMatrix(Value):
         return IntMatrix._from_rows(
             tuple(tuple(map(sub, r1, r2)) for r1, r2 in zip(self.data, other.data))
         )
-
-    def __neg__(self) -> IntMatrix:
-        return IntMatrix._from_rows(tuple(tuple(map(neg, r)) for r in self.data))
 
     def scaled(self, k: int) -> IntMatrix:
         k = index(k)
@@ -362,49 +359,6 @@ def elementary_divisors(a: IntMatrix) -> tuple[int, ...]:
     return (*(1,) * ones, *nonzero, *(0,) * (min(a.rows, a.cols) - ones - len(nonzero)))
 
 
-def kernel_basis(a: IntMatrix) -> IntMatrix:
-    """Basis of the integer kernel of A, as matrix columns.
-
-    The basis spans a primitive (saturated) sublattice: it consists of
-    columns of the unimodular V from the Smith form, so the quotient of
-    Z^cols by the kernel is torsion-free.
-    """
-    if a.rows == 0:
-        return IntMatrix.identity(a.cols)
-    if a.cols == 0:
-        return IntMatrix([[] for _ in range(0)])
-    form = snf(a)
-    r = form.rank()
-    cols = [form.V.column(j) for j in range(r, a.cols)]
-    return IntMatrix.from_columns(cols, rows=a.cols)
-
-
-def mod_kernel(a: IntMatrix, n: int) -> list[tuple[int, ...]]:
-    """Generators of { x mod n : A x = 0 (mod n) } in (Z/n)^cols.
-
-    Computed exactly as the integer kernel of the augmented matrix
-    [A | -n*I] projected to the first block of coordinates.
-    """
-    if n < 2:
-        raise ValueError("modulus must be at least 2")
-    if a.cols == 0:
-        return []
-    if a.rows == 0:
-        return [
-            tuple(1 if i == j else 0 for i in range(a.cols)) for j in range(a.cols)
-        ]
-    aug = IntMatrix.hstack(a, IntMatrix.identity(a.rows).scaled(-n))
-    basis = kernel_basis(aug)
-    out: list[tuple[int, ...]] = []
-    seen: set[tuple[int, ...]] = set()
-    for j in range(basis.cols):
-        vec = tuple(x % n for x in basis.column(j)[: a.cols])
-        if any(vec) and vec not in seen:
-            seen.add(vec)
-            out.append(vec)
-    return out
-
-
 class FinAbGroup(Value):
     """Isomorphism type of a finitely generated abelian group.
 
@@ -491,50 +445,10 @@ class FinAbGroup(Value):
         return " x ".join(parts) if parts else "0"
 
 
-def cokernel_structure(a: IntMatrix) -> FinAbGroup:
-    """Isomorphism type of Z^rows / (column span of A)."""
-    if a.cols == 0:
-        return FinAbGroup(a.rows, ())
-    diag = elementary_divisors(a)
-    r = sum(1 for d in diag if d != 0)
-    # the Smith diagonal is a divisibility chain, so its entries above 1 are
-    # already the invariant factors
-    return FinAbGroup(a.rows - r, tuple(d for d in diag if d > 1))
-
-
-def solve_columns(a: IntMatrix, b: IntMatrix) -> IntMatrix | None:
-    """Solve A @ X = B over Z; None if there is no integral solution.
-
-    A may be rank-deficient: the coordinates beyond its rank in the Smith
-    basis are free and are set to 0.
-    """
-    form = snf(a)
-    diag = form.diagonal()
-    rank = form.rank()
-    ub = form.U @ b
-    if any(ub.data[i][j] for i in range(rank, a.rows) for j in range(b.cols)):
-        return None
-    z_rows = []
-    for i in range(rank):
-        row = []
-        for j in range(b.cols):
-            q, r = divmod(ub.data[i][j], diag[i])
-            if r:
-                return None
-            row.append(q)
-        z_rows.append(row)
-    z_rows.extend([0] * b.cols for _ in range(rank, a.cols))
-    return form.V @ IntMatrix(z_rows)
-
-
 __all__ = [
     "FinAbGroup",
     "IntMatrix",
     "SmithForm",
-    "cokernel_structure",
     "elementary_divisors",
-    "kernel_basis",
-    "mod_kernel",
     "snf",
-    "solve_columns",
 ]

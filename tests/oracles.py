@@ -10,7 +10,7 @@ values in integers without elimination or factoring; the tests compare the
 two.  The Eckardt test on f's own coefficients, where ``qexamples`` tests
 its integral form.  Smith-form verification, U A V == S with U and V
 unimodular.  The kernel of an integer matrix mod n by listing (Z/n)^cols,
-where ``intlinalg.mod_kernel`` reads an integer kernel, and the subgroup
+where ``acceptance.mod_kernel`` reads an integer kernel, and the subgroup
 that vectors generate mod n, closed under addition.  The invariant factors
 of a sum of cyclic groups from primary parts, where
 ``FinAbGroup.from_orders`` takes gcds and lcms.  And the group that

@@ -67,3 +67,20 @@ def test_the_listing_route_stays_in_the_acceptance_suite(monkeypatch):
     monkeypatch.setattr(brauer, "twist_invariants", refuse)
     boundary = brauer.BoundaryDescriptor("three_lines", "s3", d=-3)
     assert brauer.transcendental_bound(boundary).invariant_factors == (6,)
+
+
+def test_second_routes_stay_in_the_acceptance_suite():
+    # the cyclic H^1 oracle and the kernels, cokernels and solutions that only
+    # the second routes read live beside the checks that run them
+    import cubicbrauer.acceptance
+    import cubicbrauer.cohomology
+    import cubicbrauer.intlinalg
+
+    names = (
+        "h1_cyclic_oracle", "kernel_basis", "mod_kernel", "solve_columns", "cokernel_structure"
+    )
+    core = (cubicbrauer, cubicbrauer.intlinalg, cubicbrauer.cohomology)
+    for name in names:
+        assert not any(hasattr(module, name) for module in core), name
+        assert name not in cubicbrauer.__all__
+        assert name in cubicbrauer.acceptance.__all__

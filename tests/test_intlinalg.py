@@ -18,16 +18,8 @@ from oracles import (
 )
 
 from cubicbrauer import arith
-from cubicbrauer.intlinalg import (
-    FinAbGroup,
-    IntMatrix,
-    cokernel_structure,
-    elementary_divisors,
-    kernel_basis,
-    mod_kernel,
-    snf,
-    solve_columns,
-)
+from cubicbrauer.acceptance import cokernel_structure, kernel_basis, mod_kernel, solve_columns
+from cubicbrauer.intlinalg import FinAbGroup, IntMatrix, elementary_divisors, snf
 
 
 def test_snf_divisibility_example():
@@ -52,6 +44,10 @@ def test_kernel_rank_one_rows():
 
 def test_kernel_identity_empty():
     assert kernel_basis(IntMatrix.identity(3)).cols == 0
+    # no columns, or neither rows nor columns: an empty kernel
+    for a in (IntMatrix.from_columns([], rows=2), IntMatrix([])):
+        assert kernel_basis(a) == IntMatrix([])
+        assert mod_kernel(a, 4) == []
 
 
 def test_kernel_is_primitive():
@@ -83,6 +79,8 @@ def test_mod_kernel_matches_bruteforce(seed):
 def test_cokernel_examples():
     assert cokernel_structure(IntMatrix.identity(3)) == FinAbGroup.trivial()
     assert cokernel_structure(IntMatrix.from_columns([(0, 2)], rows=2)) == FinAbGroup(1, (2,))
+    # no columns: Z^rows
+    assert cokernel_structure(IntMatrix.from_columns([], rows=3)) == FinAbGroup(3, ())
 
 
 def test_cokernel_trio_matrix():

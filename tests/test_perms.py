@@ -119,11 +119,12 @@ def test_listing_stops_past_its_bound(query, monkeypatch):
             listed.append(len(self.codes))
 
     monkeypatch.setattr(perms._Dimino, "add", counted)
+    monkeypatch.setattr(perms, "ELEMENT_LISTING_BOUND", 100)
     s20 = PermGroup(20, [cyc(20, tuple(range(20))), cyc(20, (0, 1))])
     tracemalloc.start()
     try:
         with pytest.raises(TooLarge):
-            query(s20, bound=100)
+            query(s20)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -132,14 +133,19 @@ def test_listing_stops_past_its_bound(query, monkeypatch):
     assert s20._listed is None
 
 
-def test_element_bound_is_checked_on_every_call():
+def test_element_bound_is_checked_on_every_call(monkeypatch):
+    """The bound is read when each call is made, also on a listing already cached."""
+    from cubicbrauer import perms
+
     s6 = PermGroup(6, [cyc(6, (0, 1)), cyc(6, tuple(range(6)))])
     assert len(s6.elements()) == 720
+    monkeypatch.setattr(perms, "ELEMENT_LISTING_BOUND", 10)
     with pytest.raises(TooLarge):
-        s6.elements(bound=10)
+        s6.elements()
     with pytest.raises(TooLarge):
-        s6.order(bound=10)
-    assert len(s6.elements(bound=720)) == 720
+        s6.order()
+    monkeypatch.setattr(perms, "ELEMENT_LISTING_BOUND", 720)
+    assert len(s6.elements()) == 720
 
 
 def test_setwise_stabilizer_examples():
@@ -422,28 +428,6 @@ def test_table_inverses_orders_and_elements(factory):
 
 def test_table_inverses_orders_and_elements_on_the_trio_stabilizer(trio_stabilizer):
     _check_table_inverses_orders_and_elements(trio_stabilizer)
-
-
-def test_table_refuses_a_listing_that_is_not_the_group():
-    """S4 carrying its listing less one coset x C4, or the listing of A4 alone;
-    C4 carrying the listing of S4.
-
-    The coset x C4 holds neither generator, so only the closure catches it;
-    A4 lacks the transposition that generates S4.  S4 is closed under the
-    generator of C4, a union of its right cosets, so only the walk from the
-    identity, which reaches 4 of its 24 codes, catches it.
-    """
-    rotation = cyc(4, (0, 1, 2, 3))
-    c4 = closure(4, [rotation])
-    x = cyc(4, (1, 2))
-    full = closure(4, s4().generators)
-    short = set(full) - {compose(x, h) for h in c4}
-    assert len(short) == 20 and set(s4().generators) <= short
-    a4 = closure(4, [cyc(4, (0, 1, 2)), cyc(4, (0, 1), (2, 3))])
-    for group, listed in ((s4(), short), (s4(), a4), (PermGroup(4, [rotation]), full)):
-        object.__setattr__(group, "_listed", sorted(map(bytes, listed)))
-        with pytest.raises(AssertionError):
-            _TableGroup(group)
 
 
 def _check_extend_matches_closure(group, seed):
